@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap
-from .rng import replicate_uniforms, uniform_matrix
+from .rng import uniform_matrix
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,15 @@ class Distribution:
     def from_array(cls, arr, where: str = "distribution") -> "Distribution":
         """Validate and normalize a probability vector.
 
-        Entries must be nonnegative and sum to 1 within ``PROB_TOL``; sums
-        inside the tolerance are renormalized, anything worse is rejected.
+        Entries must be finite, nonnegative and sum to 1 within ``PROB_TOL``;
+        sums inside the tolerance are renormalized, anything worse is rejected.
         """
         probs = np.asarray(arr, dtype=float)
         if probs.ndim != 1 or probs.size == 0:
             raise ValidationError(f"{where}: expected a nonempty 1-d probability vector")
+        if not np.isfinite(probs).all():
+            idx = int(np.argmin(np.isfinite(probs)))
+            raise ValidationError(f"{where}: non-finite entry {probs[idx]} at index {idx}")
         if np.any(probs < 0):
             idx = int(np.argmin(probs))
             raise ValidationError(f"{where}: negative entry {probs[idx]} at index {idx}")
@@ -59,6 +62,9 @@ class Kernel:
         rows = np.asarray(arr, dtype=float)
         if rows.ndim != 2 or rows.size == 0:
             raise ValidationError(f"{where}: expected a nonempty 2-d matrix")
+        if not np.isfinite(rows).all():
+            i, j = np.unravel_index(int(np.argmin(np.isfinite(rows))), rows.shape)
+            raise ValidationError(f"{where}: non-finite entry {rows[i, j]} at row {i}, column {j}")
         if np.any(rows < 0):
             i, j = np.unravel_index(int(np.argmin(rows)), rows.shape)
             raise ValidationError(f"{where}: negative entry {rows[i, j]} at row {i}, column {j}")
@@ -299,28 +305,29 @@ def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
 # deterministic sampling
 
 
-def _inverse_cdf_step(cdf_rows: np.ndarray, states: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized inverse-CDF: next state = #{k : cdf[state, k] <= u}."""
-    picked = cdf_rows[states]
-    nxt = (picked <= u[:, None]).sum(axis=1)
-    return np.minimum(nxt, cdf_rows.shape[1] - 1)
-
-
 def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray) -> np.ndarray:
     """Drive one trajectory per row of u by inverse-CDF, one uniform per coordinate.
 
-    Sharing the same u across different chains couples them by common random
-    numbers.
+    The next state is #{k < S - 1 : cdf[prev, k] <= u}: a cumulative sum of
+    nonnegative entries is nondecreasing, so counting the first S - 1
+    breakpoints is the full count clamped to the last state. The work runs
+    coordinate-major on an (n, m) state array, one comparison per breakpoint;
+    the result is C-ordered (m, n), one trajectory per row. Callers bound
+    memory by passing u in blocks of rows. Sharing the same u across
+    different chains couples them by common random numbers.
     """
     if u.ndim != 2 or u.shape[1] != spec.n:
         raise ValidationError(f"uniform matrix must have {spec.n} columns, got shape {u.shape}")
-    out = np.empty((u.shape[0], spec.n), dtype=np.int64)
+    ut = u.T.copy()
+    states = np.zeros((spec.n, u.shape[0]), dtype=np.int64)
     init_cdf = np.cumsum(spec.initial.probs)
-    out[:, 0] = np.minimum((init_cdf <= u[:, 0][:, None]).sum(axis=1), len(init_cdf) - 1)
-    for c in range(spec.n - 1):
-        cdf = np.cumsum(spec.kernels[c].rows, axis=1)
-        out[:, c + 1] = _inverse_cdf_step(cdf, out[:, c], u[:, c + 1])
-    return out
+    for k in range(init_cdf.size - 1):
+        states[0] += init_cdf[k] <= ut[0]
+    for c, kernel in enumerate(spec.kernels):
+        cdf_cols = np.cumsum(kernel.rows, axis=1).T.copy()
+        for k in range(cdf_cols.shape[0] - 1):
+            states[c + 1] += cdf_cols[k].take(states[c]) <= ut[c + 1]
+    return states.T.copy()
 
 
 def sample_trajectories(spec: ChainSpec, seed: int, replicates: int, first: int = 0) -> np.ndarray:
@@ -334,17 +341,9 @@ def sample_trajectories(spec: ChainSpec, seed: int, replicates: int, first: int 
 
 
 def sample_trajectory(spec: ChainSpec, seed: int, replicate: int = 0) -> Trajectory:
-    """One trajectory for (seed, replicate); identical inputs give identical output."""
-    u = replicate_uniforms(seed, replicate, spec.n)
-    states = []
-    cdf = np.cumsum(spec.initial.probs)
-    s = int(min((cdf <= u[0]).sum(), len(cdf) - 1))
-    states.append(s)
-    for c in range(spec.n - 1):
-        cdf = np.cumsum(spec.kernels[c].rows[s])
-        s = int(min((cdf <= u[c + 1]).sum(), len(cdf) - 1))
-        states.append(s)
-    return Trajectory(tuple(states))
+    """One trajectory for (seed, replicate): row `replicate` of sample_trajectories."""
+    row = sample_trajectories(spec, seed, 1, first=replicate)[0]
+    return Trajectory(tuple(int(s) for s in row))
 
 
 # ---------------------------------------------------------------------------

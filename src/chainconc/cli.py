@@ -117,6 +117,8 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
             raise ValidationError(
                 f"function table has {values.size} entries, joint space has {spec.joint_size()}"
             )
+        if not np.isfinite(values).all():
+            raise ValidationError("function table must contain only finite values")
         return TabularFunction(values)
     if isinstance(f, dict) and f.get("name") == "indicator_count":
         value = int(f.get("value", 1))

@@ -54,6 +54,8 @@ class LipschitzWeights:
         c = np.asarray(arr, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("weights must be a nonempty 1-d vector")
+        if not np.isfinite(c).all():
+            raise ValidationError("weights must be finite")
         if np.any(c < 0):
             raise ValidationError("weights must be nonnegative")
         return cls(c)

@@ -56,6 +56,8 @@ class MdpSpec:
         caps = np.ones(horizon) if stage_caps is None else np.asarray(stage_caps, dtype=float)
         if caps.shape != (horizon,):
             raise ValidationError(f"stage_caps must have length {horizon}")
+        if not (np.isfinite(rew).all() and np.isfinite(caps).all()):
+            raise ValidationError("rewards and stage_caps must be finite")
         if np.any(caps < 0):
             raise ValidationError("stage_caps must be nonnegative")
         if np.any(rew < 0) or np.any(rew > caps.min()):

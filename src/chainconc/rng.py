@@ -5,7 +5,7 @@ Philox counter blocks (4 outputs per block), so the variate consumed for
 (seed, replicate, coordinate) is a pure function of those three integers.
 Replicates can therefore be generated in any order, in any chunking, with
 bit-identical results: `uniform_matrix(seed, m, n)[r]` equals
-`replicate_uniforms(seed, r, n)` for every r.
+`uniform_matrix(seed, 1, n, first=r)[0]` for every r < m.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ def _blocks_per_replicate(n_vars: int) -> int:
     return -(-n_vars // _OUTPUTS_PER_BLOCK)
 
 
-def replicate_uniforms(seed: int, replicate: int, n_vars: int) -> np.ndarray:
-    """Uniform [0,1) variates for one replicate, independent of any other draws."""
-    bpr = _blocks_per_replicate(n_vars)
-    bg = np.random.Philox(key=seed).advance(replicate * bpr)
-    return np.random.Generator(bg).random(n_vars)
-
 def uniform_matrix(seed: int, replicates: int, n_vars: int, first: int = 0) -> np.ndarray:
     """Uniform variates for replicates [first, first+replicates), shape (replicates, n_vars).
 
-    Row r is bit-identical to replicate_uniforms(seed, first + r, n_vars).
+    Row r is the uniform [0,1) variates of replicate first + r, independent
+    of any other draws.
     """
     if replicates == 0:
         return np.empty((0, n_vars))

@@ -4,7 +4,9 @@ Everything here is falsifiable: empirical tails, moment generating
 functions, and expected suprema are compared against certificates, and a
 bound violated beyond Monte Carlo error is a build-failing event, not a
 warning. All sampling is counter-based (see rng), so results are
-bit-identical for a given seed regardless of chunking.
+bit-identical for a given seed regardless of chunking. Replicates, the
+centering pilot included, are drawn and sampled in blocks of at most
+SAMPLE_BLOCK, so peak memory does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ PILOT_REPLICATES = 10**6
 # pilot centering draws from a disjoint Philox key space so it never collides
 # with verification replicates of the same seed
 _PILOT_KEY_OFFSET = 1 << 64
+# replicates drawn and sampled at once: bounds the working set of every
+# Monte Carlo loop (about 3 MB of uniforms per block at n = 24)
+SAMPLE_BLOCK = 1 << 14
 
 CRN_CAVEAT = (
     "empirical suprema use common random numbers: one shared uniform stream "
@@ -47,24 +52,33 @@ def _function_values(f, spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     return np.asarray(f(states), dtype=float)
 
 
+def _blocks(lo: int, hi: int):
+    """Consecutive ranges covering [lo, hi), each at most SAMPLE_BLOCK long."""
+    for start in range(lo, hi, SAMPLE_BLOCK):
+        yield start, min(start + SAMPLE_BLOCK, hi)
+
+
+def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.ndarray]:
+    """f along the trajectories of replicates [lo, hi), one array per block."""
+    return [
+        _function_values(f, spec, trajectories_from_uniforms(
+            spec, uniform_matrix(seed, b - a, spec.n, first=a)))
+        for a, b in _blocks(lo, hi)
+    ]
+
+
 def _center(f, spec: ChainSpec, cap: int | None, seed: int) -> tuple[float, str]:
     """Exact centering when enumeration is feasible, else a deterministic pilot."""
     if isinstance(f, TabularFunction) and spec.joint_size() <= enumeration_cap(cap):
         return float(conditional_expectation_tables(f, spec, cap=cap)[0]), "enumeration"
-    states = trajectories_from_uniforms(
-        spec, uniform_matrix(seed + _PILOT_KEY_OFFSET, PILOT_REPLICATES, spec.n)
-    )
-    return float(np.mean(_function_values(f, spec, states))), f"pilot({PILOT_REPLICATES})"
+    values = _block_values(f, spec, seed + _PILOT_KEY_OFFSET, 0, PILOT_REPLICATES)
+    return float(np.mean(np.concatenate(values))), f"pilot({PILOT_REPLICATES})"
 
 
 def _sample_values(f, spec: ChainSpec, seed: int, replicates: int, chunks: int) -> np.ndarray:
     """f along sampled trajectories, in replicate order, chunk-independent."""
-    parts = []
-    for lo, hi in chunk_ranges(replicates, chunks):
-        if hi == lo:
-            continue
-        u = uniform_matrix(seed, hi - lo, spec.n, first=lo)
-        parts.append(_function_values(f, spec, trajectories_from_uniforms(spec, u)))
+    parts = [v for lo, hi in chunk_ranges(replicates, chunks)
+             for v in _block_values(f, spec, seed, lo, hi)]
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -270,17 +284,16 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     ]
     parts = []
     for lo, hi in chunk_ranges(replicates, chunks):
-        if hi == lo:
-            continue
-        u = uniform_matrix(seed, hi - lo, mdp.horizon, first=lo)
-        sup = np.full(hi - lo, -np.inf)
-        for chain_spec, center, rtab in zip(chains, centers, reward_tables):
-            states = trajectories_from_uniforms(chain_spec, u)
-            v = np.zeros(hi - lo)
-            for stage in range(mdp.horizon):
-                v += rtab[stage][states[:, stage]]
-            sup = np.maximum(sup, v - center)
-        parts.append(sup)
+        for a, b in _blocks(lo, hi):
+            u = uniform_matrix(seed, b - a, mdp.horizon, first=a)
+            sup = np.full(b - a, -np.inf)
+            for chain_spec, center, rtab in zip(chains, centers, reward_tables):
+                states = trajectories_from_uniforms(chain_spec, u)
+                v = np.zeros(b - a)
+                for stage in range(mdp.horizon):
+                    v += rtab[stage][states[:, stage]]
+                sup = np.maximum(sup, v - center)
+            parts.append(sup)
     sups = np.concatenate(parts)
     estimate = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / math.sqrt(replicates))

@@ -86,6 +86,23 @@ def t_step_tv(spec, i, t) -> float:
     return worst
 
 
+def inverse_cdf_trajectories(spec, u) -> np.ndarray:
+    """Row-major inverse-CDF sampling, one trajectory per row of u.
+
+    Each step gathers the current state's whole CDF row, counts the
+    breakpoints at or below the uniform and clamps the count to the last
+    state, where the library counts one CDF column at a time unclamped.
+    """
+    out = np.empty((u.shape[0], spec.n), dtype=np.int64)
+    init_cdf = np.cumsum(spec.initial.probs)
+    out[:, 0] = np.minimum((init_cdf <= u[:, 0][:, None]).sum(axis=1), len(init_cdf) - 1)
+    for c in range(spec.n - 1):
+        cdf = np.cumsum(spec.kernels[c].rows, axis=1)
+        nxt = (cdf[out[:, c]] <= u[:, c + 1][:, None]).sum(axis=1)
+        out[:, c + 1] = np.minimum(nxt, cdf.shape[1] - 1)
+    return out
+
+
 def spectral_norm(matrix) -> float:
     return float(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)[0])
 

@@ -24,7 +24,8 @@ from chainconc import (
     tv_distance,
     validate_chain,
 )
-from chainconc.chain import block_law_given_coordinate
+from chainconc.chain import block_law_given_coordinate, trajectories_from_uniforms
+from chainconc.rng import uniform_matrix
 from conftest import random_chain
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -61,6 +62,14 @@ def test_validate_renormalizes_within_tolerance():
 def test_validate_rejects_negative_entry():
     with pytest.raises(ValidationError, match="negative"):
         Distribution.from_array([1.1, -0.1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        Distribution.from_array([0.5, bad])
+    with pytest.raises(ValidationError, match="non-finite"):
+        Kernel.from_array([[0.5, 0.5], [bad, 1.0]])
 
 
 def test_validate_rejects_shape_mismatch():
@@ -282,6 +291,57 @@ def test_sample_trajectories_rows_match_single_samples():
     # chunk-independence: rows [3, 10) reproduce the same trajectories
     tail = sample_trajectories(spec, 7, 7, first=3)
     assert np.array_equal(tail, block[3:])
+
+
+def test_uniform_matrix_rows_are_chunk_independent():
+    whole = uniform_matrix(11, 9, 7)
+    for r in range(9):
+        assert np.array_equal(uniform_matrix(11, 1, 7, first=r)[0], whole[r])
+    assert uniform_matrix(11, 0, 7).shape == (0, 7)
+
+
+_LAST_UNIFORM = float(np.nextafter(1.0, 0.0))
+
+
+@st.composite
+def _row(draw, size, short_of_one):
+    """Probability row with zero entries (CDF plateaus), optionally summing just below 1."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)
+                   .filter(lambda w: sum(w) > 0))
+    row = np.asarray(weights, dtype=float) / sum(weights)
+    if short_of_one:
+        row *= 1.0 - draw(st.integers(1, 64)) * 2.0**-53
+    return row
+
+
+@st.composite
+def _chain_and_uniforms(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    short = draw(st.booleans())
+    initial = draw(_row(sizes[0], short))
+    kernels = tuple(
+        Kernel(np.stack([draw(_row(sizes[i + 1], short)) for _ in range(sizes[i])]))
+        for i in range(len(sizes) - 1)
+    )
+    # unvalidated, so rows that sum just below 1 reach the sampler as drawn
+    spec = ChainSpec(tuple(sizes), Distribution(initial), kernels)
+    breakpoints = sorted({float(x) for x in np.cumsum(initial)}.union(
+        float(x) for k in kernels for x in np.cumsum(k.rows, axis=1).ravel()))
+    special = [0.0, _LAST_UNIFORM] + [b for b in breakpoints if b < 1.0]
+    m = draw(st.integers(0, 8))
+    entry = st.one_of(st.sampled_from(special),
+                      st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False))
+    u = np.array(draw(st.lists(st.lists(entry, min_size=len(sizes), max_size=len(sizes)),
+                               min_size=m, max_size=m)), dtype=float).reshape(m, len(sizes))
+    return spec, u
+
+
+@given(_chain_and_uniforms())
+def test_sampler_matches_row_gather_reference(case):
+    spec, u = case
+    states = trajectories_from_uniforms(spec, u)
+    assert states.dtype == np.int64 and states.flags.c_contiguous
+    assert np.array_equal(states, oracles.inverse_cdf_trajectories(spec, u))
 
 
 def test_sample_uniform_chain_frequencies():

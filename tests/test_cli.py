@@ -148,6 +148,29 @@ def test_malformed_input_exits_1(tmp_path):
     assert main(["certify", "--input", bad_row, "--output", str(tmp_path / "o.json")]) == 1
 
 
+def test_nan_kernel_mix_exits_1(tmp_path):
+    chain = write_json(tmp_path / "chain.json",
+                       {"kernel": [[0.5, 0.5], [float("nan"), 1.0]], "n": 6})
+    assert main(["mix", "--input", chain, "--eps", "0.25",
+                 "--output", str(tmp_path / "mix.json")]) == 1
+
+
+def test_nan_function_table_verify_exits_1(tmp_path):
+    table = [1.0] * 8
+    table[5] = float("nan")
+    chain = write_json(tmp_path / "chain.json",
+                       {"kernel": TWO_STATE, "n": 3, "initial": [0.5, 0.5], "function": table})
+    assert main(["verify", "--input", chain, "--output", str(tmp_path / "tail.json"),
+                 "--replicates", "2000"]) == 1
+
+
+def test_infinite_weight_certify_exits_1(tmp_path):
+    chain = write_json(tmp_path / "chain.json",
+                       {"kernel": TWO_STATE, "n": 4, "initial": [0.5, 0.5],
+                        "weights": [1.0, float("inf"), 1.0, 1.0]})
+    assert main(["certify", "--input", chain, "--output", str(tmp_path / "cert.json")]) == 1
+
+
 def test_infeasible_enumeration_exits_2(tmp_path):
     chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12})
     assert main(["certify", "--input", chain, "--method", "brute", "--cap", "100",

@@ -70,6 +70,17 @@ def test_mdp_validation_enforces_reward_caps():
     MdpSpec.build(2, 1, 3, trans, [[1.5], [0.5]], [0.5, 0.5], stage_caps=[2.0, 2.0, 2.0])
 
 
+@pytest.mark.parametrize("rewards, caps", [
+    ([[float("nan")], [0.5]], None),
+    ([[0.5], [0.5]], [1.0, float("inf"), 1.0]),
+    ([[0.5], [0.5]], [float("nan"), 1.0, 1.0]),
+])
+def test_mdp_validation_rejects_non_finite_rewards_and_caps(rewards, caps):
+    trans = np.full((2, 1, 2), 0.5)
+    with pytest.raises(ValidationError, match="finite"):
+        MdpSpec.build(2, 1, 3, trans, rewards, [0.5, 0.5], stage_caps=caps)
+
+
 def test_single_action_mdp_chain_is_policy_independent(rng):
     mdp = random_mdp(rng, n_actions=1)
     chains = [induced_chain(mdp, Policy((0,) * 3))]

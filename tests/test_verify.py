@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chainconc import (
     TabularFunction,
     ValidationError,
     certify,
+    chain_from_dict,
     empirical_mgf,
     empirical_sup_value,
     empirical_tail,
@@ -20,8 +22,10 @@ from chainconc import (
     induced_chain,
     maximal_bound,
 )
+from chainconc import verify
 from chainconc.rl import HammingMetric, PolicyClass
 from chainconc.verify import _jackknife_se_of_mean
+from conftest import random_chain
 from test_rl import random_mdp
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -97,6 +101,48 @@ def test_tail_rejects_bad_inputs():
         empirical_tail(spec, f, 1.0, replicates=10)
     with pytest.raises(ValidationError, match="grid"):
         empirical_tail(spec, f, 1.0, t_grid=[-1.0], replicates=2000)
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pilot_memory_is_bounded(rng):
+    # drawing the 10^6-replicate pilot at once takes about 412 MB here
+    spec = chain_from_dict({"coord_sizes": [4] * 24, "initial": [0.25] * 4,
+                            "kernels": rng.dirichlet(np.ones(4), size=(23, 4)).tolist()})
+    weights = rng.uniform(0.5, 1.5, spec.n)
+    peak = _traced_peak_mb(lambda: empirical_tail(
+        spec, lambda states: (states == 1) @ weights, 6.0, replicates=1000, seed=3))
+    assert peak < 64.0
+
+
+def test_sup_value_memory_is_bounded(rng):
+    # drawing all replicates at once takes about 156 MB here
+    mdp = random_mdp(rng, n_actions=1, horizon=30)
+    pc = enumerate_policies(3, 1)
+    peak = _traced_peak_mb(lambda: empirical_sup_value(mdp, pc, replicates=3 * 10**5, seed=2))
+    assert peak < 32.0
+
+
+def test_block_boundaries_do_not_change_results(rng, monkeypatch):
+    spec = random_chain(rng, n=5, max_size=3)
+    mdp = random_mdp(rng, horizon=5)
+    pc = enumerate_policies(3, 2)
+
+    def run():
+        return (empirical_tail(spec, lambda s: s.sum(axis=1) * 0.7, 2.0,
+                               replicates=1000, seed=5, chunks=3).to_dict(),
+                empirical_sup_value(mdp, pc, replicates=1000, seed=5, chunks=2).to_dict())
+
+    whole = run()
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 97)
+    assert run() == whole
 
 
 def test_callable_function_uses_pilot_centering():
