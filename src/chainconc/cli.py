@@ -1,9 +1,9 @@
 """Command-line front end: file-based, reproducible certificate and verification runs.
 
 Exit codes: 0 success, 1 malformed input, 2 infeasible computation
-(enumeration cap exceeded, or a method that needs a mixing time when the
-chain has none), 3 verification failure (an empirical quantity exceeded its
-certified bound beyond Monte Carlo error). Code 3 is the highest-severity
+(an enumeration or policy-class cap exceeded, or a method that needs a mixing
+time when the chain has none), 3 verification failure (an empirical quantity
+exceeded its certified bound beyond Monte Carlo error). Code 3 is the highest-severity
 outcome: it means the theory the certificate encodes was falsified.
 """
 
@@ -22,13 +22,15 @@ from .concentration import (
     CONVENTION_CAVEAT,
     LipschitzWeights,
     TabularFunction,
+    build_gamma,
     certify,
     gamma_contractive,
     gamma_ergodic,
     mixing_time,
 )
-from .coupling import goldstein_coupling, wasserstein_matrix_tv
+from .coupling import goldstein_coupling
 from .errors import (
+    DEFAULT_POLICY_CAP,
     ChainconcError,
     ConvergenceError,
     EnumerationCapError,
@@ -142,8 +144,7 @@ def _cmd_certify(args) -> int:
     doc = _read_json(args.input)
     spec = chain_from_dict(doc)
     weights = _load_weights(doc, spec)
-    report = certify(spec, weights, args.method, eps=args.eps,
-                     convention=args.convention, cap=args.cap)
+    report = certify(spec, weights, args.method, eps=args.eps, convention=args.convention)
     out = {"meta": _meta(args), "report": report.to_dict()}
     _write_json(args.output, out)
     _write_text(_csv_path(args.output), report.tail_curve_csv())
@@ -164,12 +165,8 @@ def _cmd_verify(args) -> int:
             raise ValidationError(f"certificate has no {key} field")
         sigma2 = float(report[key])
     else:
-        weights = _load_weights(doc, spec)
-        sigma2 = getattr(
-            certify(spec, weights, args.method, eps=args.eps,
-                    convention=args.convention, cap=args.cap),
-            f"sigma2_{args.convention}",
-        )
+        sigma2 = certify(spec, _load_weights(doc, spec), args.method, eps=args.eps,
+                         convention=args.convention).sigma2_selected
     est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed,
                          cap=args.cap)
     out = {"meta": _meta(args), "convention": args.convention,
@@ -223,28 +220,14 @@ def _cmd_mix(args) -> int:
 
 def _cmd_gamma(args) -> int:
     doc = _read_json(args.input)
-    if args.method == "contractive":
-        if "thetas" in doc:
-            g = gamma_contractive(doc["thetas"])
-        else:
-            spec = chain_from_dict(doc)
-            from .chain import dobrushin_coefficient
-
-            g = gamma_contractive([dobrushin_coefficient(k) for k in spec.kernels])
-    elif args.method == "ergodic":
+    if args.method == "contractive" and "thetas" in doc:
+        g = gamma_contractive(doc["thetas"])
+    elif args.method == "ergodic" and "n_blocks" in doc:
         if args.eps is None:
             raise ValidationError("ergodic gamma requires --eps")
-        if "n_blocks" in doc:
-            g = gamma_ergodic(int(doc["n_blocks"]), args.eps)
-        else:
-            spec = chain_from_dict(doc)
-            tau = mixing_time(spec, args.eps)
-            if tau is None:
-                raise NoMixError(f"chain does not mix to eps = {args.eps}")
-            g = gamma_ergodic(-(-spec.n // tau), args.eps)
+        g = gamma_ergodic(int(doc["n_blocks"]), args.eps)
     else:
-        spec = chain_from_dict(doc)
-        g = wasserstein_matrix_tv(spec, cap=args.cap)
+        g, _ = build_gamma(chain_from_dict(doc), args.method, args.eps)
     out = {"meta": _meta(args), "gamma": g.to_dict()}
     _write_json(args.output, out)
     print(f"gamma ({g.provenance}) of size {g.n}; wrote {args.output}")
@@ -257,15 +240,21 @@ def _rl_metric(args, mdp):
     return HammingMetric()
 
 
-def _rl_report(args, mdp) -> dict:
-    pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp))
+def _policy_cap(args) -> int:
+    return DEFAULT_POLICY_CAP if args.cap is None else args.cap
+
+
+def _rl_report(args, mdp):
+    """The rl-bound report and the policy class it was built over."""
+    pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp),
+                            cap=_policy_cap(args))
     per_policy = []
     sigma2_max = 0.0
     taus = []
     for pi in pc.policies:
         chain_spec = induced_chain(mdp, pi)
         report = certify(chain_spec, LipschitzWeights(mdp.stage_caps), args.method,
-                         eps=args.eps, convention=args.convention, cap=args.cap)
+                         eps=args.eps, convention=args.convention)
         tau = mixing_time(chain_spec, args.eps)
         taus.append(mdp.horizon if tau is None else tau)
         sigma2_max = max(sigma2_max, getattr(report, f"sigma2_{args.convention}"))
@@ -297,12 +286,12 @@ def _rl_report(args, mdp) -> dict:
     if any(t == mdp.horizon for t in taus):
         caveats.append("some policies never mix within the horizon; tau = H used as surrogate")
     return {"meta": _meta(args), "metric": args.metric, "per_policy": per_policy,
-            "bounds": bounds, "caveats": caveats}
+            "bounds": bounds, "caveats": caveats}, pc
 
 
 def _cmd_rl_bound(args) -> int:
     mdp = mdp_from_dict(_read_json(args.input))
-    out = _rl_report(args, mdp)
+    out, _ = _rl_report(args, mdp)
     _write_json(args.output, out)
     b = out["bounds"]
     print(f"|Pi| = {b['class_size']}, sigma2_max = {b['sigma2_max']!r}, "
@@ -312,9 +301,9 @@ def _cmd_rl_bound(args) -> int:
 
 def _cmd_rl_verify(args) -> int:
     mdp = mdp_from_dict(_read_json(args.input))
-    out = _rl_report(args, mdp)
-    pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp))
-    est = empirical_sup_value(mdp, pc, replicates=args.replicates, seed=args.seed)
+    out, pc = _rl_report(args, mdp)
+    est = empirical_sup_value(mdp, pc, replicates=args.replicates, seed=args.seed,
+                              cap=_policy_cap(args))
     out["empirical_sup"] = est.to_dict()
     _write_json(args.output, out)
     bound = out["bounds"]["maximal"]
@@ -336,12 +325,12 @@ def _cmd_demo(args) -> int:
     weights = LipschitzWeights.ones(spec.n)
     cap = args.cap if args.cap is not None else 2**21  # joint size 2^20 needs headroom
 
-    cert = certify(spec, weights, "contractive", convention=args.convention, cap=cap)
+    cert = certify(spec, weights, "contractive", convention=args.convention)
     cert_path = os.path.join(args.output, "demo_certificate.json")
     _write_json(cert_path, {"meta": _meta(args), "chain": demo_doc, "report": cert.to_dict()})
     _write_text(_csv_path(cert_path), cert.tail_curve_csv())
 
-    ergodic = certify(spec, weights, "ergodic", eps=0.25, convention=args.convention, cap=cap)
+    ergodic = certify(spec, weights, "ergodic", eps=0.25, convention=args.convention)
     _write_json(os.path.join(args.output, "demo_certificate_ergodic.json"),
                 {"meta": _meta(args), "report": ergodic.to_dict()})
 
@@ -370,11 +359,12 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+POLICY_CAP_HELP = f"cap on the policy-class size A^S (default {DEFAULT_POLICY_CAP})"
+
+
 def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False,
                 out_default: str | None = None) -> None:
     p.add_argument("--output", default=out_default, help="output report path")
-    p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap override (also via CHAINCONC_CAP)")
     if seeded:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--replicates", type=int, default=10**5)
@@ -400,6 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
     p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
     p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--cap", type=int, default=None,
+                   help="joint-space cap for the function table (default CHAINCONC_CAP or 10^6)")
     _add_common(p, seeded=True, out_default="tail.json")
     p.set_defaults(func=_cmd_verify)
 
@@ -428,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--scale", type=float, default=1.0, help="policy-metric scale for Dudley")
+    p.add_argument("--cap", type=int, default=None, help=POLICY_CAP_HELP)
     _add_common(p, out_default="rl_bounds.json")
     p.set_defaults(func=_cmd_rl_bound)
 
@@ -438,11 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--cap", type=int, default=None, help=POLICY_CAP_HELP)
     _add_common(p, seeded=True, out_default="rl_verify.json")
     p.set_defaults(func=_cmd_rl_verify)
 
     p = sub.add_parser("demo", help="built-in two-state worked example, end to end")
     p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
+    p.add_argument("--cap", type=int, default=None,
+                   help="joint-space cap for tabulating the demo function (default 2^21)")
     _add_common(p, seeded=True, out_default="chainconc-demo")
     p.set_defaults(func=_cmd_demo)
 

@@ -1,9 +1,9 @@
 """Martingale machinery, Gamma constructions, variance proxies, tail bounds.
 
 The pipeline: a function's local oscillations are propagated by an
-upper-triangular Gamma matrix (from contraction coefficients, mixing-time
-blocks, or brute-force coupling), giving a subgaussian variance proxy for
-f - E f and a tail-bound curve. Three variance conventions are exposed
+upper-triangular Gamma matrix (build_gamma: contraction coefficients,
+mixing-time blocks, or exact couplings), giving a subgaussian variance proxy
+for f - E f and a tail-bound curve. Three variance conventions are exposed
 rather than silently picking one:
 
   exact   : (1/4) ||Gamma c||^2      (tightest, per-coordinate weights)
@@ -24,6 +24,7 @@ from .chain import (
     ChainSpec,
     Trajectory,
     conditional_law,
+    coordinate_grid,
     dobrushin_coefficient,
     prefix_probability,
     t_step_pair_tv,
@@ -77,8 +78,6 @@ class TabularFunction:
     @classmethod
     def from_callable(cls, spec: ChainSpec, fn, cap: int | None = None) -> "TabularFunction":
         """Tabulate fn(states_tuple) over every trajectory; small instances only."""
-        from .chain import coordinate_grid
-
         grids = coordinate_grid(spec.coord_sizes, cap=cap)
         vals = np.array([float(fn(tuple(int(g[k]) for g in grids))) for k in range(grids[0].size)])
         return cls(vals)
@@ -86,8 +85,6 @@ class TabularFunction:
     @classmethod
     def from_vectorized(cls, spec: ChainSpec, fn, cap: int | None = None) -> "TabularFunction":
         """Tabulate fn(list_of_coordinate_arrays) -> values array in one shot."""
-        from .chain import coordinate_grid
-
         grids = coordinate_grid(spec.coord_sizes, cap=cap)
         vals = np.asarray(fn(grids), dtype=float)
         if vals.shape != grids[0].shape:
@@ -353,52 +350,59 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
-def certify(spec: ChainSpec, weights: LipschitzWeights, method: str,
-            eps: float | None = None, convention: str = "opnorm",
-            cap: int | None = None, t_grid=None) -> ConcentrationReport:
-    """Build a concentration certificate for weighted-Hamming Lipschitz functions.
+def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple[GammaMatrix, dict]:
+    """The Gamma matrix of a chain under the named construction, with its details.
 
-    method selects the Gamma construction: "contractive" uses running
-    products of per-step Dobrushin coefficients, "ergodic" partitions the
-    chain into mixing-time blocks at level eps (block weights are sums of
-    the per-coordinate weights), "brute_force" enumerates conditional laws.
-    The tail curve is evaluated at the selected convention's sigma2.
+    "contractive" uses running products of per-step Dobrushin coefficients
+    (details: thetas). "ergodic" partitions the chain into mixing-time blocks
+    at level eps (details: eps, tau, n_blocks); a single coordinate is one
+    block with tau = 1, since there is nothing to mix across. "brute_force"
+    is the exact coupling matrix of wasserstein_matrix_tv (no details).
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "contractive":
+        thetas = [dobrushin_coefficient(k) for k in spec.kernels]
+        return gamma_contractive(thetas), {"thetas": thetas}
+    if method == "brute_force":
+        return wasserstein_matrix_tv(spec), {}
+    if eps is None:
+        raise ValidationError("ergodic method requires eps")
+    tau = 1 if spec.n == 1 else mixing_time(spec, eps)
+    if tau is None:
+        raise NoMixError(f"chain does not mix to eps = {eps} within horizon {spec.n}")
+    n_blocks = -(-spec.n // tau)
+    return gamma_ergodic(n_blocks, eps), {"eps": eps, "tau": tau, "n_blocks": n_blocks}
+
+
+def certify(spec: ChainSpec, weights: LipschitzWeights, method: str,
+            eps: float | None = None, convention: str = "opnorm",
+            t_grid=None) -> ConcentrationReport:
+    """Build a concentration certificate for weighted-Hamming Lipschitz functions.
+
+    method selects the Gamma construction of build_gamma: "contractive"
+    (running products of per-step Dobrushin coefficients), "ergodic"
+    (mixing-time blocks at level eps; block weights are sums of the
+    per-coordinate weights) or "brute_force" (the exact coupling matrix, in
+    closed form). The tail curve is evaluated at the selected convention's
+    sigma2.
+    """
     if convention not in CONVENTIONS:
         raise ValidationError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     if len(weights) != spec.n:
         raise ValidationError(f"weights length {len(weights)} does not match chain length {spec.n}")
 
-    details: dict = {}
-    if method == "contractive":
-        thetas = [dobrushin_coefficient(k) for k in spec.kernels]
-        gamma = gamma_contractive(thetas)
-        effective = weights
-        details["thetas"] = thetas
-    elif method == "ergodic":
-        if eps is None:
-            raise ValidationError("ergodic method requires eps")
-        if spec.n == 1:
-            tau = 1  # single coordinate: one block, nothing to mix across
-        else:
-            tau = mixing_time(spec, eps)
-            if tau is None:
-                raise NoMixError(f"chain does not mix to eps = {eps} within horizon {spec.n}")
-        n_blocks = -(-spec.n // tau)
-        block_sums = [float(weights.c[k * tau: min((k + 1) * tau, spec.n)].sum())
-                      for k in range(n_blocks)]
-        gamma = gamma_ergodic(n_blocks, eps)
+    gamma, details = build_gamma(spec, method, eps)
+    effective = weights
+    if method == "ergodic":
+        tau = details["tau"]
+        block_sums = [float(weights.c[k * tau:(k + 1) * tau].sum())
+                      for k in range(details["n_blocks"])]
         effective = LipschitzWeights(np.asarray(block_sums))
-        details.update({"eps": eps, "tau": tau, "n_blocks": n_blocks, "block_weights": block_sums})
-    else:
-        gamma = wasserstein_matrix_tv(spec, cap=cap)
-        effective = weights
+        details["block_weights"] = block_sums
 
-    prop = gamma.entries @ effective.c
-    sigma2_exact = 0.25 * float(prop @ prop)
-    sigma2_paper = operator_norm(gamma) ** 2 * float(effective.c @ effective.c)
+    sigma2_exact = variance_proxy(gamma, effective, "exact")
+    sigma2_paper = variance_proxy(gamma, effective, "paper")
     sigma2_opnorm = 0.25 * sigma2_paper
     selected = {"exact": sigma2_exact, "opnorm": sigma2_opnorm, "paper": sigma2_paper}[convention]
 

@@ -57,13 +57,9 @@ def gamma_contractive(thetas) -> GammaMatrix:
         raise ValidationError("thetas must be a 1-d sequence")
     if np.any((th < 0) | (th > 1)):
         raise ValidationError("contraction coefficients must lie in [0, 1]")
-    n = th.size + 1
-    m = np.eye(n)
-    for i in range(n):
-        running = 1.0
-        for j in range(i + 1, n):
-            running *= th[j - 1]
-            m[i, j] = running
+    m = np.eye(th.size + 1)
+    for i in range(th.size):
+        m[i, i + 1:] = np.cumprod(th[i:])
     return GammaMatrix(m, "contractive")
 
 

@@ -166,8 +166,7 @@ def test_criterion_4_mixing_time():
 def test_criterion_5_subgaussian_tail_non_violation():
     with timer(60.0) as t:
         spec = demo_chain(20)
-        report = certify(spec, LipschitzWeights.ones(20), "contractive", convention="opnorm",
-                         cap=WIDE_CAP)
+        report = certify(spec, LipschitzWeights.ones(20), "contractive", convention="opnorm")
         f = hamming_weight(spec, cap=WIDE_CAP)
         est = empirical_tail(spec, f, report.sigma2_opnorm, replicates=10**5, seed=42,
                              cap=WIDE_CAP)
@@ -248,7 +247,7 @@ def test_criterion_7_convention_ordering():
 def test_criterion_8_determinism_and_parallel_independence():
     with timer(120.0) as t:
         spec = demo_chain(20)
-        report = certify(spec, LipschitzWeights.ones(20), "contractive", cap=WIDE_CAP)
+        report = certify(spec, LipschitzWeights.ones(20), "contractive")
         f = hamming_weight(spec, cap=WIDE_CAP)
 
         def tail_artifacts(chunks):

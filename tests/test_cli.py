@@ -172,9 +172,52 @@ def test_infinite_weight_certify_exits_1(tmp_path):
 
 
 def test_infeasible_enumeration_exits_2(tmp_path):
-    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12})
-    assert main(["certify", "--input", chain, "--method", "brute", "--cap", "100",
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12,
+                                                 "function": {"name": "indicator_count"}})
+    assert main(["verify", "--input", chain, "--cap", "100",
                  "--output", str(tmp_path / "o.json")]) == 2
+
+
+def test_brute_certify_has_no_enumeration_cap(tmp_path):
+    # 2^40 joint states: far past any enumeration cap, closed form only
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 40})
+    out = tmp_path / "o.json"
+    assert main(["certify", "--input", chain, "--method", "brute", "--output", str(out)]) == 0
+    gamma = np.asarray(json.loads(out.read_text())["report"]["gamma"]["entries"])
+    assert gamma.shape == (40, 40)
+    assert gamma[0, 39] == pytest.approx(0.7**39, rel=1e-9)
+    for command in ("certify", "gamma"):  # neither enumerates, so neither takes --cap
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", chain, "--method", "brute", "--cap", "100",
+                  "--output", str(out)])
+        assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_gamma_and_certify_ergodic_agree(tmp_path, n):
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": n})
+    gamma, cert = tmp_path / "gamma.json", tmp_path / "cert.json"
+    assert main(["gamma", "--input", chain, "--method", "ergodic", "--eps", "0.25",
+                 "--output", str(gamma)]) == 0
+    assert main(["certify", "--input", chain, "--method", "ergodic", "--eps", "0.25",
+                 "--output", str(cert)]) == 0
+    g = json.loads(gamma.read_text())["gamma"]
+    assert g == json.loads(cert.read_text())["report"]["gamma"]
+    assert g["shape"] == ([1, 1] if n == 1 else [2, 2])
+
+
+def test_rl_policy_cap_exits_2(tmp_path, rng):
+    trans = rng.dirichlet(np.ones(3), size=(3, 2))
+    mdp = write_json(tmp_path / "mdp.json",
+                     {"S": 3, "A": 2, "H": 4, "initial": [1 / 3] * 3,
+                      "transitions": trans.tolist(), "rewards": rng.random((3, 2)).tolist()})
+    out = str(tmp_path / "o.json")
+    # 2^3 = 8 policies: a cap of 3 is exceeded, a cap of 8 is not
+    assert main(["rl-bound", "--input", mdp, "--cap", "3", "--output", out]) == 2
+    assert main(["rl-verify", "--input", mdp, "--cap", "3", "--replicates", "100",
+                 "--output", out]) == 2
+    assert main(["rl-verify", "--input", mdp, "--cap", "8", "--replicates", "100",
+                 "--output", out]) == 0
 
 
 def test_no_mix_certify_exits_2(tmp_path):
@@ -224,12 +267,12 @@ def test_demo_runs_end_to_end(tmp_path):
 
 
 def test_cap_env_var_is_honored(tmp_path, monkeypatch):
-    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12})
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12,
+                                                 "function": {"name": "indicator_count"}})
     monkeypatch.setenv("CHAINCONC_CAP", "100")
-    assert main(["certify", "--input", chain, "--method", "brute",
-                 "--output", str(tmp_path / "o.json")]) == 2
+    assert main(["verify", "--input", chain, "--output", str(tmp_path / "o.json")]) == 2
     monkeypatch.setenv("CHAINCONC_CAP", "10000")
-    assert main(["certify", "--input", chain, "--method", "brute",
+    assert main(["verify", "--input", chain, "--replicates", "1000",
                  "--output", str(tmp_path / "o.json")]) == 0
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,15 +7,20 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chainconc import (
+    ChainSpec,
     Distribution,
+    Kernel,
     ValidationError,
     chain_from_dict,
     dobrushin_coefficient,
     goldstein_coupling,
     homogeneous_chain,
+    marginal,
     tv_distance,
+    validate_chain,
     wasserstein_matrix_tv,
 )
+from chainconc.chain import block_law_given_coordinate
 from conftest import random_chain, random_distribution
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -124,3 +131,40 @@ def test_gamma_shape_invariants_and_contraction_domination(rng):
         for i in range(n):
             for j in range(i + 1, n):
                 assert g[i, j] <= float(np.prod(thetas[i:j])) + 1e-12
+
+
+def enumerated_gamma(spec):
+    """Gamma by enumeration: TV between conditional block laws over the support."""
+    m = np.eye(spec.n)
+    for i in range(spec.n - 1):
+        support = np.flatnonzero(marginal(spec, i).probs > 0.0)
+        for j in range(i + 1, spec.n):
+            laws = [block_law_given_coordinate(spec, i, int(x), j) for x in support]
+            m[i, j] = max((tv_distance(a, b) for a, b in itertools.combinations(laws, 2)),
+                          default=0.0)
+    return m
+
+
+def sparse_row(rng, size):
+    """Dirichlet row with about a third of its entries zeroed, at least one kept."""
+    p = rng.dirichlet(np.ones(size))
+    p[rng.random(size) < 0.35] = 0.0
+    if p.sum() == 0.0:
+        p[rng.integers(size)] = 1.0
+    return p / p.sum()
+
+
+def test_closed_form_gamma_matches_enumeration(rng):
+    zero_marginal = unit_coordinates = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        sizes = tuple(int(rng.integers(1, 5)) for _ in range(n))
+        spec = validate_chain(ChainSpec(
+            sizes, Distribution(sparse_row(rng, sizes[0])),
+            tuple(Kernel(np.stack([sparse_row(rng, sizes[i + 1]) for _ in range(sizes[i])]))
+                  for i in range(n - 1))))
+        zero_marginal += any((marginal(spec, i).probs == 0.0).any() for i in range(n))
+        unit_coordinates += 1 in sizes
+        assert_allclose(wasserstein_matrix_tv(spec).entries, enumerated_gamma(spec),
+                        rtol=0, atol=1e-15)
+    assert zero_marginal >= 20 and unit_coordinates >= 20

@@ -39,6 +39,18 @@ def test_contractive_uses_running_products():
     assert g.entries[1, 3] == pytest.approx(0.18, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 100, 1000])
+def test_contractive_is_bitwise_the_running_product(rng, n):
+    thetas = rng.random(n - 1)
+    expected = np.eye(n)
+    for i in range(n):
+        running = 1.0
+        for j in range(i + 1, n):
+            running *= thetas[j - 1]
+            expected[i, j] = running
+    assert np.array_equal(gamma_contractive(thetas).entries, expected)
+
+
 def test_contractive_rejects_out_of_range_theta():
     with pytest.raises(ValidationError):
         gamma_contractive([0.5, 1.2])

@@ -29,6 +29,30 @@ GOLDEN = {
         "074ab4b3c2a056f415e533ebfade19b3f5293e9f9b75bbda13250dbee584f732",
     "empirical_mgf":
         "d8e4a604a0a89ee317eb52cf075bd306e73e49b7eedcaada120ce4f661811a20",
+    "certify/contractive":
+        "210ac7a51b75f9100b97419e18c5f70ee556c399736e98d2d3370e6d7eff5bd3",
+    "certify/ergodic":
+        "e1b3f677791b50310fc31b611d8c8c923af4df67b99f276ea272e903d135a85e",
+    "certify/brute":
+        "58d96f9576846b54fb874a65880a33f46e725dee99dea6c2659b08577866b37c",
+    "gamma/contractive":
+        "1031e09c5a17ef444e33f527165c2700477b7c0f33364d55dcfd3b071ab58c4a",
+    "gamma/ergodic":
+        "b0843483d64f36a850cc690b2d7f90fbe7f5daa994f3115b263e00fde3032152",
+    "gamma/brute":
+        "93275712386c1eb4dca662312ceb327d97cd92e01977c0bd040d15d91708158f",
+    "gamma/thetas":
+        "748c27efeb3be8424e3a71c1ca29d6efcd3d74e3660f9e02fba98fc4a4a652f7",
+    "gamma/n_blocks":
+        "82c4586a0f944937e6b0681734b436dd18d92f583c2d6db972f651c9a6a27589",
+    "coupling":
+        "f1fa0c216fbeb388871a987474f65179f5fa0771fcfa6aecf98e0c6477eb661e",
+    "mix":
+        "2602372f7c06d4ddac859378f7cd2a3a9f35865cc45355dbe07542765fe806d7",
+    "rl-bound/hamming":
+        "ca5c8defa6d1446a24dfde351ca8fb360538c0b29d56d5be9c0a2897c3bd9292",
+    "rl-bound/mixing":
+        "b72b9b6f4f160a6f694bccb5cb8f37096a5909b25f6a708cd56375161f6aac13",
 }
 
 
@@ -81,8 +105,9 @@ def golden_hashes(tmp_path) -> dict:
     trans = rng.dirichlet(np.ones(3), size=(3, 2))
     mdp = {"S": 3, "A": 2, "H": 7, "initial": [0.2, 0.3, 0.5],
            "transitions": trans.tolist(), "rewards": rng.uniform(0, 1, (3, 2)).tolist()}
+    mdp_file = _write(tmp_path / "mdp.json", mdp)
     rlv = tmp_path / "rl_verify.json"
-    assert main(["rl-verify", "--input", _write(tmp_path / "mdp.json", mdp),
+    assert main(["rl-verify", "--input", mdp_file,
                  "--output", str(rlv), "--replicates", "3000", "--seed", "5"]) == 0
     out["rl-verify/rl_verify.json"] = _body_sha(rlv)
 
@@ -96,6 +121,39 @@ def golden_hashes(tmp_path) -> dict:
     out["empirical_tail"] = _sha(
         empirical_tail(spec, f, 3.0, replicates=5000, seed=3, chunks=3).to_dict())
     out["empirical_mgf"] = _sha(empirical_mgf(spec, f, 3.0, replicates=5000, seed=4).to_dict())
+
+    # Gamma constructions, certificates and the remaining subcommands. The
+    # brute chain has zero-marginal states, so its Gamma rows are restricted
+    # to the support of each coordinate.
+    brute = _write(tmp_path / "brute.json", _chain_doc(rng, (3, 4, 4, 3, 5, 3, 4), zero_every=3))
+    mixing = _write(tmp_path / "mixing.json", _chain_doc(rng, (3,) * 9))
+    contract = _write(tmp_path / "contract.json", _chain_doc(rng, (2, 3, 3, 2, 4, 3)))
+    runs = {
+        "certify/contractive": ["certify", "--input", contract, "--method", "contractive",
+                                "--convention", "exact"],
+        "certify/ergodic": ["certify", "--input", mixing, "--method", "ergodic",
+                            "--eps", "0.25"],
+        "certify/brute": ["certify", "--input", brute, "--method", "brute",
+                          "--convention", "paper"],
+        "gamma/contractive": ["gamma", "--input", contract, "--method", "contractive"],
+        "gamma/ergodic": ["gamma", "--input", mixing, "--method", "ergodic", "--eps", "0.25"],
+        "gamma/brute": ["gamma", "--input", brute, "--method", "brute"],
+        "gamma/thetas": ["gamma", "--input", _write(tmp_path / "thetas.json",
+                                                    {"thetas": [0.3, 0.9, 0.55, 0.7]})],
+        "gamma/n_blocks": ["gamma", "--input", _write(tmp_path / "blocks.json", {"n_blocks": 5}),
+                           "--method", "ergodic", "--eps", "0.3"],
+        "coupling": ["coupling", "--input", _write(
+            tmp_path / "pq.json", {"p": rng.dirichlet(np.ones(5)).tolist(),
+                                   "q": rng.dirichlet(np.ones(5)).tolist()})],
+        "mix": ["mix", "--input", mixing, "--eps", "0.1"],
+        "rl-bound/hamming": ["rl-bound", "--input", mdp_file, "--metric", "hamming"],
+        "rl-bound/mixing": ["rl-bound", "--input", mdp_file, "--metric", "mixing",
+                            "--eps", "0.3", "--method", "ergodic"],
+    }
+    for name, argv in runs.items():
+        report = tmp_path / (name.replace("/", "-") + ".json")
+        assert main(argv + ["--output", str(report)]) == 0, name
+        out[name] = _body_sha(report)
     return out
 
 
