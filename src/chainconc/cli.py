@@ -74,10 +74,47 @@ def _meta(args: argparse.Namespace) -> dict:
     return {"tool": "chainconc", "version": __version__, "config": config}
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
+_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True).encode
+_NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the item-by-item path
+
+
 def _write_json(path: str, doc: dict) -> None:
+    """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True), plus a newline.
+
+    The stdlib indents in pure Python, one token at a time. Here dicts and
+    mixed lists are streamed item by item, and each list of numbers (a Gamma
+    row, the weights) is encoded in one C-encoder call and reflowed.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        _dump(doc, fh, "\n")
         fh.write("\n")
+
+
+def _dump(obj, fh, newline: str) -> None:
+    """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        sep = "{"
+        for key, value in sorted(obj.items()):
+            fh.write(f"{sep}{inner}{_ENCODE(key)}: ")
+            _dump(value, fh, inner)
+            sep = ","
+        fh.write(newline + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if _NUMBER_TYPES.issuperset(map(type, obj)):
+            fh.write("[" + inner + _ENCODE(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
+            return
+        sep = "["
+        for value in obj:
+            fh.write(sep + inner)
+            _dump(value, fh, inner)
+            sep = ","
+        fh.write(newline + "]")
+    else:
+        # scalars, empty containers and dicts with non-string keys; an escaped
+        # string never holds a raw line break, so re-indenting is safe
+        fh.write(_ENCODE_INDENTED(obj).replace("\n", newline))
 
 
 def _write_text(path: str, text: str) -> None:

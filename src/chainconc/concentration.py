@@ -10,7 +10,10 @@ rather than silently picking one:
   opnorm  : (1/4) ||Gamma||^2 ||c||^2
   paper   : ||Gamma||^2 ||c||^2      (the form often quoted without the 1/4)
 
-Always sigma2_exact <= sigma2_opnorm = sigma2_paper / 4.
+Always sigma2_exact <= sigma2_opnorm = sigma2_paper / 4. ||Gamma|| is a
+certified upper bound, never an approximation from below: the Collatz-Wielandt
+bound on the largest eigenvalue of Gamma^T Gamma at a near-Perron vector
+found with LAPACK, plus a rounding guard (gamma.operator_norm).
 """
 
 from __future__ import annotations
@@ -368,6 +371,8 @@ def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple
         return wasserstein_matrix_tv(spec), {}
     if eps is None:
         raise ValidationError("ergodic method requires eps")
+    if not 0.0 < eps < 1.0:
+        raise ValidationError(f"eps = {eps} must lie in (0, 1)")
     tau = 1 if spec.n == 1 else mixing_time(spec, eps)
     if tau is None:
         raise NoMixError(f"chain does not mix to eps = {eps} within horizon {spec.n}")

@@ -31,7 +31,7 @@ class NoMixError(ChainconcError):
 
 
 class ConvergenceError(ChainconcError):
-    """An iterative routine failed to converge within its iteration budget."""
+    """A numerical routine failed to converge (for example a LAPACK eigensolver)."""
 
 
 def enumeration_cap(override: int | None = None) -> int:

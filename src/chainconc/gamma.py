@@ -1,7 +1,8 @@
-"""Upper-triangular oscillation-propagation matrices and their spectral norm."""
+"""Upper-triangular oscillation-propagation matrices and a certified bound on their norm."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,28 +81,76 @@ def gamma_ergodic(n_blocks: int, eps: float) -> GammaMatrix:
     return GammaMatrix(m, "ergodic")
 
 
-def operator_norm(g: GammaMatrix, rel_tol: float = 1e-10, max_iter: int = 10**5) -> float:
-    """Largest singular value by power iteration on the symmetrized product.
+# OpenBLAS splits an LU or Cholesky factorization across threads from an order
+# of about 100 up, and the split changes the rounding with the thread count.
+# Factorizations below this order run on one thread.
+_BLOCK = 64
 
-    Deterministic: starts from the all-ones vector and stops when the
-    Rayleigh quotient is stable to rel_tol. Non-convergence is an error,
-    never a silent truncation.
+
+def _cholesky_in_place(a: np.ndarray) -> None:
+    """Overwrite the lower triangle of a symmetric positive definite a with its Cholesky factor."""
+    n = a.shape[0]
+    for k in range(0, n, _BLOCK):
+        e = min(k + _BLOCK, n)
+        a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
+        if e < n:
+            a[e:, k:e] = np.linalg.solve(a[k:e, k:e], a[e:, k:e].T).T
+            for j in range(e, n, _BLOCK):  # lower triangle, one block column at a time
+                a[j:, j:j + _BLOCK] -= a[j:, k:e] @ a[j:j + _BLOCK, k:e].T
+
+
+def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve low low^T y = b for the factor left by _cholesky_in_place, block by block."""
+    y = b.copy()
+    starts = range(0, b.size, _BLOCK)
+    for k in starts:
+        e = k + _BLOCK
+        y[k:e] = np.linalg.solve(low[k:e, k:e], y[k:e] - low[k:e, :k] @ y[:k])
+    for k in reversed(starts):
+        e = k + _BLOCK
+        y[k:e] = np.linalg.solve(low[k:e, k:e].T, y[k:e] - low[e:, k:e].T @ y[e:])
+    return y
+
+
+def operator_norm(g: GammaMatrix) -> float:
+    """Certified upper bound on the spectral norm ||Gamma||, never below it.
+
+    S = Gamma^T Gamma is entrywise nonnegative, so for every x > 0 the
+    Collatz-Wielandt inequality bounds its largest eigenvalue by
+    max_i (S x)_i / x_i. The result is the square root of that bound times
+    (1 + 2 (n + 1) eps), a factor that covers the rounding of S x, computed as
+    Gamma^T (Gamma x) (sums of at most n nonnegative terms, each off by about
+    n eps / 2 relative at most), and of the last product and square root.
+
+    x approximates the Perron vector of S: two steps of inverse iteration,
+    shifted just above LAPACK's largest eigenvalue of S (eigvalsh, no
+    eigenvectors), then one power step. The shift is rounded up to 2^22 ulps
+    and the shifted matrix is factored in blocks of order 64, so that the
+    thread count of a threaded BLAS does not reach x through LAPACK. A LAPACK
+    failure raises ConvergenceError.
     """
     m = g.entries
     if not np.all(np.isfinite(m)):
         raise ValidationError("gamma matrix entries must be finite")
-    s = m.T @ m
-    x = np.ones(s.shape[0])
-    x /= np.linalg.norm(x)
-    lam = float(x @ s @ x)
-    for _ in range(max_iter):
-        y = s @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        lam_new = float(x @ s @ x)
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1e-300):
-            return float(np.sqrt(lam_new))
-        lam = lam_new
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} iterations")
+    n = m.shape[0]
+    if n == 0:
+        return 0.0
+    a = m.T @ m
+    try:
+        lam = float(np.linalg.eigvalsh(a)[-1])
+        grid = math.ulp(lam) * 2**22
+        a *= -1.0  # a = sigma I - S, positive definite
+        a.flat[:: n + 1] += math.ceil(lam * (1.0 + 1e-10) / grid) * grid
+        _cholesky_in_place(a)
+        x = np.ones(n)
+        for _ in range(2):
+            x = np.abs(_cholesky_solve(a, x))
+            x /= x.max()
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK failed on the {n}x{n} Gram matrix: {exc}") from exc
+    # one power step never raises the bound, and lifts the entries that the
+    # inverse iteration left near rounding level
+    x = m.T @ (m @ x)
+    np.maximum(x / x.max(), np.finfo(float).tiny, out=x)
+    bound = float((m.T @ (m @ x) / x).max())
+    return math.sqrt(bound * (1.0 + 2 * (n + 1) * np.finfo(float).eps))

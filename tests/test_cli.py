@@ -1,8 +1,18 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import chainconc
+from chainconc import cli
 from chainconc.cli import main
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -206,6 +216,19 @@ def test_gamma_and_certify_ergodic_agree(tmp_path, n):
     assert g["shape"] == ([1, 1] if n == 1 else [2, 2])
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_ergodic_eps_zero_exits_1_at_every_length(tmp_path, n):
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": n})
+    out = str(tmp_path / "o.json")
+    for command in ("certify", "gamma"):
+        assert main([command, "--input", chain, "--method", "ergodic", "--eps", "0",
+                     "--output", out]) == 1
+    # the n_blocks form takes eps = 0 (a banded Gamma), as gamma_ergodic does
+    blocks = write_json(tmp_path / "blocks.json", {"n_blocks": n})
+    assert main(["gamma", "--input", blocks, "--method", "ergodic", "--eps", "0",
+                 "--output", out]) == 0
+
+
 def test_rl_policy_cap_exits_2(tmp_path, rng):
     trans = rng.dirichlet(np.ones(3), size=(3, 2))
     mdp = write_json(tmp_path / "mdp.json",
@@ -308,3 +331,49 @@ def test_same_seed_gives_identical_reports(tmp_path):
         doc["meta"]["config"].pop("output")
         outs.append((json.dumps(doc, sort_keys=True), (out.parent / "tail.csv").read_text()))
     assert outs[0] == outs[1]
+
+
+NUMBERS = st.one_of(st.integers(), st.floats(), st.booleans(), st.floats().map(np.float64))
+SCALARS = st.one_of(st.none(), st.text(), NUMBERS,
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324]))
+DOCS = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(NUMBERS, max_size=6),
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3),
+), max_leaves=30)
+
+
+@given(DOCS)
+@example({"\u00e9\n\"\\\x00\u2028": [-0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf],
+          "": {}, "empty": [], "t": (None, True, 1, 2.5, np.float64(0.1)),
+          "nested": [[1.0, False], [], [{}], {"k": ()}]})
+def test_write_json_is_byte_identical_to_json_dump(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.json"
+        cli._write_json(str(path), doc)
+        got = path.read_bytes()
+    assert got == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_certify_report_is_independent_of_blas_threads(tmp_path):
+    chain = write_json(tmp_path / "chain.json",
+                       {"kernel": TWO_STATE, "n": 200, "weights": np.linspace(0.5, 2, 200).tolist()})
+    out = tmp_path / "cert.json"
+    # LAPACK's largest eigenvalue of this Gamma's Gram matrix (n = 595) itself
+    # changes with the thread count
+    norm_595 = ("import numpy as np; from chainconc import gamma_contractive, operator_norm; "
+                "rng = np.random.default_rng(9); n = int(rng.integers(300, 1001)); "
+                "print(operator_norm(gamma_contractive(rng.uniform(0.3, 1.0, n - 1))).hex())")
+    env = {**os.environ, "PYTHONPATH": str(Path(chainconc.__file__).resolve().parents[1])}
+    results = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run([sys.executable, "-m", "chainconc.cli", "certify", "--input", chain,
+                        "--method", "contractive", "--output", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        norm = subprocess.run([sys.executable, "-c", norm_595], env=env, check=True,
+                              capture_output=True, text=True, timeout=120).stdout
+        results.append((out.read_bytes(), norm))
+    assert results[0] == results[1]

@@ -1,17 +1,21 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chainconc.gamma
 import oracles
 from chainconc import (
+    ConvergenceError,
     GammaMatrix,
     ValidationError,
     gamma_contractive,
     gamma_ergodic,
     operator_norm,
 )
+from chainconc.cli import main
 
 
 def test_contractive_matrix_matches_displayed_pattern():
@@ -96,6 +100,7 @@ def test_gamma_matrix_invariants_enforced():
 
 def test_operator_norm_identity():
     assert operator_norm(GammaMatrix(np.eye(5), "contractive")) == pytest.approx(1.0, abs=1e-12)
+    assert operator_norm(GammaMatrix(np.eye(0), "contractive")) == 0.0
 
 
 def test_operator_norm_small_triangular_example():
@@ -120,3 +125,66 @@ def test_operator_norm_matches_svd_oracle(rng):
         g = GammaMatrix(m, "brute_force_tv")
         assert operator_norm(g) == pytest.approx(oracles.spectral_norm(m), rel=1e-9)
         assert operator_norm(g) >= 1.0 - 1e-12  # unit diagonal forces norm >= 1
+
+
+def _assert_certified(m):
+    """operator_norm is never below the SVD norm and within 1e-12 relative of it."""
+    norm, ref = operator_norm(GammaMatrix(m, "brute_force_tv")), oracles.spectral_norm(m)
+    assert norm >= ref
+    assert (norm - ref) / ref <= 1e-12
+
+
+def test_operator_norm_is_an_upper_bound_on_random_triangular(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        m = np.triu(rng.random((n, n)) * rng.choice([1e-3, 1.0, 10.0]))
+        m[rng.random((n, n)) < rng.random()] = 0.0  # sparse, often reducible
+        np.fill_diagonal(m, 1.0)
+        _assert_certified(m)
+
+
+def _zero_rows_above_diagonal():
+    m = np.triu(np.random.default_rng(7).random((8, 8)))
+    np.fill_diagonal(m, 1.0)
+    m[[0, 2, 5], :] = np.eye(8)[[0, 2, 5]]
+    return m
+
+
+@pytest.mark.parametrize("m", [
+    np.eye(1),
+    np.eye(5),
+    np.block([[np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 3))],
+              [np.zeros((3, 2)), np.array([[1.0, 2.0, 1.0], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])]]),
+    _zero_rows_above_diagonal(),
+], ids=["n1", "identity", "block_diagonal", "zero_rows"])
+def test_operator_norm_is_an_upper_bound_on_reducible_gamma(m):
+    _assert_certified(m)
+
+
+@pytest.mark.parametrize("n_blocks,eps", [(1, 0.3), (2, 0.0), (7, 0.25), (40, 0.9)])
+def test_operator_norm_is_an_upper_bound_on_ergodic_gamma(n_blocks, eps):
+    _assert_certified(gamma_ergodic(n_blocks, eps).entries)
+
+
+def test_operator_norm_is_an_upper_bound_on_long_contractive_gamma():
+    # power iteration stopped at 3.333206113577081 here, 4.1e-8 below the norm
+    m = gamma_contractive([0.7] * 999).entries
+    assert operator_norm(GammaMatrix(m, "contractive")) >= 3.333206250053563
+    _assert_certified(m)
+    # a case whose bound from the inverse iteration alone is 3.7e-12 above the
+    # norm: entries of x near 1e-20 need the power step
+    rng = np.random.default_rng(9)
+    n = int(rng.integers(300, 1001))
+    _assert_certified(gamma_contractive(rng.uniform(0.3, 1.0, n - 1)).entries)
+
+
+def test_lapack_failure_raises_convergence_error(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(chainconc.gamma.np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError):
+        operator_norm(gamma_contractive([0.5, 0.5]))
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({"kernel": [[0.9, 0.1], [0.2, 0.8]], "n": 4}))
+    assert main(["certify", "--input", str(chain), "--output", str(tmp_path / "o.json")]) == 1

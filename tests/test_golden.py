@@ -11,30 +11,30 @@ import json
 
 import numpy as np
 
-from chainconc import chain_from_dict, empirical_mgf, empirical_tail
+from chainconc import chain_from_dict, cli, empirical_mgf, empirical_tail
 from chainconc.cli import main
 
 GOLDEN = {
     "demo/demo_certificate.json":
-        "7c0412309f49fd1f2d73bc8bd4a5d648352670147129560a6a255c748eea4eb7",
+        "7ca7020188ea9dee607af2ecf8f4e970cec6f70e2d4a7c0bae838d9c665466b5",
     "demo/demo_certificate_ergodic.json":
-        "a8d34a8ace6800bc6982cbdf49d7efe200925a1117a0c5881774c067d4f137e2",
+        "96234003766eb369192bdf15e0f2393c687620030edc2e05c48017fd68250593",
     "demo/demo_tail.json":
-        "a6f2f94e1756af76b0e66c1640f5c23e6c619dee7f17e99b1b8a3aaa8f7dec8c",
+        "19d33b8586a2032e7adee3c875792d7552febd8d11a9cf435c8384d2984fc690",
     "verify/tail.json":
-        "2e63f72c1dabe3f4de58353c7cb23db2a2cffe1e9b7e9f08f67422cf7334cdf1",
+        "a4e722e9a40c88806ddbc11ded654be08581a9d24edb59f68bab4ed45d8cf283",
     "rl-verify/rl_verify.json":
-        "617781c41382219550f8041e7bca9044c99269c57c86bdec147d4d1a2124a7cc",
+        "367a20d8030d50e820331152938889915ac92f51dd8f74bc47fcebc00e0a855b",
     "empirical_tail":
         "074ab4b3c2a056f415e533ebfade19b3f5293e9f9b75bbda13250dbee584f732",
     "empirical_mgf":
         "d8e4a604a0a89ee317eb52cf075bd306e73e49b7eedcaada120ce4f661811a20",
     "certify/contractive":
-        "210ac7a51b75f9100b97419e18c5f70ee556c399736e98d2d3370e6d7eff5bd3",
+        "02a589b1b93c6bda844e677bef5afc1fe869697c0ef3d90ea6808d96237bbed2",
     "certify/ergodic":
-        "e1b3f677791b50310fc31b611d8c8c923af4df67b99f276ea272e903d135a85e",
+        "02ad5cc74159e7e82dd97f273d81e8f325a750abc26ae3c55a2462b7e2daebcd",
     "certify/brute":
-        "58d96f9576846b54fb874a65880a33f46e725dee99dea6c2659b08577866b37c",
+        "60a1e50f3dab4e8da54973ba2f508b8b91fe1c52b9d5790c7b7dac863a94b82b",
     "gamma/contractive":
         "1031e09c5a17ef444e33f527165c2700477b7c0f33364d55dcfd3b071ab58c4a",
     "gamma/ergodic":
@@ -50,9 +50,9 @@ GOLDEN = {
     "mix":
         "2602372f7c06d4ddac859378f7cd2a3a9f35865cc45355dbe07542765fe806d7",
     "rl-bound/hamming":
-        "ca5c8defa6d1446a24dfde351ca8fb360538c0b29d56d5be9c0a2897c3bd9292",
+        "ceab90491616445647f1e844447e3a9dc9694ff452ee04586333040c5a8b0469",
     "rl-bound/mixing":
-        "b72b9b6f4f160a6f694bccb5cb8f37096a5909b25f6a708cd56375161f6aac13",
+        "b35c22f3555f2b7fa93bbe1e49d76516b1611354d13ef0266fc8f1356b2e5a73",
 }
 
 
@@ -159,3 +159,18 @@ def golden_hashes(tmp_path) -> dict:
 
 def test_golden_report_bytes(tmp_path):
     assert golden_hashes(tmp_path) == GOLDEN
+
+
+def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
+    write = cli._write_json
+    written = []
+
+    def checked_write(path, doc):
+        write(path, doc)
+        with open(path, "rb") as fh:
+            assert fh.read() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), path
+        written.append(path)
+
+    monkeypatch.setattr(cli, "_write_json", checked_write)
+    golden_hashes(tmp_path)
+    assert len(written) == 17
