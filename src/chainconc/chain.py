@@ -79,6 +79,10 @@ class Kernel:
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
 
+    def equals(self, other: "Kernel") -> bool:
+        """Same object, or bitwise-equal rows of the same shape."""
+        return other is self or np.array_equal(self.rows, other.rows)
+
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -357,15 +361,15 @@ def chain_from_dict(doc: dict) -> ChainSpec:
     or the homogeneous shorthand {"kernel": [[...]], "n": N, "initial": [...]}
     (initial optional, uniform by default).
     """
-    if "kernel" in doc:
-        if "n" not in doc:
-            raise ValidationError('homogeneous chain shorthand requires "n"')
-        return homogeneous_chain(doc["kernel"], int(doc["n"]), initial=doc.get("initial"))
     try:
+        if "kernel" in doc:
+            if "n" not in doc:
+                raise ValidationError('homogeneous chain shorthand requires "n"')
+            return homogeneous_chain(doc["kernel"], int(doc["n"]), initial=doc.get("initial"))
         sizes = tuple(int(s) for s in doc["coord_sizes"])
         initial = Distribution(np.asarray(doc["initial"], dtype=float))
         kernels = tuple(Kernel(np.asarray(k, dtype=float)) for k in doc["kernels"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed chain document: {exc}") from exc
     return validate_chain(ChainSpec(sizes, initial, kernels))
 

@@ -42,9 +42,7 @@ from .rl import (
     MixingTimeMetric,
     dudley_bound,
     enumerate_policies,
-    exact_value,
     finite_state_bound,
-    induced_chain,
     maximal_bound,
     mdp_from_dict,
     policy_to_dict,
@@ -285,14 +283,22 @@ def _rl_report(args, mdp):
     """The rl-bound report and the policy class it was built over."""
     pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp),
                             cap=_policy_cap(args))
+    weights = LipschitzWeights(mdp.stage_caps)
+    # an identical Gamma and details give an identical certificate, and the
+    # induced chains of a class share few distinct Gammas
+    reports = {}
     per_policy = []
     sigma2_max = 0.0
     taus = []
     for pi in pc.policies:
-        chain_spec = induced_chain(mdp, pi)
-        report = certify(chain_spec, LipschitzWeights(mdp.stage_caps), args.method,
-                         eps=args.eps, convention=args.convention)
-        tau = mixing_time(chain_spec, args.eps)
+        chain_spec = mdp.policy_chain(pi)
+        gamma, details = build_gamma(chain_spec, args.method, args.eps)
+        key = (gamma.entries.tobytes(), repr(details))
+        if key not in reports:
+            reports[key] = certify(chain_spec, weights, args.method, eps=args.eps,
+                                   convention=args.convention)
+        report = reports[key]
+        tau = mdp.policy_tau(pi, args.eps)
         taus.append(mdp.horizon if tau is None else tau)
         sigma2_max = max(sigma2_max, getattr(report, f"sigma2_{args.convention}"))
         per_policy.append({
@@ -301,7 +307,7 @@ def _rl_report(args, mdp):
             "sigma2_opnorm": report.sigma2_opnorm,
             "sigma2_paper": report.sigma2_paper,
             "tau": tau,
-            "expected_value": exact_value(mdp, pi),
+            "expected_value": mdp.policy_value(pi),
         })
     tau_mix = max(taus)
     class_size = len(pc)

@@ -25,12 +25,12 @@ import numpy as np
 
 from .chain import (
     ChainSpec,
+    Kernel,
     Trajectory,
     conditional_law,
     coordinate_grid,
     dobrushin_coefficient,
     prefix_probability,
-    t_step_pair_tv,
 )
 from .coupling import wasserstein_matrix_tv
 from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
@@ -273,13 +273,25 @@ def _broadcast_prefix_table(table: np.ndarray, spec: ChainSpec) -> np.ndarray:
 def mixing_time(spec: ChainSpec, eps: float) -> int | None:
     """Smallest t with worst-case t-step pair TV <= eps at every position, else None.
 
+    Each position i keeps its product K_i ... K_{i+t-1} and extends it by one
+    kernel per t: the same left-to-right products as t_step_pair_tv, so the
+    result is bitwise that of evaluating t_step_pair_tv at every (i, t). When
+    all kernels are equal every position has the same t-step law, and only
+    position 0 is evaluated.
+
     None means the chain does not mix to level eps within its horizon
     ("no-mix"); callers that need a finite mixing time must treat it as such.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps = {eps} must lie in (0, 1)")
+    kernels = spec.kernels
+    homogeneous = all(k.equals(kernels[0]) for k in kernels)
+    products = [np.eye(size) for size in spec.coord_sizes[:1 if homogeneous else -1]]
     for t in range(1, spec.n):
-        worst = max(t_step_pair_tv(spec, i, t) for i in range(spec.n - t))
+        worst = 0.0
+        for i in range(1 if homogeneous else spec.n - t):
+            products[i] = products[i] @ kernels[i + t - 1].rows
+            worst = max(worst, dobrushin_coefficient(Kernel(products[i])))
         if worst <= eps:
             return t
     return None
@@ -365,7 +377,11 @@ def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "contractive":
-        thetas = [dobrushin_coefficient(k) for k in spec.kernels]
+        # one coefficient per run of equal kernels
+        thetas = []
+        for i, k in enumerate(spec.kernels):
+            same = i and k.equals(spec.kernels[i - 1])
+            thetas.append(thetas[-1] if same else dobrushin_coefficient(k))
         return gamma_contractive(thetas), {"thetas": thetas}
     if method == "brute_force":
         return wasserstein_matrix_tv(spec), {}

@@ -31,7 +31,7 @@ class GammaMatrix:
             raise ValidationError(f"unknown gamma provenance {self.provenance!r}")
         if np.any(m < 0):
             raise ValidationError("gamma matrix entries must be nonnegative")
-        if not np.allclose(np.diag(m), 1.0, rtol=0, atol=1e-12):
+        if not np.all(np.abs(np.diagonal(m) - 1.0) <= 1e-12):
             raise ValidationError("gamma matrix must have unit diagonal")
         if np.any(np.tril(m, -1) != 0):
             raise ValidationError("gamma matrix must be upper triangular")
@@ -58,9 +58,16 @@ def gamma_contractive(thetas) -> GammaMatrix:
         raise ValidationError("thetas must be a 1-d sequence")
     if np.any((th < 0) | (th > 1)):
         raise ValidationError("contraction coefficients must lie in [0, 1]")
-    m = np.eye(th.size + 1)
-    for i in range(th.size):
-        m[i, i + 1:] = np.cumprod(th[i:])
+    m = np.zeros((th.size + 1, th.size + 1))
+    # row i of the block right of the diagonal is 1, ..., 1, theta_i, theta_{i+1},
+    # ...: the leading ones are exact, so its cumulative product is bitwise
+    # np.cumprod(th[i:])
+    upper, below = m[:-1, 1:], np.tri(th.size, k=-1, dtype=bool)
+    upper[:] = th
+    upper[below] = 1.0
+    np.cumprod(upper, axis=1, out=upper)
+    upper[below] = 0.0
+    m.flat[::th.size + 2] = 1.0
     return GammaMatrix(m, "contractive")
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, Distribution, Kernel, validate_chain
+from .chain import ChainSpec, Distribution, Kernel
+from .concentration import mixing_time
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
 
 
@@ -27,6 +29,10 @@ class MdpSpec:
 
     rewards[s, a] must lie in [0, min(stage_caps)]; stage_caps (default all 1)
     are the per-stage reward bounds that become Lipschitz weights.
+
+    The spec is immutable, so what it derives per policy (induced chain, exact
+    value, mixing times) is memoised: certificates, policy metrics and the
+    Monte Carlo supremum share one computation of each.
     """
 
     n_states: int
@@ -36,6 +42,7 @@ class MdpSpec:
     rewards: np.ndarray  # (S, A)
     initial: Distribution
     stage_caps: np.ndarray  # (H,)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, n_states: int, n_actions: int, horizon: int, transitions, rewards,
@@ -69,6 +76,34 @@ class MdpSpec:
             raise ValidationError(f"initial distribution has length {len(init)}, expected {n_states}")
         return cls(n_states, n_actions, horizon, trans, rew, init, caps)
 
+    @cached_property
+    def kernel_rows(self) -> np.ndarray:
+        """The (S, A, S) transition tensor, each row normalised as Kernel.from_array does."""
+        return self.transitions / self.transitions.sum(axis=2)[:, :, None]
+
+    @cached_property
+    def chain_initial(self) -> Distribution:
+        """The initial law normalised as validate_chain does for an induced chain."""
+        return Distribution.from_array(self.initial.probs, where="initial distribution")
+
+    def _memoised(self, key: tuple, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def policy_chain(self, pi: "Policy") -> ChainSpec:
+        """induced_chain(self, pi), built once per policy."""
+        return self._memoised(("chain", pi.key()), lambda: induced_chain(self, pi))
+
+    def policy_value(self, pi: "Policy") -> float:
+        """exact_value(self, pi), computed once per policy."""
+        return self._memoised(("value", pi.key()), lambda: exact_value(self, pi))
+
+    def policy_tau(self, pi: "Policy", eps: float) -> int | None:
+        """mixing_time of the policy's induced chain at level eps, computed once."""
+        return self._memoised(("tau", pi.key(), eps),
+                              lambda: mixing_time(self.policy_chain(pi), eps))
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -91,21 +126,33 @@ class Policy:
         return (self.actions, self.stage_actions)
 
 
+def _check_scale(scale: float) -> None:
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale = {scale} must be finite and positive")
+
+
 class HammingMetric:
     """d(pi, pi') = scale * #{s : pi(s) != pi'(s)} on stationary action tables."""
 
     name = "hamming"
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValidationError("metric scale must be positive")
+        _check_scale(scale)
         self.scale = scale
 
     def __call__(self, a: Policy, b: Policy) -> float:
-        ta, tb = np.asarray(a.actions), np.asarray(b.actions)
-        if ta.shape != tb.shape:
+        return float(self.matrix((a, b))[0, 1])
+
+    def matrix(self, policies) -> np.ndarray:
+        """All pairwise distances, counting disagreements one state at a time."""
+        if len({len(pi.actions) for pi in policies}) > 1:
             raise ValidationError("policies act on different state spaces")
-        return self.scale * float((ta != tb).sum())
+        actions = np.array([pi.actions for pi in policies])
+        counts = np.zeros((len(policies), len(policies)))
+        for column in actions.T:
+            counts += column[:, None] != column[None, :]
+        counts *= self.scale
+        return counts
 
 
 class MixingTimeMetric:
@@ -119,25 +166,22 @@ class MixingTimeMetric:
     name = "mixing"
 
     def __init__(self, mdp: MdpSpec, eps: float, scale: float = 1.0):
-        from .concentration import mixing_time
-
-        if scale <= 0:
-            raise ValidationError("metric scale must be positive")
+        _check_scale(scale)
         self.mdp = mdp
         self.eps = eps
         self.scale = scale
-        self._mixing_time = mixing_time
-        self._cache: dict[tuple, int] = {}
 
     def tau(self, pi: Policy) -> int:
-        k = pi.key()
-        if k not in self._cache:
-            t = self._mixing_time(induced_chain(self.mdp, pi), self.eps)
-            self._cache[k] = self.mdp.horizon if t is None else t
-        return self._cache[k]
+        t = self.mdp.policy_tau(pi, self.eps)
+        return self.mdp.horizon if t is None else t
 
     def __call__(self, a: Policy, b: Policy) -> float:
-        return self.scale * abs(self.tau(a) - self.tau(b))
+        return float(self.matrix((a, b))[0, 1])
+
+    def matrix(self, policies) -> np.ndarray:
+        """All pairwise distances, from the vector of mixing times."""
+        taus = np.array([self.tau(pi) for pi in policies])
+        return self.scale * np.abs(taus[:, None] - taus[None, :])
 
 
 @dataclass(frozen=True)
@@ -145,7 +189,7 @@ class PolicyClass:
     """Finite, duplicate-free collection of policies with a metric on it."""
 
     policies: tuple[Policy, ...]
-    metric: object  # callable (Policy, Policy) -> float with a .name
+    metric: object  # (Policy, Policy) -> float, with .name and .matrix(policies)
 
     def __post_init__(self):
         if not self.policies:
@@ -158,12 +202,7 @@ class PolicyClass:
         return len(self.policies)
 
     def distance_matrix(self) -> np.ndarray:
-        m = len(self.policies)
-        d = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d[i, j] = d[j, i] = self.metric(self.policies[i], self.policies[j])
-        return d
+        return self.metric.matrix(self.policies)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +210,23 @@ class PolicyClass:
 
 
 def induced_chain(mdp: MdpSpec, pi: Policy) -> ChainSpec:
-    """The state chain under a fixed policy: kernel rows P(. | s, pi(s)) per stage."""
-    kernels = []
-    for stage in range(mdp.horizon - 1):
+    """The state chain under a fixed policy: kernel rows P(. | s, pi(s)) per stage.
+
+    Rows come from the MDP's normalised tensor (kernel_rows), which its build
+    validated; a stationary policy gives one kernel, repeated.
+    """
+    def kernel(stage: int) -> Kernel:
         acts = pi.action_table(stage)
         if acts.shape != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
             raise ValidationError(f"policy actions out of range at stage {stage}")
-        kernels.append(Kernel(mdp.transitions[np.arange(mdp.n_states), acts, :]))
-    return validate_chain(
-        ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial, tuple(kernels))
-    )
+        return Kernel(mdp.kernel_rows[np.arange(mdp.n_states), acts])
+
+    steps = mdp.horizon - 1
+    if pi.stage_actions is None:
+        kernels = (kernel(0),) * steps if steps else ()
+    else:
+        kernels = tuple(kernel(stage) for stage in range(steps))
+    return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.chain_initial, kernels)
 
 
 def value_function(mdp: MdpSpec, pi: Policy, traj) -> float:
@@ -197,15 +243,13 @@ def value_function(mdp: MdpSpec, pi: Policy, traj) -> float:
 
 def exact_value(mdp: MdpSpec, pi: Policy) -> float:
     """E[V_pi] by backward induction over stages."""
-    v = np.zeros(mdp.n_states)
+    idx = np.arange(mdp.n_states)
+    v = None
     for stage in range(mdp.horizon - 1, -1, -1):
-        acts = pi.action_table(stage)
-        idx = np.arange(mdp.n_states)
-        stage_reward = mdp.rewards[idx, acts]
-        if stage == mdp.horizon - 1:
-            v = stage_reward.astype(float)
-        else:
-            v = stage_reward + mdp.transitions[idx, acts, :] @ v
+        if v is None or pi.stage_actions is not None:
+            acts = pi.action_table(stage)
+            stage_reward, rows = mdp.rewards[idx, acts], mdp.transitions[idx, acts, :]
+        v = stage_reward.astype(float) if v is None else stage_reward + rows @ v
     return float(mdp.initial.probs @ v)
 
 
@@ -288,8 +332,7 @@ def dudley_bound(pc: PolicyClass, scale: float = 1.0) -> float:
     are the greedy insertion radii, so the integral is a finite sum of
     segment widths times sqrt(log k).
     """
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
+    _check_scale(scale)
     radii = greedy_net_radii(pc, scale=scale)
     total = 0.0
     for k in range(1, len(radii)):
@@ -327,7 +370,7 @@ def mdp_from_dict(doc: dict) -> MdpSpec:
             doc["transitions"], doc["rewards"], doc["initial"],
             stage_caps=doc.get("stage_caps"),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed MDP document: {exc}") from exc
 
 

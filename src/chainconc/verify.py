@@ -19,7 +19,7 @@ import numpy as np
 from .chain import ChainSpec, strides_for, trajectories_from_uniforms
 from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, enumeration_cap
-from .rl import MdpSpec, PolicyClass, exact_value, induced_chain
+from .rl import MdpSpec, PolicyClass
 from .rng import chunk_ranges, uniform_matrix
 
 PILOT_REPLICATES = 10**6
@@ -29,6 +29,11 @@ _PILOT_KEY_OFFSET = 1 << 64
 # replicates drawn and sampled at once: bounds the working set of every
 # Monte Carlo loop (about 3 MB of uniforms per block at n = 24)
 SAMPLE_BLOCK = 1 << 14
+# largest (policies x replicates) array, and (state-action x replicates)
+# next-state table, of an empirical_sup_value block: 512 KB each. Small blocks
+# keep the working set in cache: on the 243-policy benchmark MDP (2-vCPU VM),
+# 2^14-2^16 ran equally fast and 2^17-2^18 about 40% slower.
+SUP_BLOCK_ELEMENTS = 1 << 16
 
 CRN_CAVEAT = (
     "empirical suprema use common random numbers: one shared uniform stream "
@@ -52,10 +57,10 @@ def _function_values(f, spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     return np.asarray(f(states), dtype=float)
 
 
-def _blocks(lo: int, hi: int):
-    """Consecutive ranges covering [lo, hi), each at most SAMPLE_BLOCK long."""
-    for start in range(lo, hi, SAMPLE_BLOCK):
-        yield start, min(start + SAMPLE_BLOCK, hi)
+def _blocks(lo: int, hi: int, size: int):
+    """Consecutive ranges covering [lo, hi), each at most size long."""
+    for start in range(lo, hi, size):
+        yield start, min(start + size, hi)
 
 
 def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.ndarray]:
@@ -63,7 +68,7 @@ def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.nd
     return [
         _function_values(f, spec, trajectories_from_uniforms(
             spec, uniform_matrix(seed, b - a, spec.n, first=a)))
-        for a, b in _blocks(lo, hi)
+        for a, b in _blocks(lo, hi, SAMPLE_BLOCK)
     ]
 
 
@@ -266,35 +271,94 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
                         chunks: int = 1) -> SupValueEstimate:
     """Estimate E sup_pi (V_pi - E V_pi) with common random numbers.
 
-    Each replicate draws one uniform per stage (plus one for the initial
-    state); every policy's trajectory is driven through its own kernels by
-    that same stream, so the estimate is invariant to policy ordering and
-    to chunking.
+    Each replicate draws one uniform per stage (the first picks the initial
+    state); every policy's trajectory is driven through the inverse CDFs of
+    its induced kernels by that same stream, so the estimate is invariant to
+    policy ordering and to chunking.
+
+    All policies are sampled together. Per stage, one (S*A, m) table holds
+    the next state of every state-action pair under the block's m uniforms,
+    and the (policies, m) state array steps through it by one gather;
+    stage-dependent policies read their actions from a (policies, H, S)
+    table. A block holds m = SUP_BLOCK_ELEMENTS // max(policies, S*A)
+    replicates (at least one, at most SAMPLE_BLOCK), so memory stays bounded
+    whatever the class size and the replicate count, and every policy shares
+    each stage's table. Rewards are summed in stage order and each policy is
+    centred at its exact value (MdpSpec.policy_value), so every sample is
+    bitwise that of sampling each induced chain on its own.
     """
     if len(pc) > cap:
         raise EnumerationCapError(f"policy class of size {len(pc)} exceeds cap {cap}")
     if replicates < 2:
         raise ValidationError(f"replicates = {replicates} must be at least 2")
-    chains = [induced_chain(mdp, pi) for pi in pc.policies]
-    centers = [exact_value(mdp, pi) for pi in pc.policies]
-    reward_tables = [
-        np.stack([mdp.rewards[np.arange(mdp.n_states), pi.action_table(stage)]
-                  for stage in range(mdp.horizon)])
-        for pi in pc.policies
-    ]
+    rows = _pair_rows(mdp, pc)
+    centers = np.array([mdp.policy_value(pi) for pi in pc.policies])[:, None]
+    rewards = mdp.rewards.ravel()
+    # cdf[k, row] is breakpoint k of state-action row s * A + a's next-state CDF
+    cdf = np.cumsum(mdp.kernel_rows, axis=2).reshape(-1, mdp.n_states)[:, :-1].T.copy()
+    init_cdf = np.cumsum(mdp.chain_initial.probs)[:-1]
+    width = max(1, min(SAMPLE_BLOCK, SUP_BLOCK_ELEMENTS // max(len(pc), cdf.shape[1])))
     parts = []
     for lo, hi in chunk_ranges(replicates, chunks):
-        for a, b in _blocks(lo, hi):
-            u = uniform_matrix(seed, b - a, mdp.horizon, first=a)
-            sup = np.full(b - a, -np.inf)
-            for chain_spec, center, rtab in zip(chains, centers, reward_tables):
-                states = trajectories_from_uniforms(chain_spec, u)
-                v = np.zeros(b - a)
-                for stage in range(mdp.horizon):
-                    v += rtab[stage][states[:, stage]]
-                sup = np.maximum(sup, v - center)
-            parts.append(sup)
+        for a, b in _blocks(lo, hi, width):
+            u = uniform_matrix(seed, b - a, mdp.horizon, first=a).T.copy()
+            values = _policy_values(rows, rewards, init_cdf, cdf, u)
+            values -= centers
+            parts.append(values.max(axis=0))
     sups = np.concatenate(parts)
     estimate = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / math.sqrt(replicates))
     return SupValueEstimate(estimate, se, replicates, seed, len(pc))
+
+
+def _pair_rows(mdp: MdpSpec, pc: PolicyClass) -> np.ndarray:
+    """(policies, H, S) table of the state-action row s * A + pi_stage(s) each
+    policy takes; a broadcast view when every policy is stationary."""
+    if all(pi.stage_actions is None for pi in pc.policies):
+        tables = [[pi.actions] for pi in pc.policies]
+    else:
+        tables = [[pi.action_table(stage) for stage in range(mdp.horizon)]
+                  for pi in pc.policies]
+    try:
+        acts = np.array(tables, dtype=np.intp)
+    except ValueError as exc:
+        raise ValidationError(f"policy action tables differ in length: {exc}") from exc
+    if acts.shape[2:] != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
+        raise ValidationError("policy actions out of range for the MDP")
+    return np.broadcast_to(np.arange(mdp.n_states) * mdp.n_actions + acts,
+                           (len(pc), mdp.horizon, mdp.n_states))
+
+
+def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
+                   cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(policies, m) summed rewards on the replicates of u, one row of u per stage.
+
+    rows[p, stage, s] is the state-action row policy p takes at (stage, s).
+    States are held as codes p * S + s, so one flat gather maps every state
+    to its row; the next state is #{k : cdf[k, row] <= u}, counted as in
+    chain.trajectories_from_uniforms.
+    """
+    n_policies, horizon, n_states = rows.shape
+    m = u.shape[1]
+    offsets = np.arange(0, n_policies * n_states, n_states)[:, None]
+    first = np.zeros(m, dtype=np.intp)
+    for k in range(init_cdf.size):
+        first += init_cdf[k] <= u[0]
+    codes = first + offsets
+    taken = np.empty_like(codes)
+    reward = np.empty(codes.shape)
+    values = np.zeros(codes.shape)
+    nxt = np.empty((cdf.shape[1], m), dtype=np.intp)
+    replicate = np.arange(m)
+    for stage in range(horizon):
+        stage_rows = rows[:, stage].ravel()
+        values += rewards.take(stage_rows).take(codes, out=reward)
+        if stage + 1 < horizon:
+            nxt.fill(0)
+            for k in range(cdf.shape[0]):
+                nxt += cdf[k][:, None] <= u[stage + 1]
+            (stage_rows * m).take(codes, out=taken)
+            taken += replicate
+            nxt.take(taken, out=codes)
+            codes += offsets
+    return values

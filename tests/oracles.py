@@ -11,6 +11,10 @@ import math
 
 import numpy as np
 
+from chainconc import ChainSpec, Kernel, t_step_pair_tv, validate_chain
+from chainconc.chain import trajectories_from_uniforms
+from chainconc.rng import uniform_matrix
+
 
 def all_trajectories(sizes):
     return list(itertools.product(*(range(s) for s in sizes)))
@@ -101,6 +105,68 @@ def inverse_cdf_trajectories(spec, u) -> np.ndarray:
         nxt = (cdf[out[:, c]] <= u[:, c + 1][:, None]).sum(axis=1)
         out[:, c + 1] = np.minimum(nxt, cdf.shape[1] - 1)
     return out
+
+
+def mixing_time_per_position(spec, eps):
+    """Smallest t with t_step_pair_tv(spec, i, t) <= eps at every position i, else None.
+
+    Every (i, t) product is rebuilt from the identity, one position at a time.
+    """
+    for t in range(1, spec.n):
+        worst = max(t_step_pair_tv(spec, i, t) for i in range(spec.n - t))
+        if worst <= eps:
+            return t
+    return None
+
+
+def induced_chain_per_stage(mdp, pi):
+    """The induced chain as validate_chain builds it: one raw kernel per stage,
+    each normalised on its own."""
+    states = np.arange(mdp.n_states)
+    kernels = tuple(Kernel(mdp.transitions[states, pi.action_table(stage), :])
+                    for stage in range(mdp.horizon - 1))
+    return validate_chain(ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial, kernels))
+
+
+def exact_value_per_stage(mdp, pi) -> float:
+    """E[V_pi] by backward induction, every stage's rows gathered afresh."""
+    v = np.zeros(mdp.n_states)
+    for stage in range(mdp.horizon - 1, -1, -1):
+        acts = pi.action_table(stage)
+        idx = np.arange(mdp.n_states)
+        stage_reward = mdp.rewards[idx, acts]
+        if stage == mdp.horizon - 1:
+            v = stage_reward.astype(float)
+        else:
+            v = stage_reward + mdp.transitions[idx, acts, :] @ v
+    return float(mdp.initial.probs @ v)
+
+
+def sup_value_per_policy(mdp, pc, replicates, seed):
+    """(estimate, standard error) of E sup_pi (V_pi - E V_pi) by the per-policy loop.
+
+    Each policy's induced chain is sampled on its own from the shared uniform
+    stream, its rewards summed in stage order and centred at its exact value.
+    """
+    u = uniform_matrix(seed, replicates, mdp.horizon)
+    sup = np.full(replicates, -np.inf)
+    for pi in pc.policies:
+        states = trajectories_from_uniforms(induced_chain_per_stage(mdp, pi), u)
+        v = np.zeros(replicates)
+        for stage in range(mdp.horizon):
+            v += mdp.rewards[np.arange(mdp.n_states), pi.action_table(stage)][states[:, stage]]
+        sup = np.maximum(sup, v - exact_value_per_stage(mdp, pi))
+    return float(np.mean(sup)), float(np.std(sup, ddof=1) / math.sqrt(replicates))
+
+
+def pairwise_distances(pc, distance) -> np.ndarray:
+    """Distance matrix of a policy class by a double loop over pairs."""
+    m = len(pc)
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d[i, j] = d[j, i] = distance(pc.policies[i], pc.policies[j])
+    return d
 
 
 def spectral_norm(matrix) -> float:

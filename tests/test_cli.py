@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainconc
@@ -377,3 +377,100 @@ def test_certify_report_is_independent_of_blas_threads(tmp_path):
                               capture_output=True, text=True, timeout=120).stdout
         results.append((out.read_bytes(), norm))
     assert results[0] == results[1]
+
+
+def _small_mdp(seed=0, n_states=2, n_actions=2, horizon=3):
+    rng = np.random.default_rng(seed)
+    return {"S": n_states, "A": n_actions, "H": horizon,
+            "initial": rng.dirichlet(np.ones(n_states)).tolist(),
+            "transitions": rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)).tolist(),
+            "rewards": rng.uniform(0.0, 1.0, (n_states, n_actions)).tolist()}
+
+
+@pytest.mark.parametrize("command", ["rl-bound", "rl-verify"])
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
+    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
+    extra = ["--replicates", "100"] if command == "rl-verify" else []
+    assert main([command, "--input", mdp, f"--scale={scale}", *extra,
+                 "--output", str(tmp_path / "o.json")]) == 1
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    (["rl-bound"], {"S": "x"}),
+    (["rl-bound"], dict(_small_mdp(), S=math.inf)),
+    (["rl-bound"], dict(_small_mdp(), H=math.nan)),
+    (["rl-bound"], dict(_small_mdp(), transitions=[[[0.5, 0.5], [1.0]], [[1.0, 0.0], [0.5]]])),
+    (["rl-bound"], dict(_small_mdp(), rewards=[["a", 0.1], [0.2, 0.3]])),
+    (["rl-verify", "--replicates", "50"], dict(_small_mdp(), stage_caps=[1.0, [1.0], 1.0])),
+    (["mix", "--eps", "0.3"], {"kernel": "abc", "n": 3}),
+    (["mix", "--eps", "0.3"], {"kernel": [[1.0]], "n": "x"}),
+    (["mix", "--eps", "0.3"], {"kernel": [[1.0]], "n": math.inf}),
+    (["certify"], {"kernel": {}, "n": 2}),
+    (["certify"], {"kernel": [[0.5, 0.5], [1.0]], "n": 2}),
+    (["certify"], {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 2, "initial": "ab"}),
+])
+def test_malformed_documents_exit_1(tmp_path, command, doc):
+    path = write_json(tmp_path / "doc.json", doc)
+    assert main([command[0], "--input", path, *command[1:],
+                 "--output", str(tmp_path / "o.json")]) == 1
+
+
+JUNK = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 7, True, None,
+                        "x", "", [], {}, [1.0, "a"], [[0.5, 0.5]]])
+RL_FIELDS = ("S", "A", "H", "initial", "transitions", "rewards", "stage_caps")
+
+
+def _with_junk(draw, value):
+    """value with one entry, at a random depth, replaced by junk."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_with_junk(draw, value[i])] + value[i + 1:]
+    return draw(JUNK)
+
+
+@st.composite
+def rl_documents(draw):
+    """A small valid MDP document, then up to three fields dropped or corrupted."""
+    doc = _small_mdp(draw(st.integers(0, 2**16)), draw(st.integers(1, 3)),
+                     draw(st.integers(1, 2)), draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        doc["stage_caps"] = [1.0] * doc["H"]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(RL_FIELDS))
+        if key in doc and draw(st.integers(0, 4)) == 0:
+            del doc[key]
+        else:
+            doc[key] = _with_junk(draw, doc.get(key))
+    return doc
+
+
+def _has_non_finite(value) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(_has_non_finite(v) for v in value)
+
+
+@settings(max_examples=60)
+@given(doc=st.one_of(rl_documents(), JUNK), command=st.sampled_from(["rl-bound", "rl-verify"]),
+       method=st.sampled_from(["contractive", "ergodic", "brute"]),
+       convention=st.sampled_from(["exact", "opnorm", "paper"]),
+       metric=st.sampled_from(["hamming", "mixing"]),
+       eps=st.sampled_from([0.25, 0.6, 0.0, math.nan]),
+       scale=st.sampled_from([1.0, 0.5, math.inf, math.nan]),
+       replicates=st.sampled_from([2, 40]))
+def test_fuzzed_rl_documents_exit_with_a_documented_code(doc, command, method, convention,
+                                                         metric, eps, scale, replicates):
+    argv = [command, "--method", method, "--convention", convention, "--metric", metric,
+            "--eps", repr(eps), "--scale", repr(scale)]
+    if command == "rl-verify":
+        argv += ["--replicates", str(replicates)]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "mdp.json"
+        path.write_text(json.dumps(doc))
+        code = main(argv + ["--input", str(path), "--output", str(Path(d) / "o.json")])
+    assert code in (0, 1, 2, 3)
+    fields = [doc.get(k) for k in RL_FIELDS] if isinstance(doc, dict) else [doc]
+    if _has_non_finite(fields + [eps, scale]):
+        assert code != 0

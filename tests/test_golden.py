@@ -11,7 +11,17 @@ import json
 
 import numpy as np
 
-from chainconc import chain_from_dict, cli, empirical_mgf, empirical_tail
+from chainconc import (
+    HammingMetric,
+    Policy,
+    PolicyClass,
+    chain_from_dict,
+    cli,
+    empirical_mgf,
+    empirical_sup_value,
+    empirical_tail,
+    mdp_from_dict,
+)
 from chainconc.cli import main
 
 GOLDEN = {
@@ -53,6 +63,16 @@ GOLDEN = {
         "ceab90491616445647f1e844447e3a9dc9694ff452ee04586333040c5a8b0469",
     "rl-bound/mixing":
         "b35c22f3555f2b7fa93bbe1e49d76516b1611354d13ef0266fc8f1356b2e5a73",
+    "rl-bound/brute":
+        "693271107b3eb7111612ebbb2037217a5366ce4cbc3337f2698de10adf6ff99a",
+    "rl-bound/exact":
+        "9fb7f1dd30c32b5ee91b72ea83b26da46d1e79ad86a01a29bb2301eabb81371f",
+    "rl-bound/paper":
+        "d0b4b7cc85bbab2ea92e100d7de0dec8006914d898a18903e8f8056b5e451ad2",
+    "rl-verify/mixing":
+        "a1a96a4c8307637adeeff1faf8b644bf217c3ed940ddb9511d65de847ef5e1cc",
+    "empirical_sup_value/stage":
+        "ffa49194935e5b030b9d05999d47284107f39a25ed3b7cfa0c63da2f9333c03b",
 }
 
 
@@ -149,11 +169,31 @@ def golden_hashes(tmp_path) -> dict:
         "rl-bound/hamming": ["rl-bound", "--input", mdp_file, "--metric", "hamming"],
         "rl-bound/mixing": ["rl-bound", "--input", mdp_file, "--metric", "mixing",
                             "--eps", "0.3", "--method", "ergodic"],
+        "rl-bound/brute": ["rl-bound", "--input", mdp_file, "--method", "brute"],
+        "rl-bound/exact": ["rl-bound", "--input", mdp_file, "--convention", "exact"],
+        "rl-bound/paper": ["rl-bound", "--input", mdp_file, "--convention", "paper"],
+        "rl-verify/mixing": ["rl-verify", "--input", mdp_file, "--metric", "mixing",
+                             "--replicates", "3000", "--seed", "6"],
     }
     for name, argv in runs.items():
         report = tmp_path / (name.replace("/", "-") + ".json")
         assert main(argv + ["--output", str(report)]) == 0, name
         out[name] = _body_sha(report)
+
+    # stage-dependent policies on an MDP with zero transition entries
+    trans = rng.dirichlet(np.ones(4), size=(4, 3))
+    trans[:, :, ::3] = 0.0
+    trans /= trans.sum(axis=2, keepdims=True)
+    stage_mdp = mdp_from_dict({"S": 4, "A": 3, "H": 6, "initial": [0.1, 0.2, 0.3, 0.4],
+                               "transitions": trans.tolist(),
+                               "rewards": rng.uniform(0, 1, (4, 3)).tolist()})
+    policies = tuple(
+        Policy(tuple(rng.integers(0, 3, 4).tolist()),
+               stage_actions=tuple(tuple(rng.integers(0, 3, 4).tolist()) for _ in range(6)))
+        for _ in range(7))
+    out["empirical_sup_value/stage"] = _sha(empirical_sup_value(
+        stage_mdp, PolicyClass(policies, HammingMetric()), replicates=5000, seed=8,
+        chunks=3).to_dict())
     return out
 
 
@@ -173,4 +213,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 17
+    assert len(written) == 21

@@ -1,0 +1,301 @@
+"""The batched policy-class engine against the per-policy code it replaced.
+
+The reference paths live in oracles.py: the per-policy CRN supremum loop
+(each induced chain validated, sampled and centred on its own), the
+per-position mixing time and the pairwise distance loop. The engine must
+reproduce them bit for bit.
+"""
+
+import json
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from chainconc import (
+    HammingMetric,
+    MdpSpec,
+    MixingTimeMetric,
+    Policy,
+    PolicyClass,
+    ValidationError,
+    chain_from_dict,
+    dobrushin_coefficient,
+    empirical_sup_value,
+    enumerate_policies,
+    exact_value,
+    homogeneous_chain,
+    induced_chain,
+    mixing_time,
+    mdp_from_dict,
+    verify,
+)
+from chainconc import cli, rl
+from chainconc.concentration import build_gamma
+
+
+def random_mdp(rng, n_states, n_actions, horizon, zeros=False) -> MdpSpec:
+    """Random MDP; with zeros, about a third of the transition entries are 0."""
+    trans = rng.random((n_states, n_actions, n_states)) + 0.05
+    if zeros:
+        trans[rng.random(trans.shape) < 0.35] = 0.0
+        trans[..., rng.integers(0, n_states)] += 0.1  # no row is all zero
+    trans /= trans.sum(axis=2, keepdims=True)
+    initial = rng.random(n_states) + 0.05
+    if zeros and n_states > 1:
+        initial[0] = 0.0
+    return MdpSpec.build(n_states, n_actions, horizon, trans, rng.random((n_states, n_actions)),
+                         initial / initial.sum())
+
+
+def random_class(rng, mdp, size, staged) -> PolicyClass:
+    """Up to `size` distinct policies: stationary, or one action table per stage."""
+    seen = {}
+    for _ in range(4 * size):
+        actions = tuple(rng.integers(0, mdp.n_actions, mdp.n_states).tolist())
+        stage_actions = None
+        if staged:
+            stage_actions = tuple(tuple(rng.integers(0, mdp.n_actions, mdp.n_states).tolist())
+                                  for _ in range(mdp.horizon))
+        pi = Policy(actions, stage_actions)
+        seen.setdefault(pi.key(), pi)
+        if len(seen) == size:
+            break
+    return PolicyClass(tuple(seen.values()), HammingMetric())
+
+
+# ---------------------------------------------------------------------------
+# the CRN sampler
+
+
+@settings(max_examples=40)
+@given(n_states=st.integers(1, 4), n_actions=st.integers(1, 3), horizon=st.integers(1, 6),
+       zeros=st.booleans(), staged=st.booleans(), size=st.integers(1, 12),
+       replicates=st.integers(2, 300), chunks=st.integers(1, 3), block=st.integers(1, 64),
+       budget=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
+@example(n_states=1, n_actions=1, horizon=1, zeros=False, staged=False, size=1,
+         replicates=2, chunks=1, block=64, budget=512, seed=0)
+@example(n_states=1, n_actions=3, horizon=4, zeros=False, staged=True, size=5,
+         replicates=50, chunks=2, block=7, budget=9, seed=1)
+@example(n_states=4, n_actions=1, horizon=5, zeros=True, staged=False, size=1,
+         replicates=97, chunks=3, block=10, budget=3, seed=2)
+@example(n_states=4, n_actions=3, horizon=1, zeros=True, staged=False, size=12,
+         replicates=120, chunks=1, block=64, budget=100, seed=3)
+def test_sampler_matches_per_policy_loop(n_states, n_actions, horizon, zeros, staged, size,
+                                         replicates, chunks, block, budget, seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
+    pc = random_class(rng, mdp, size, staged)
+    want = oracles.sup_value_per_policy(mdp, pc, replicates, seed=seed % 1000)
+    # small blocks and budgets put block boundaries inside the replicate range
+    with mock.patch.object(verify, "SAMPLE_BLOCK", block), \
+            mock.patch.object(verify, "SUP_BLOCK_ELEMENTS", budget):
+        est = empirical_sup_value(mdp, pc, replicates=replicates, seed=seed % 1000,
+                                  chunks=chunks)
+    assert (est.estimate, est.standard_error) == want
+
+
+def test_sampler_crosses_the_sample_block_unpatched(rng):
+    mdp = random_mdp(rng, 3, 2, 4, zeros=True)
+    pc = enumerate_policies(3, 2)
+    replicates = verify.SAMPLE_BLOCK + 5
+    est = empirical_sup_value(mdp, pc, replicates=replicates, seed=21)
+    assert (est.estimate, est.standard_error) == oracles.sup_value_per_policy(
+        mdp, pc, replicates, seed=21)
+
+
+def test_uniforms_on_cdf_breakpoints_step_as_the_chain_sampler_does():
+    # dyadic kernel rows, so the CDF breakpoints are exact multiples of 1/8, and
+    # every replicate's uniforms run over a grid of those multiples
+    trans = [[[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]],
+             [[0.0, 0.75, 0.25], [0.5, 0.25, 0.25]],
+             [[0.125, 0.375, 0.5], [0.25, 0.0, 0.75]]]
+    mdp = MdpSpec.build(3, 2, 4, trans, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+                        [0.25, 0.5, 0.25])
+    pc = enumerate_policies(3, 2)
+
+    def grid_uniforms(seed, replicates, n_vars, first=0):
+        r = np.arange(first, first + replicates)[:, None]
+        return ((r // 8 ** np.arange(n_vars)) % 8) / 8.0
+
+    with mock.patch.object(verify, "uniform_matrix", grid_uniforms), \
+            mock.patch.object(oracles, "uniform_matrix", grid_uniforms):
+        est = empirical_sup_value(mdp, pc, replicates=8**4, chunks=3)
+        assert (est.estimate, est.standard_error) == oracles.sup_value_per_policy(
+            mdp, pc, 8**4, seed=0)
+
+
+def test_block_width_keeps_policy_arrays_within_the_budget():
+    # 3^7 = 2187 policies: a block holds SUP_BLOCK_ELEMENTS // 2187 replicates
+    mdp = random_mdp(np.random.default_rng(5), 7, 3, 3)
+    pc = enumerate_policies(7, 3)
+    widths = []
+    values = verify._policy_values
+
+    def spy(rows, rewards, init_cdf, cdf, u):
+        widths.append(u.shape[1])
+        return values(rows, rewards, init_cdf, cdf, u)
+
+    with mock.patch.object(verify, "_policy_values", spy):
+        empirical_sup_value(mdp, pc, replicates=200, seed=1)
+    assert max(widths) * len(pc) <= verify.SUP_BLOCK_ELEMENTS
+    assert sum(widths) == 200
+
+
+def test_sampler_rejects_policies_outside_the_mdp(rng):
+    mdp = random_mdp(rng, 3, 2, 4)
+    for policy in (Policy((0, 2, 1)), Policy((0, 1)), Policy((0, -1, 1))):
+        pc = PolicyClass((policy,), HammingMetric())
+        with pytest.raises(ValidationError):
+            empirical_sup_value(mdp, pc, replicates=10)
+
+
+# ---------------------------------------------------------------------------
+# induced chains, values and Gammas
+
+
+@settings(max_examples=25)
+@given(n_states=st.integers(1, 5), n_actions=st.integers(1, 3), horizon=st.integers(1, 7),
+       zeros=st.booleans(), staged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_induced_chains_and_values_match_per_stage_construction(n_states, n_actions, horizon,
+                                                                zeros, staged, seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
+    for pi in random_class(rng, mdp, 4, staged).policies:
+        new, old = induced_chain(mdp, pi), oracles.induced_chain_per_stage(mdp, pi)
+        assert new.coord_sizes == old.coord_sizes
+        assert new.initial.probs.tobytes() == old.initial.probs.tobytes()
+        assert [k.rows.tobytes() for k in new.kernels] == [k.rows.tobytes() for k in old.kernels]
+        assert exact_value(mdp, pi) == oracles.exact_value_per_stage(mdp, pi)
+        gamma, details = build_gamma(new, "contractive")
+        assert details["thetas"] == [dobrushin_coefficient(k) for k in old.kernels]
+
+
+def test_stationary_policy_repeats_one_kernel(rng):
+    chain = induced_chain(random_mdp(rng, 3, 2, 6), Policy((1, 0, 1)))
+    assert all(k is chain.kernels[0] for k in chain.kernels)
+
+
+# ---------------------------------------------------------------------------
+# mixing times
+
+
+def _chain(rng, kind, n, size, zeros):
+    def kernel(rows, cols):
+        k = rng.random((rows, cols)) + 0.02
+        if zeros:
+            k[rng.random(k.shape) < 0.4] = 0.0
+            k[:, 0] += 0.05
+        return (k / k.sum(axis=1, keepdims=True)).tolist()
+
+    if kind == "homogeneous":
+        return homogeneous_chain(kernel(size, size), n)
+    if kind == "equal-copies":  # equal rows in distinct kernel objects
+        k = kernel(size, size)
+        return chain_from_dict({"coord_sizes": [size] * n, "initial": [1.0 / size] * size,
+                                "kernels": [k] * (n - 1)})
+    if kind == "last-differs":
+        k = kernel(size, size)
+        kernels = [k] * (n - 2) + [kernel(size, size)] if n > 2 else [kernel(size, size)] * (n - 1)
+        return chain_from_dict({"coord_sizes": [size] * n, "initial": [1.0 / size] * size,
+                                "kernels": kernels})
+    sizes = rng.integers(1, size + 1, n).tolist()
+    return chain_from_dict({"coord_sizes": sizes, "initial": [1.0 / sizes[0]] * sizes[0],
+                            "kernels": [kernel(sizes[i], sizes[i + 1]) for i in range(n - 1)]})
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(["homogeneous", "equal-copies", "last-differs", "inhomogeneous"]),
+       n=st.integers(1, 9), size=st.integers(1, 4), zeros=st.booleans(),
+       eps=st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
+def test_mixing_time_matches_per_position_evaluation(kind, n, size, zeros, eps, seed):
+    spec = _chain(np.random.default_rng(seed), kind, n, size, zeros)
+    assert mixing_time(spec, eps) == oracles.mixing_time_per_position(spec, eps)
+
+
+def test_mixing_time_of_a_permutation_chain_is_none():
+    flip = homogeneous_chain([[0.0, 1.0], [1.0, 0.0]], 6)
+    assert mixing_time(flip, 0.5) is None is oracles.mixing_time_per_position(flip, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# distance matrices
+
+
+def test_hamming_matrix_matches_pairwise_loop(rng):
+    mdp = random_mdp(rng, 4, 3, 3)
+    for pc in (enumerate_policies(4, 3, metric=HammingMetric(scale=0.5)),
+               random_class(rng, mdp, 9, staged=True)):
+        scale = pc.metric.scale
+        want = oracles.pairwise_distances(
+            pc, lambda a, b: scale * sum(x != y for x, y in zip(a.actions, b.actions)))
+        assert pc.distance_matrix().tobytes() == want.tobytes()
+
+
+def test_mixing_matrix_matches_pairwise_loop_with_tau_ties(rng):
+    mdp = random_mdp(rng, 3, 2, 6)
+    metric = MixingTimeMetric(mdp, 0.3, scale=1.5)
+    pc = enumerate_policies(3, 2, metric=metric)
+
+    def tau(pi):
+        t = oracles.mixing_time_per_position(oracles.induced_chain_per_stage(mdp, pi), 0.3)
+        return mdp.horizon if t is None else t
+
+    taus = [tau(pi) for pi in pc.policies]
+    assert len(set(taus)) < len(taus)  # ties
+    want = oracles.pairwise_distances(pc, lambda a, b: 1.5 * abs(tau(a) - tau(b)))
+    assert pc.distance_matrix().tobytes() == want.tobytes()
+    assert [metric.tau(pi) for pi in pc.policies] == taus
+
+
+# ---------------------------------------------------------------------------
+# one computation per policy and per distinct Gamma
+
+
+def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
+    trans = rng.dirichlet(np.full(3, 2.0), size=(3, 3))
+    trans[:, 2] = trans[:, 0]  # actions 0 and 2 coincide: repeated Gammas
+    doc = {"S": 3, "A": 3, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
+           "rewards": rng.uniform(0, 1, (3, 3)).tolist()}
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mdp.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with mock.patch.object(rl, "induced_chain", counted("chain", rl.induced_chain)), \
+                mock.patch.object(rl, "exact_value", counted("value", rl.exact_value)), \
+                mock.patch.object(rl, "mixing_time", counted("tau", rl.mixing_time)), \
+                mock.patch.object(cli, "certify", counted("certify", cli.certify)):
+            assert cli.main(["rl-verify", "--input", path, "--metric", "mixing",
+                             "--replicates", "500", "--output",
+                             os.path.join(tmp, "out.json")]) == 0
+    mdp = mdp_from_dict(doc)
+    policies = enumerate_policies(3, 3).policies
+    thetas = {dobrushin_coefficient(oracles.induced_chain_per_stage(mdp, pi).kernels[0])
+              for pi in policies}
+    assert counts == {"chain": 27, "value": 27, "tau": 27, "certify": len(thetas)}
+    assert len(thetas) < 27
+
+
+def test_policy_memo_is_per_mdp(rng):
+    mdp = random_mdp(rng, 2, 2, 4)
+    pi = Policy((0, 1))
+    assert mdp.policy_chain(pi) is mdp.policy_chain(pi)
+    assert mdp.policy_value(pi) == exact_value(mdp, pi)
+    for eps in (0.9, 0.3, 0.001):
+        assert mdp.policy_tau(pi, eps) == mixing_time(induced_chain(mdp, pi), eps)
+    assert mdp.policy_tau(pi, 0.9) != mdp.policy_tau(pi, 0.001)
+    other = MdpSpec.build(2, 2, 4, mdp.transitions, mdp.rewards, mdp.initial.probs)
+    assert other.policy_chain(pi) is not mdp.policy_chain(pi)
