@@ -189,11 +189,6 @@ def strides_for(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def flatten_state(states, sizes: tuple[int, ...]) -> int:
-    strides = strides_for(sizes)
-    return int(sum(int(s) * st for s, st in zip(states, strides)))
-
-
 def coordinate_grid(sizes: tuple[int, ...], cap: int | None = None) -> list[np.ndarray]:
     """Per-coordinate index arrays over the flattened joint space.
 
@@ -235,17 +230,25 @@ def marginal(spec: ChainSpec, j: int) -> Distribution:
     return Distribution(law)
 
 
+def forward_law(spec: ChainSpec, law: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Joint law of (X_start, ..., X_{stop-1}) from the law of X_start, flattened row-major.
+
+    Each step multiplies every flat entry by the kernel row of its last
+    coordinate, so the result has prod(coord_sizes[start:stop]) entries.
+    """
+    for c in range(start, stop - 1):
+        last = np.arange(law.size) % spec.coord_sizes[c]
+        law = (law[:, None] * spec.kernels[c].rows[last, :]).ravel()
+    return law
+
+
 def _expand_block(spec: ChainSpec, law_at_j: np.ndarray, j: int, cap: int | None) -> Distribution:
     """Joint law of (X_j, ..., X_{n-1}) from the law of X_j, flattened row-major."""
     total = math.prod(spec.coord_sizes[j:])
     limit = enumeration_cap(cap)
     if total > limit:
         raise EnumerationCapError(f"block of size {total} exceeds enumeration cap {limit}")
-    joint = law_at_j
-    for c in range(j, spec.n - 1):
-        last = np.arange(joint.size) % spec.coord_sizes[c]
-        joint = (joint[:, None] * spec.kernels[c].rows[last, :]).ravel()
-    return Distribution(joint)
+    return Distribution(forward_law(spec, law_at_j, j, spec.n))
 
 
 def conditional_law(spec: ChainSpec, prefix, j: int, cap: int | None = None) -> Distribution:
@@ -254,7 +257,8 @@ def conditional_law(spec: ChainSpec, prefix, j: int, cap: int | None = None) -> 
     The prefix fixes the first len(prefix) coordinates and must have positive
     probability; j must satisfy len(prefix) <= j < n. The block law is
     returned flattened row-major over coord_sizes[j:]. By the Markov property
-    it depends on the prefix only through its last coordinate.
+    it depends on the prefix only through its last coordinate, so it is
+    block_law_given_coordinate at that coordinate.
     """
     states = [int(s) for s in prefix]
     i = len(states)
@@ -263,14 +267,8 @@ def conditional_law(spec: ChainSpec, prefix, j: int, cap: int | None = None) -> 
     if prefix_probability(spec, states) <= 0.0:
         raise ValidationError(f"prefix {tuple(states)} has zero probability")
     if i == 0:
-        law = spec.initial.probs
-        start = 0
-    else:
-        law = spec.kernels[i - 1].rows[states[-1]]
-        start = i
-    for c in range(start, j):
-        law = law @ spec.kernels[c].rows
-    return _expand_block(spec, law, j, cap)
+        return _expand_block(spec, marginal(spec, j).probs, j, cap)
+    return block_law_given_coordinate(spec, i - 1, states[-1], j, cap=cap)
 
 
 def block_law_given_coordinate(spec: ChainSpec, i: int, value: int, j: int,

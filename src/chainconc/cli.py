@@ -202,8 +202,7 @@ def _cmd_verify(args) -> int:
     else:
         sigma2 = certify(spec, _load_weights(doc, spec), args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected
-    est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed,
-                         cap=args.cap)
+    est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed)
     out = {"meta": _meta(args), "convention": args.convention,
            "caveats": [CONVENTION_CAVEAT], "tail": est.to_dict()}
     _write_json(args.output, out)
@@ -226,6 +225,8 @@ def _cmd_coupling(args) -> int:
         q = Distribution.from_array(doc["q"], where="q")
     except KeyError as exc:
         raise ValidationError(f'coupling input needs "p" and "q": {exc}') from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed coupling document: {exc}") from exc
     table = goldstein_coupling(p, q)
     tv = tv_distance(p, q)
     out = {
@@ -255,14 +256,17 @@ def _cmd_mix(args) -> int:
 
 def _cmd_gamma(args) -> int:
     doc = _read_json(args.input)
-    if args.method == "contractive" and "thetas" in doc:
-        g = gamma_contractive(doc["thetas"])
-    elif args.method == "ergodic" and "n_blocks" in doc:
-        if args.eps is None:
-            raise ValidationError("ergodic gamma requires --eps")
-        g = gamma_ergodic(int(doc["n_blocks"]), args.eps)
-    else:
-        g, _ = build_gamma(chain_from_dict(doc), args.method, args.eps)
+    try:
+        if args.method == "contractive" and "thetas" in doc:
+            g = gamma_contractive(doc["thetas"])
+        elif args.method == "ergodic" and "n_blocks" in doc:
+            if args.eps is None:
+                raise ValidationError("ergodic gamma requires --eps")
+            g = gamma_ergodic(int(doc["n_blocks"]), args.eps)
+        else:
+            g, _ = build_gamma(chain_from_dict(doc), args.method, args.eps)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed gamma document: {exc}") from exc
     out = {"meta": _meta(args), "gamma": g.to_dict()}
     _write_json(args.output, out)
     print(f"gamma ({g.provenance}) of size {g.n}; wrote {args.output}")
@@ -381,7 +385,7 @@ def _cmd_demo(args) -> int:
         spec, lambda grids: sum((g == 1).astype(float) for g in grids), cap=cap
     )
     est = empirical_tail(spec, f, cert.sigma2_selected, replicates=args.replicates,
-                         seed=args.seed, cap=cap)
+                         seed=args.seed)
     tail_path = os.path.join(args.output, "demo_tail.json")
     _write_json(tail_path, {"meta": _meta(args), "convention": args.convention,
                             "caveats": [CONVENTION_CAVEAT], "tail": est.to_dict()})
@@ -403,6 +407,17 @@ def _cmd_demo(args) -> int:
 
 
 POLICY_CAP_HELP = f"cap on the policy-class size A^S (default {DEFAULT_POLICY_CAP})"
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of every --cap: a cap below 1 admits nothing and is malformed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False,
@@ -433,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
     p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_positive_int, default=None,
                    help="joint-space cap for the function table (default CHAINCONC_CAP or 10^6)")
     _add_common(p, seeded=True, out_default="tail.json")
     p.set_defaults(func=_cmd_verify)
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--scale", type=float, default=1.0, help="policy-metric scale for Dudley")
-    p.add_argument("--cap", type=int, default=None, help=POLICY_CAP_HELP)
+    p.add_argument("--cap", type=_positive_int, default=None, help=POLICY_CAP_HELP)
     _add_common(p, out_default="rl_bounds.json")
     p.set_defaults(func=_cmd_rl_bound)
 
@@ -474,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--cap", type=int, default=None, help=POLICY_CAP_HELP)
+    p.add_argument("--cap", type=_positive_int, default=None, help=POLICY_CAP_HELP)
     _add_common(p, seeded=True, out_default="rl_verify.json")
     p.set_defaults(func=_cmd_rl_verify)
 
     p = sub.add_parser("demo", help="built-in two-state worked example, end to end")
     p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=_positive_int, default=None,
                    help="joint-space cap for tabulating the demo function (default 2^21)")
     _add_common(p, seeded=True, out_default="chainconc-demo")
     p.set_defaults(func=_cmd_demo)

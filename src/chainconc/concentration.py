@@ -27,13 +27,13 @@ from .chain import (
     ChainSpec,
     Kernel,
     Trajectory,
-    conditional_law,
     coordinate_grid,
     dobrushin_coefficient,
+    forward_law,
     prefix_probability,
 )
 from .coupling import wasserstein_matrix_tv
-from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
+from .errors import NoMixError, ValidationError
 from .gamma import GammaMatrix, gamma_contractive, gamma_ergodic, operator_norm
 
 CONVENTIONS = ("exact", "opnorm", "paper")
@@ -79,13 +79,6 @@ class TabularFunction:
     values: np.ndarray
 
     @classmethod
-    def from_callable(cls, spec: ChainSpec, fn, cap: int | None = None) -> "TabularFunction":
-        """Tabulate fn(states_tuple) over every trajectory; small instances only."""
-        grids = coordinate_grid(spec.coord_sizes, cap=cap)
-        vals = np.array([float(fn(tuple(int(g[k]) for g in grids))) for k in range(grids[0].size)])
-        return cls(vals)
-
-    @classmethod
     def from_vectorized(cls, spec: ChainSpec, fn, cap: int | None = None) -> "TabularFunction":
         """Tabulate fn(list_of_coordinate_arrays) -> values array in one shot."""
         grids = coordinate_grid(spec.coord_sizes, cap=cap)
@@ -105,15 +98,12 @@ class TabularFunction:
         return float(self.table(spec)[tuple(int(s) for s in states)])
 
 
-def local_oscillation_vector(f: TabularFunction, spec: ChainSpec, cap: int | None = None) -> np.ndarray:
+def local_oscillation_vector(f: TabularFunction, spec: ChainSpec) -> np.ndarray:
     """Exact local oscillation of f at each coordinate, by exhaustive pair enumeration.
 
     Entry i is the maximum of |f(x) - f(y)| over pairs differing only in
     coordinate i (discrete metric, so no normalization).
     """
-    limit = enumeration_cap(cap)
-    if spec.joint_size() > limit:
-        raise EnumerationCapError(f"joint space of size {spec.joint_size()} exceeds cap {limit}")
     table = f.table(spec)
     osc = np.empty(spec.n)
     for c in range(spec.n):
@@ -126,25 +116,19 @@ def local_oscillation_vector(f: TabularFunction, spec: ChainSpec, cap: int | Non
 # conditional expectations and martingale differences
 
 
-def conditional_expectation(f: TabularFunction, spec: ChainSpec, prefix,
-                            cap: int | None = None) -> float:
-    """Exact E[f | X_0..X_{i-1} = prefix] by suffix enumeration.
+def conditional_expectation(f: TabularFunction, spec: ChainSpec, prefix) -> float:
+    """Exact E[f | X_0..X_{i-1} = prefix]: the prefix's entry of conditional_expectation_tables.
 
-    An empty prefix gives E[f]; a full prefix gives f at that trajectory.
+    The prefix must have positive probability. An empty prefix gives E[f]; a
+    full prefix gives f at that trajectory.
     """
     states = [int(s) for s in prefix]
-    table = f.table(spec)
-    if len(states) == spec.n:
-        if prefix_probability(spec, states) <= 0.0:
-            raise ValidationError(f"trajectory {tuple(states)} has zero probability")
-        return float(table[tuple(states)])
-    law = conditional_law(spec, states, len(states), cap=cap)
-    suffix_values = table[tuple(states)].ravel()
-    return float(law.probs @ suffix_values)
+    if prefix_probability(spec, states) <= 0.0:
+        raise ValidationError(f"prefix {tuple(states)} has zero probability")
+    return float(conditional_expectation_tables(f, spec)[len(states)][tuple(states)])
 
 
-def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec,
-                                   cap: int | None = None) -> list[np.ndarray]:
+def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec) -> list[np.ndarray]:
     """All prefix-conditional expectations at once, by backward recursion.
 
     Returns [T_0, ..., T_n] where T_m has shape coord_sizes[:m] and
@@ -152,9 +136,6 @@ def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec,
     T_n is f itself. Zero-probability prefixes carry the natural
     kernel-product extension.
     """
-    limit = enumeration_cap(cap)
-    if spec.joint_size() > limit:
-        raise EnumerationCapError(f"joint space of size {spec.joint_size()} exceeds cap {limit}")
     tables = [None] * (spec.n + 1)
     tables[spec.n] = f.table(spec).astype(float)
     for m in range(spec.n - 1, 0, -1):
@@ -163,8 +144,7 @@ def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec,
     return tables
 
 
-def martingale_differences(f: TabularFunction, spec: ChainSpec, traj: Trajectory,
-                           cap: int | None = None) -> np.ndarray:
+def martingale_differences(f: TabularFunction, spec: ChainSpec, traj: Trajectory) -> np.ndarray:
     """Martingale increments of the Doob decomposition of f along a trajectory.
 
     Entry i is E[f | X_0..X_i] - E[f | X_0..X_{i-1}] evaluated along traj;
@@ -175,7 +155,7 @@ def martingale_differences(f: TabularFunction, spec: ChainSpec, traj: Trajectory
         raise ValidationError(f"trajectory length {len(states)} does not match chain length {spec.n}")
     if prefix_probability(spec, states) <= 0.0:
         raise ValidationError(f"trajectory {tuple(states)} has zero probability")
-    tables = conditional_expectation_tables(f, spec, cap=cap)
+    tables = conditional_expectation_tables(f, spec)
     out = np.empty(spec.n)
     for i in range(spec.n):
         upper = float(tables[i + 1][tuple(states[: i + 1])])
@@ -191,8 +171,8 @@ class MartingaleBrackets:
     lower/upper are flat over prefixes of coordinates < i (row-major);
     prefix_probs marks which prefixes are realizable. width is the sup of
     upper - lower over realizable prefixes, and oscillation_bound is the
-    local oscillation of the tabulated conditional expectation at
-    coordinate i, which dominates width.
+    local oscillation of E[f | X_0..X_i] at coordinate i (the widest spread
+    over values of coordinate i, across all prefixes), which dominates width.
     """
 
     coordinate: int
@@ -203,8 +183,7 @@ class MartingaleBrackets:
     oscillation_bound: float
 
 
-def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int,
-                        cap: int | None = None) -> MartingaleBrackets:
+def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int) -> MartingaleBrackets:
     """Bracket the i-th martingale increment between prefix functions A_i and B_i.
 
     For each realizable prefix p of coordinates < i, the increment lies in
@@ -216,7 +195,7 @@ def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int,
     """
     if not 0 <= i < spec.n:
         raise ValidationError(f"coordinate {i} out of range for chain of length {spec.n}")
-    tables = conditional_expectation_tables(f, spec, cap=cap)
+    tables = conditional_expectation_tables(f, spec)
     g = tables[i + 1].reshape(-1, spec.coord_sizes[i])  # rows: prefixes, cols: value at coord i
     center = tables[i].ravel()
 
@@ -225,10 +204,8 @@ def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int,
         cond = np.broadcast_to(spec.initial.probs, g.shape)
         prefix_probs = np.ones(1)
     else:
-        flat_prefix_probs = _prefix_probability_table(spec, i)
-        last = _last_coordinate_indices(spec, i)
-        cond = spec.kernels[i - 1].rows[last]
-        prefix_probs = flat_prefix_probs
+        prefix_probs = forward_law(spec, spec.initial.probs, 0, i)
+        cond = spec.kernels[i - 1].rows[np.arange(prefix_probs.size) % spec.coord_sizes[i - 1]]
 
     admissible = cond > 0.0
     lower = np.where(admissible, g, np.inf).min(axis=1) - center
@@ -236,34 +213,12 @@ def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int,
     realizable = prefix_probs > 0.0
     width = float((upper - lower)[realizable].max()) if realizable.any() else 0.0
 
-    kf = TabularFunction(_broadcast_prefix_table(tables[i + 1], spec).ravel())
-    bound = float(local_oscillation_vector(kf, spec, cap=cap)[i])
+    bound = float((g.max(axis=1) - g.min(axis=1)).max())
     if width > bound + 1e-12:
         raise ValidationError(
             f"bracket width {width} exceeds oscillation bound {bound} at coordinate {i}"
         )
     return MartingaleBrackets(i, lower, upper, prefix_probs, width, bound)
-
-
-def _prefix_probability_table(spec: ChainSpec, m: int) -> np.ndarray:
-    """Flat table of P(X_0..X_{m-1} = p) over all prefixes of length m >= 1."""
-    probs = spec.initial.probs
-    for c in range(m - 1):
-        last = np.arange(probs.size) % spec.coord_sizes[c]
-        probs = (probs[:, None] * spec.kernels[c].rows[last, :]).ravel()
-    return probs
-
-def _last_coordinate_indices(spec: ChainSpec, m: int) -> np.ndarray:
-    """Coordinate m-1 of each flat prefix of length m (row-major, stride 1)."""
-    total = math.prod(spec.coord_sizes[:m])
-    return np.arange(total) % spec.coord_sizes[m - 1]
-
-
-def _broadcast_prefix_table(table: np.ndarray, spec: ChainSpec) -> np.ndarray:
-    """Extend a prefix-indexed table to the full joint space (constant in later coords)."""
-    m = table.ndim
-    shape = table.shape + (1,) * (spec.n - m)
-    return np.broadcast_to(table.reshape(shape), spec.coord_sizes)
 
 
 # ---------------------------------------------------------------------------

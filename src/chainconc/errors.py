@@ -37,14 +37,17 @@ class ConvergenceError(ChainconcError):
 def enumeration_cap(override: int | None = None) -> int:
     """Resolve the enumeration cap: explicit override, else env var, else default.
 
-    Exceeding the cap is always an error, never a silent approximation.
+    A resolved cap below 1 is malformed input. Exceeding the cap is always an
+    error, never a silent approximation.
     """
     if override is not None:
-        return int(override)
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
+        cap = int(override)
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
         try:
-            return int(env)
+            cap = DEFAULT_ENUMERATION_CAP if env is None else int(env)
         except ValueError as exc:
             raise ValidationError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_ENUMERATION_CAP
+    if cap < 1:
+        raise ValidationError(f"enumeration cap {cap} must be a positive integer")
+    return cap

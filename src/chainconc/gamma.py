@@ -56,7 +56,7 @@ def gamma_contractive(thetas) -> GammaMatrix:
     th = np.asarray(thetas, dtype=float)
     if th.ndim != 1:
         raise ValidationError("thetas must be a 1-d sequence")
-    if np.any((th < 0) | (th > 1)):
+    if np.any(~((th >= 0) & (th <= 1))):  # NaN fails both comparisons
         raise ValidationError("contraction coefficients must lie in [0, 1]")
     m = np.zeros((th.size + 1, th.size + 1))
     # row i of the block right of the diagonal is 1, ..., 1, theta_i, theta_{i+1},

@@ -6,7 +6,9 @@ bound violated beyond Monte Carlo error is a build-failing event, not a
 warning. All sampling is counter-based (see rng), so results are
 bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
-SAMPLE_BLOCK, so peak memory does not grow with the replicate count.
+SAMPLE_BLOCK, so peak memory does not grow with the replicate count. A
+tabulated function is always centered exactly, whatever its size; only a
+callable is centered by the pilot.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .chain import ChainSpec, strides_for, trajectories_from_uniforms
 from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
-from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, enumeration_cap
+from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
 from .rl import MdpSpec, PolicyClass
 from .rng import chunk_ranges, uniform_matrix
 
@@ -72,10 +74,10 @@ def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.nd
     ]
 
 
-def _center(f, spec: ChainSpec, cap: int | None, seed: int) -> tuple[float, str]:
-    """Exact centering when enumeration is feasible, else a deterministic pilot."""
-    if isinstance(f, TabularFunction) and spec.joint_size() <= enumeration_cap(cap):
-        return float(conditional_expectation_tables(f, spec, cap=cap)[0]), "enumeration"
+def _center(f, spec: ChainSpec, seed: int) -> tuple[float, str]:
+    """Exact centering of a table, else a deterministic pilot for a callable."""
+    if isinstance(f, TabularFunction):
+        return float(conditional_expectation_tables(f, spec)[0]), "enumeration"
     values = _block_values(f, spec, seed + _PILOT_KEY_OFFSET, 0, PILOT_REPLICATES)
     return float(np.mean(np.concatenate(values))), f"pilot({PILOT_REPLICATES})"
 
@@ -132,12 +134,12 @@ class TailEstimate:
 
 
 def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: int = 10**5,
-                   seed: int = 42, cap: int | None = None, chunks: int = 1) -> TailEstimate:
+                   seed: int = 42, chunks: int = 1) -> TailEstimate:
     """Estimate P(|f - E f| >= t) on a grid and compare with 2 exp(-t^2 / 2 sigma2).
 
-    f is a TabularFunction (exact centering by enumeration when the joint
-    space fits the cap) or a vectorized callable on trajectory matrices
-    (centered by a deterministic pilot run, recorded in the output).
+    f is a TabularFunction (centered exactly, by backward recursion over its
+    table) or a vectorized callable on trajectory matrices (centered by a
+    deterministic pilot run). The output records which.
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
@@ -146,7 +148,7 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
     grid = np.asarray(default_t_grid(sigma2) if t_grid is None else t_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0):
         raise ValidationError("t grid must be nonempty and nonnegative")
-    center, method = _center(f, spec, cap, seed)
+    center, method = _center(f, spec, seed)
     dev = np.abs(_sample_values(f, spec, seed, replicates, chunks) - center)
     emp = np.array([float(np.mean(dev >= t)) for t in grid])
     se = np.sqrt(emp * (1.0 - emp) / replicates)
@@ -206,8 +208,7 @@ def _jackknife_se_of_mean(w: np.ndarray) -> float:
 
 
 def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
-                  replicates: int = 10**5, seed: int = 42, cap: int | None = None,
-                  chunks: int = 1) -> MgfEstimate:
+                  replicates: int = 10**5, seed: int = 42, chunks: int = 1) -> MgfEstimate:
     """Estimate E exp(lambda (f - E f)) on a grid against the envelope exp(lambda^2 sigma2 / 2).
 
     Grids that could overflow exp at the maximal centered value are rejected
@@ -221,9 +222,9 @@ def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
                       dtype=float)
     if grid.size == 0:
         raise ValidationError("lambda grid must be nonempty")
-    center, method = _center(f, spec, cap, seed)
+    center, method = _center(f, spec, seed)
     values = _sample_values(f, spec, seed, replicates, chunks) - center
-    if isinstance(f, TabularFunction) and spec.joint_size() <= enumeration_cap(cap):
+    if isinstance(f, TabularFunction):
         max_dev = float(np.max(np.abs(f.values - center)))
     else:
         max_dev = float(np.max(np.abs(values))) if values.size else 0.0

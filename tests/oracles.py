@@ -11,7 +11,15 @@ import math
 
 import numpy as np
 
-from chainconc import ChainSpec, Kernel, t_step_pair_tv, validate_chain
+from chainconc import (
+    ChainSpec,
+    Kernel,
+    TabularFunction,
+    conditional_expectation_tables,
+    local_oscillation_vector,
+    t_step_pair_tv,
+    validate_chain,
+)
 from chainconc.chain import trajectories_from_uniforms
 from chainconc.rng import uniform_matrix
 
@@ -61,6 +69,18 @@ def conditional_block_law(spec, prefix, j) -> np.ndarray:
             den += p
     assert den > 0
     return out / den
+
+
+def bracket_oscillation_bound(spec, f, i) -> float:
+    """Local oscillation at coordinate i of E[f | X_0..X_i] on the whole joint space.
+
+    The prefix table is broadcast to every trajectory (constant in the later
+    coordinates), and coordinate i is scanned with every other coordinate held
+    fixed.
+    """
+    table = conditional_expectation_tables(f, spec)[i + 1]
+    full = np.broadcast_to(table.reshape(table.shape + (1,) * (spec.n - i - 1)), spec.coord_sizes)
+    return float(local_oscillation_vector(TabularFunction(full.ravel()), spec)[i])
 
 
 def block_law_given_value(spec, i, value, j) -> np.ndarray:

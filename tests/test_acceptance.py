@@ -168,8 +168,7 @@ def test_criterion_5_subgaussian_tail_non_violation():
         spec = demo_chain(20)
         report = certify(spec, LipschitzWeights.ones(20), "contractive", convention="opnorm")
         f = hamming_weight(spec, cap=WIDE_CAP)
-        est = empirical_tail(spec, f, report.sigma2_opnorm, replicates=10**5, seed=42,
-                             cap=WIDE_CAP)
+        est = empirical_tail(spec, f, report.sigma2_opnorm, replicates=10**5, seed=42)
         assert est.center_method == "enumeration"
         assert est.violations() == [], (
             f"tail bound violated at t = {[float(est.t_grid[i]) for i in est.violations()]}"
@@ -177,7 +176,7 @@ def test_criterion_5_subgaussian_tail_non_violation():
         # independent product-chain control against exact binomial tails
         control = homogeneous_chain([[0.5, 0.5], [0.5, 0.5]], 20)
         fc = hamming_weight(control, cap=WIDE_CAP)
-        ctrl = empirical_tail(control, fc, 5.0, replicates=10**5, seed=42, cap=WIDE_CAP)
+        ctrl = empirical_tail(control, fc, 5.0, replicates=10**5, seed=42)
         assert ctrl.center == pytest.approx(10.0, abs=1e-9)
         for tt, emp in zip(ctrl.t_grid, ctrl.empirical):
             exact = oracles.binom_two_sided_tail(20, 10, tt)
@@ -252,7 +251,7 @@ def test_criterion_8_determinism_and_parallel_independence():
 
         def tail_artifacts(chunks):
             est = empirical_tail(spec, f, report.sigma2_opnorm, replicates=10**5, seed=42,
-                                 cap=WIDE_CAP, chunks=chunks)
+                                 chunks=chunks)
             return json.dumps(est.to_dict(), sort_keys=True), est.to_csv()
 
         first = tail_artifacts(1)

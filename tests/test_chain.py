@@ -207,6 +207,8 @@ def test_conditional_law_respects_cap():
     spec = homogeneous_chain(TWO_STATE, 12)
     with pytest.raises(EnumerationCapError):
         conditional_law(spec, [], 0, cap=100)
+    with pytest.raises(ValidationError, match="positive"):
+        conditional_law(spec, [], 0, cap=0)
 
 
 def test_block_law_given_coordinate_matches_oracle(rng):

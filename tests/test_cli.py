@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainconc
-from chainconc import cli
+import oracles
+from chainconc import TabularFunction, chain_from_dict, cli
 from chainconc.cli import main
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -21,6 +22,14 @@ TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def exit_code(argv):
+    """What main returns, or the code of the SystemExit a rejected flag raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -299,6 +308,41 @@ def test_cap_env_var_is_honored(tmp_path, monkeypatch):
                  "--output", str(tmp_path / "o.json")]) == 0
 
 
+@pytest.mark.parametrize("command, cap", [
+    ("verify", "0"), ("verify", "-1"), ("demo", "0"), ("rl-bound", "-1"), ("rl-verify", "0"),
+    ("CHAINCONC_CAP", "0"), ("CHAINCONC_CAP", "-5"),
+])
+def test_non_positive_cap_exits_1(tmp_path, monkeypatch, command, cap):
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
+                                                 "function": {"name": "indicator_count"}})
+    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
+    out = tmp_path / "out"
+    argv = {"verify": ["verify", "--input", chain, "--cap", cap],
+            "demo": ["demo", "--cap", cap],
+            "rl-bound": ["rl-bound", "--input", mdp, "--cap", cap],
+            "rl-verify": ["rl-verify", "--input", mdp, "--cap", cap, "--replicates", "100"],
+            "CHAINCONC_CAP": ["verify", "--input", chain, "--replicates", "1000"]}[command]
+    if command == "CHAINCONC_CAP":
+        monkeypatch.setenv("CHAINCONC_CAP", cap)
+    assert exit_code(argv + ["--output", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_supplied_table_is_centred_exactly_above_the_cap(tmp_path, monkeypatch):
+    # the cap bounds what is tabulated; a supplied table is already in memory.
+    # Values in [0, 1] keep f 1-Lipschitz for the default unit weights
+    doc = {"kernel": TWO_STATE, "n": 8, "initial": [0.5, 0.5],
+           "function": np.random.default_rng(3).uniform(0.0, 1.0, 256).tolist()}
+    chain = write_json(tmp_path / "chain.json", doc)
+    monkeypatch.setenv("CHAINCONC_CAP", "100")
+    out = tmp_path / "tail.json"
+    assert main(["verify", "--input", chain, "--replicates", "1000", "--output", str(out)]) == 0
+    tail = json.loads(out.read_text())["tail"]
+    assert tail["center_method"] == "enumeration"
+    exact = oracles.expectation(chain_from_dict(doc), TabularFunction(np.array(doc["function"])))
+    assert tail["center"] == pytest.approx(exact, abs=1e-12)
+
+
 def test_rl_bound_with_mixing_metric(tmp_path, rng):
     trans = rng.random((2, 2, 2)) + 0.1
     trans /= trans.sum(axis=2, keepdims=True)
@@ -410,6 +454,13 @@ def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
     (["certify"], {"kernel": {}, "n": 2}),
     (["certify"], {"kernel": [[0.5, 0.5], [1.0]], "n": 2}),
     (["certify"], {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 2, "initial": "ab"}),
+    (["gamma"], {"thetas": [math.nan, 0.5]}),
+    (["gamma"], {"thetas": "abc"}),
+    (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": "x"}),
+    (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": math.inf}),
+    (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": math.nan}),
+    (["coupling"], {"p": "ab", "q": [0.5, 0.5]}),
+    (["coupling"], [1, 2]),
 ])
 def test_malformed_documents_exit_1(tmp_path, command, doc):
     path = write_json(tmp_path / "doc.json", doc)
@@ -430,6 +481,25 @@ def _with_junk(draw, value):
     return draw(JUNK)
 
 
+def _run_on_document(argv, doc) -> int:
+    """main(argv) with doc written to a scratch file as --input."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "doc.json"
+        path.write_text(json.dumps(doc))
+        return main(argv + ["--input", str(path), "--output", str(Path(d) / "o.json")])
+
+
+def _corrupted(draw, doc, fields, times):
+    """doc with up to `times` of its fields dropped or corrupted."""
+    for _ in range(draw(st.integers(0, times))):
+        key = draw(st.sampled_from(fields))
+        if key in doc and draw(st.integers(0, 4)) == 0:
+            del doc[key]
+        else:
+            doc[key] = _with_junk(draw, doc.get(key))
+    return doc
+
+
 @st.composite
 def rl_documents(draw):
     """A small valid MDP document, then up to three fields dropped or corrupted."""
@@ -437,13 +507,7 @@ def rl_documents(draw):
                      draw(st.integers(1, 2)), draw(st.integers(1, 4)))
     if draw(st.booleans()):
         doc["stage_caps"] = [1.0] * doc["H"]
-    for _ in range(draw(st.integers(0, 3))):
-        key = draw(st.sampled_from(RL_FIELDS))
-        if key in doc and draw(st.integers(0, 4)) == 0:
-            del doc[key]
-        else:
-            doc[key] = _with_junk(draw, doc.get(key))
-    return doc
+    return _corrupted(draw, doc, RL_FIELDS, 3)
 
 
 def _has_non_finite(value) -> bool:
@@ -466,11 +530,49 @@ def test_fuzzed_rl_documents_exit_with_a_documented_code(doc, command, method, c
             "--eps", repr(eps), "--scale", repr(scale)]
     if command == "rl-verify":
         argv += ["--replicates", str(replicates)]
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "mdp.json"
-        path.write_text(json.dumps(doc))
-        code = main(argv + ["--input", str(path), "--output", str(Path(d) / "o.json")])
+    code = _run_on_document(argv, doc)
     assert code in (0, 1, 2, 3)
     fields = [doc.get(k) for k in RL_FIELDS] if isinstance(doc, dict) else [doc]
     if _has_non_finite(fields + [eps, scale]):
+        assert code != 0
+
+
+@st.composite
+def gamma_documents(draw):
+    """A valid thetas or n_blocks document, then its one field dropped or corrupted."""
+    if draw(st.booleans()):
+        doc = {"thetas": draw(st.lists(st.floats(0.0, 1.0), max_size=5))}
+    else:
+        doc = {"n_blocks": draw(st.integers(1, 6))}
+    return _corrupted(draw, doc, tuple(doc), 1)
+
+
+@settings(max_examples=60)
+@given(doc=st.one_of(gamma_documents(), JUNK),
+       method=st.sampled_from(["contractive", "ergodic", "brute"]),
+       eps=st.sampled_from([0.3, 0.0, math.nan, math.inf]))
+def test_fuzzed_gamma_documents_exit_with_a_documented_code(doc, method, eps):
+    code = _run_on_document(["gamma", "--method", method, "--eps", repr(eps)], doc)
+    assert code in (0, 1, 2)
+    # a document holds one field, which only its own method reads; eps is read by ergodic
+    used = list(doc.values()) if isinstance(doc, dict) else [doc]
+    if _has_non_finite(used + ([eps] if method == "ergodic" else [])):
+        assert code != 0
+
+
+@st.composite
+def coupling_documents(draw):
+    """A valid pair of distributions, then up to two of p and q dropped or corrupted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    size = draw(st.integers(1, 4))
+    doc = {"p": rng.dirichlet(np.ones(size)).tolist(), "q": rng.dirichlet(np.ones(size)).tolist()}
+    return _corrupted(draw, doc, ("p", "q"), 2)
+
+
+@settings(max_examples=60)
+@given(doc=st.one_of(coupling_documents(), JUNK))
+def test_fuzzed_coupling_documents_exit_with_a_documented_code(doc):
+    code = _run_on_document(["coupling"], doc)
+    assert code in (0, 1, 2)
+    if _has_non_finite(list(doc.values()) if isinstance(doc, dict) else [doc]):
         assert code != 0

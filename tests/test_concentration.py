@@ -104,7 +104,7 @@ def test_tables_agree_with_direct_route(rng):
         f = random_function(rng, spec)
         tables = conditional_expectation_tables(f, spec)
         for prefix in [(), (0,), (1, 0), (0, 1, 1)]:
-            expected = conditional_expectation(f, spec, prefix)
+            expected = oracles.conditional_expectation(spec, f, prefix)
             got = float(tables[len(prefix)][tuple(prefix)])
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -193,6 +193,7 @@ def test_bracket_width_bounded_by_oscillation_oracle(rng):
                 worst = max(worst, max(values) - min(values))
             assert br.width == pytest.approx(worst, abs=1e-10)
             assert br.width <= br.oscillation_bound + 1e-12
+            assert br.oscillation_bound == oracles.bracket_oscillation_bound(spec, f, i)
 
 
 def test_increments_lie_inside_brackets(rng):

@@ -15,11 +15,13 @@ from chainconc import (
     HammingMetric,
     Policy,
     PolicyClass,
+    TabularFunction,
     chain_from_dict,
     cli,
     empirical_mgf,
     empirical_sup_value,
     empirical_tail,
+    martingale_brackets,
     mdp_from_dict,
 )
 from chainconc.cli import main
@@ -73,6 +75,10 @@ GOLDEN = {
         "a1a96a4c8307637adeeff1faf8b644bf217c3ed940ddb9511d65de847ef5e1cc",
     "empirical_sup_value/stage":
         "ffa49194935e5b030b9d05999d47284107f39a25ed3b7cfa0c63da2f9333c03b",
+    "verify/indicator_count":
+        "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
+    "martingale_brackets":
+        "5c21bad8845f9252ca7b77732b68ab9876dbd64817d175f5b62367094770cfff",
 }
 
 
@@ -194,6 +200,22 @@ def golden_hashes(tmp_path) -> dict:
     out["empirical_sup_value/stage"] = _sha(empirical_sup_value(
         stage_mdp, PolicyClass(policies, HammingMetric()), replicates=5000, seed=8,
         chunks=3).to_dict())
+
+    # a named function tabulated under a cap equal to its joint size
+    named = dict(_chain_doc(rng, (3, 2, 4, 3)), function={"name": "indicator_count", "value": 2})
+    tail = tmp_path / "named_tail.json"
+    assert main(["verify", "--input", _write(tmp_path / "named.json", named), "--cap", "72",
+                 "--output", str(tail), "--replicates", "4000", "--seed", "12"]) == 0
+    out["verify/indicator_count"] = _body_sha(tail)
+
+    # every bracket of a chain with zero transitions and a size-1 coordinate
+    spec = chain_from_dict(_chain_doc(rng, (3, 1, 4, 2, 3), zero_every=3))
+    f = TabularFunction(rng.normal(size=spec.joint_size()))
+    out["martingale_brackets"] = _sha([
+        {"coordinate": br.coordinate, "lower": br.lower.tolist(), "upper": br.upper.tolist(),
+         "prefix_probs": br.prefix_probs.tolist(), "width": br.width,
+         "oscillation_bound": br.oscillation_bound}
+        for br in (martingale_brackets(f, spec, i) for i in range(spec.n))])
     return out
 
 
@@ -213,4 +235,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 21
+    assert len(written) == 22

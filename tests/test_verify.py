@@ -59,7 +59,7 @@ def test_product_chain_tail_against_binomial_oracle():
     spec = fair_product_chain(n)
     f = hamming_weight(spec, cap=WIDE_CAP)
     sigma2 = 5.0  # n/4 under unit weights, the independent-coordinates proxy
-    est = empirical_tail(spec, f, sigma2, replicates=m, seed=42, cap=WIDE_CAP)
+    est = empirical_tail(spec, f, sigma2, replicates=m, seed=42)
     assert est.center == pytest.approx(10.0, abs=1e-9)
     assert est.center_method == "enumeration"
     for t, emp in zip(est.t_grid, est.empirical):
@@ -69,7 +69,7 @@ def test_product_chain_tail_against_binomial_oracle():
     # subgaussian bound: never violated beyond 2 SE
     assert est.violations() == []
     # worked spot value: deviation 8 has bound 2 exp(-64 / (2 * 5))
-    spot = empirical_tail(spec, f, sigma2, t_grid=[8.0], replicates=m, seed=42, cap=WIDE_CAP)
+    spot = empirical_tail(spec, f, sigma2, t_grid=[8.0], replicates=m, seed=42)
     assert spot.bound[0] == pytest.approx(2.0 * math.exp(-6.4), abs=0)
     assert spot.empirical[0] <= spot.bound[0] + 2 * spot.standard_errors[0]
 
@@ -181,8 +181,7 @@ def test_mgf_product_chain_against_binomial_oracle():
     spec = fair_product_chain(n)
     f = hamming_weight(spec, cap=WIDE_CAP)
     lam = 0.1
-    est = empirical_mgf(spec, f, sigma2=5.0, lambda_grid=[lam], replicates=m, seed=42,
-                        cap=WIDE_CAP)
+    est = empirical_mgf(spec, f, sigma2=5.0, lambda_grid=[lam], replicates=m, seed=42)
     exact = math.cosh(lam / 2.0) ** n  # centered binomial MGF
     assert abs(est.empirical[0] - exact) <= 3.0 * est.standard_errors[0]
     assert est.empirical[0] <= est.bound[0] + 2.0 * est.standard_errors[0]
@@ -203,11 +202,11 @@ def test_se_formulas_validated_on_binomial_case():
     n, m, lam = 20, 10**5, 0.1
     spec = fair_product_chain(n)
     f = hamming_weight(spec, cap=WIDE_CAP)
-    est = empirical_tail(spec, f, 5.0, t_grid=[2.0, 3.0], replicates=m, seed=42, cap=WIDE_CAP)
+    est = empirical_tail(spec, f, 5.0, t_grid=[2.0, 3.0], replicates=m, seed=42)
     for t, se in zip(est.t_grid, est.standard_errors):
         p = oracles.binom_two_sided_tail(n, 10, t)
         assert se == pytest.approx(math.sqrt(p * (1 - p) / m), rel=0.15)
-    mgf = empirical_mgf(spec, f, 5.0, lambda_grid=[lam], replicates=m, seed=42, cap=WIDE_CAP)
+    mgf = empirical_mgf(spec, f, 5.0, lambda_grid=[lam], replicates=m, seed=42)
     second = math.cosh(lam) ** n  # E exp(2 lam (W - n/2)) at p = 1/2
     first = math.cosh(lam / 2.0) ** n
     exact_se = math.sqrt((second - first**2) / m)
