@@ -189,21 +189,6 @@ def strides_for(sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def coordinate_grid(sizes: tuple[int, ...], cap: int | None = None) -> list[np.ndarray]:
-    """Per-coordinate index arrays over the flattened joint space.
-
-    Entry c is an int array of length prod(sizes) giving coordinate c of each
-    flat index. Raises EnumerationCapError when the joint space exceeds the cap.
-    """
-    total = math.prod(sizes)
-    limit = enumeration_cap(cap)
-    if total > limit:
-        raise EnumerationCapError(f"joint space of size {total} exceeds enumeration cap {limit}")
-    idx = np.arange(total)
-    strides = strides_for(sizes)
-    return [(idx // strides[c]) % sizes[c] for c in range(len(sizes))]
-
-
 def prefix_probability(spec: ChainSpec, prefix) -> float:
     """P(X_0 = prefix[0], ..., X_{i-1} = prefix[i-1]) under the chain."""
     states = [int(s) for s in prefix]
@@ -237,8 +222,7 @@ def forward_law(spec: ChainSpec, law: np.ndarray, start: int, stop: int) -> np.n
     coordinate, so the result has prod(coord_sizes[start:stop]) entries.
     """
     for c in range(start, stop - 1):
-        last = np.arange(law.size) % spec.coord_sizes[c]
-        law = (law[:, None] * spec.kernels[c].rows[last, :]).ravel()
+        law = (law.reshape(-1, spec.coord_sizes[c])[:, :, None] * spec.kernels[c].rows).ravel()
     return law
 
 

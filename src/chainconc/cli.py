@@ -194,11 +194,17 @@ def _cmd_verify(args) -> int:
     f = _load_function(doc, spec, args.cap)
     if args.certificate:
         cert = _read_json(args.certificate)
-        report = cert.get("report", cert)
+        report = cert.get("report", cert) if isinstance(cert, dict) else None
         key = f"sigma2_{args.convention}"
-        if key not in report:
+        if not isinstance(report, dict) or key not in report:
             raise ValidationError(f"certificate has no {key} field")
-        sigma2 = float(report[key])
+        value = report[key]
+        if type(value) not in (int, float):  # a bool or a numeric string is no sigma2
+            raise ValidationError(f"certificate {key} must be a number, got {value!r}")
+        try:
+            sigma2 = float(value)
+        except OverflowError as exc:
+            raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
     else:
         sigma2 = certify(spec, _load_weights(doc, spec), args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected

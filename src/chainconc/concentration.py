@@ -27,13 +27,12 @@ from .chain import (
     ChainSpec,
     Kernel,
     Trajectory,
-    coordinate_grid,
     dobrushin_coefficient,
     forward_law,
     prefix_probability,
 )
 from .coupling import wasserstein_matrix_tv
-from .errors import NoMixError, ValidationError
+from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
 from .gamma import GammaMatrix, gamma_contractive, gamma_ergodic, operator_norm
 
 CONVENTIONS = ("exact", "opnorm", "paper")
@@ -80,12 +79,25 @@ class TabularFunction:
 
     @classmethod
     def from_vectorized(cls, spec: ChainSpec, fn, cap: int | None = None) -> "TabularFunction":
-        """Tabulate fn(list_of_coordinate_arrays) -> values array in one shot."""
-        grids = coordinate_grid(spec.coord_sizes, cap=cap)
-        vals = np.asarray(fn(grids), dtype=float)
-        if vals.shape != grids[0].shape:
-            raise ValidationError("vectorized tabulation returned a wrong-shaped array")
-        return cls(vals)
+        """Tabulate fn over the joint space in one shot.
+
+        fn receives one integer index array per coordinate, open-grid style:
+        array c has shape (1, ..., coord_sizes[c], ..., 1), so any elementwise
+        expression of them, such as sum((g == 1).astype(float) for g in grids),
+        broadcasts to the joint shape. Its result is broadcast to coord_sizes
+        and flattened row-major. Raises EnumerationCapError when the joint
+        space exceeds the cap.
+        """
+        total = spec.joint_size()
+        limit = enumeration_cap(cap)
+        if total > limit:
+            raise EnumerationCapError(f"joint space of size {total} exceeds enumeration cap {limit}")
+        vals = np.asarray(fn(list(np.indices(spec.coord_sizes, sparse=True))), dtype=float)
+        try:
+            vals = np.broadcast_to(vals, spec.coord_sizes)
+        except ValueError as exc:
+            raise ValidationError("vectorized tabulation returned a wrong-shaped array") from exc
+        return cls(vals.flatten())
 
     def table(self, spec: ChainSpec) -> np.ndarray:
         if self.values.size != spec.joint_size():

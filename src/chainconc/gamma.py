@@ -81,11 +81,12 @@ def gamma_ergodic(n_blocks: int, eps: float) -> GammaMatrix:
         raise ValidationError(f"n_blocks = {n_blocks} must be >= 1")
     if not 0 <= eps < 1:
         raise ValidationError(f"eps = {eps} must lie in [0, 1)")
-    m = np.eye(n_blocks)
-    for i in range(n_blocks):
-        for j in range(i + 1, n_blocks):
-            m[i, j] = eps ** (j - i - 1)
-    return GammaMatrix(m, "ergodic")
+    # entry (i, j) depends on j - i alone: row i is the window of
+    # (0, ..., 0, 1 | 1, eps, eps^2, ...) that puts the diagonal 1 at column i.
+    # Python's ** keeps the bits of the per-entry formula; np.power does not.
+    diagonals = [0.0] * (n_blocks - 1) + [1.0] + [eps ** k for k in range(n_blocks - 1)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.array(diagonals), n_blocks)
+    return GammaMatrix(windows[::-1].copy(), "ergodic")
 
 
 # OpenBLAS splits an LU or Cholesky factorization across threads from an order

@@ -8,7 +8,8 @@ bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
 SAMPLE_BLOCK, so peak memory does not grow with the replicate count. A
 tabulated function is always centered exactly, whatever its size; only a
-callable is centered by the pilot.
+callable is centered by the pilot. A sigma2 that is not finite and positive
+is malformed input.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
-    if sigma2 <= 0:
-        raise ValidationError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
     grid = np.asarray(default_t_grid(sigma2) if t_grid is None else t_grid, dtype=float)
     if grid.size == 0 or np.any(grid < 0):
         raise ValidationError("t grid must be nonempty and nonnegative")
@@ -216,8 +217,8 @@ def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
-    if sigma2 <= 0:
-        raise ValidationError("sigma2 must be positive")
+    if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
     grid = np.asarray(default_lambda_grid(sigma2) if lambda_grid is None else lambda_grid,
                       dtype=float)
     if grid.size == 0:

@@ -39,6 +39,30 @@ def joint_law(spec):
     return law
 
 
+def coordinate_grid(sizes) -> list[np.ndarray]:
+    """Per-coordinate flat index arrays: entry c gives coordinate c of each row-major index."""
+    idx = np.arange(math.prod(sizes))
+    strides = np.cumprod((1,) + tuple(sizes[:0:-1]))[::-1]
+    return [(idx // strides[c]) % sizes[c] for c in range(len(sizes))]
+
+
+def forward_law_row_gather(spec, law, start, stop) -> np.ndarray:
+    """Joint law of (X_start, ..., X_{stop-1}), gathering each flat entry's kernel row."""
+    for c in range(start, stop - 1):
+        last = np.arange(law.size) % spec.coord_sizes[c]
+        law = (law[:, None] * spec.kernels[c].rows[last, :]).ravel()
+    return law
+
+
+def ergodic_gamma_entries(n_blocks, eps) -> np.ndarray:
+    """Block Gamma by a double loop: 1 on the diagonal, eps ** (j - i - 1) right of it."""
+    m = np.eye(n_blocks)
+    for i in range(n_blocks):
+        for j in range(i + 1, n_blocks):
+            m[i, j] = eps ** (j - i - 1)
+    return m
+
+
 def expectation(spec, f) -> float:
     """E[f] with f a TabularFunction, via joint_law."""
     table = f.table(spec)

@@ -38,7 +38,6 @@ from chainconc import (
     tv_distance,
     wasserstein_matrix_tv,
 )
-from chainconc.chain import coordinate_grid
 from chainconc.rl import MdpSpec
 from conftest import random_chain, random_distribution
 
@@ -79,7 +78,7 @@ def hamming_weight(spec, cap=None):
 
 def oracle_joint_probs(spec):
     """Per-trajectory probability products over the flattened joint space."""
-    grids = coordinate_grid(spec.coord_sizes)
+    grids = oracles.coordinate_grid(spec.coord_sizes)
     p = spec.initial.probs[grids[0]].astype(float).copy()
     for c in range(spec.n - 1):
         p = p * spec.kernels[c].rows[grids[c], grids[c + 1]]

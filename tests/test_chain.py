@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +26,7 @@ from chainconc import (
     tv_distance,
     validate_chain,
 )
-from chainconc.chain import block_law_given_coordinate, trajectories_from_uniforms
+from chainconc.chain import block_law_given_coordinate, forward_law, trajectories_from_uniforms
 from chainconc.rng import uniform_matrix
 from conftest import random_chain
 
@@ -209,6 +211,23 @@ def test_conditional_law_respects_cap():
         conditional_law(spec, [], 0, cap=100)
     with pytest.raises(ValidationError, match="positive"):
         conditional_law(spec, [], 0, cap=0)
+
+
+def test_forward_law_is_bitwise_the_row_gather(rng):
+    for _ in range(200):
+        sizes = tuple(int(s) for s in rng.integers(1, 5, size=rng.integers(1, 6)))
+        # unnormalised rows with zero entries, and some rows entirely zero
+        kernels = tuple(
+            Kernel(rng.random((sizes[i], sizes[i + 1])) * (rng.random((sizes[i], 1)) < 0.8)
+                   * (rng.random((sizes[i], sizes[i + 1])) < 0.7))
+            for i in range(len(sizes) - 1))
+        spec = ChainSpec(sizes, Distribution(rng.random(sizes[0])), kernels)
+        for start in range(len(sizes)):
+            law = rng.random(math.prod(sizes[:start + 1])) * (rng.random() < 0.9)
+            for stop in range(start + 1, len(sizes) + 1):
+                got = forward_law(spec, law, start, stop)
+                expected = oracles.forward_law_row_gather(spec, law, start, stop)
+                assert got.tobytes() == expected.tobytes()
 
 
 def test_block_law_given_coordinate_matches_oracle(rng):

@@ -461,11 +461,24 @@ def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
     (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": math.nan}),
     (["coupling"], {"p": "ab", "q": [0.5, 0.5]}),
     (["coupling"], [1, 2]),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": math.nan}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": math.inf}}),
+    (["verify", "--certificate"], {"report": 5}),
+    (["verify", "--certificate"], [1]),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": "abc"}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": "1.5"}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": True}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": 10**400}}),
 ])
 def test_malformed_documents_exit_1(tmp_path, command, doc):
     path = write_json(tmp_path / "doc.json", doc)
-    assert main([command[0], "--input", path, *command[1:],
-                 "--output", str(tmp_path / "o.json")]) == 1
+    if command[-1] == "--certificate":  # the document certifies a well-formed input
+        good = write_json(tmp_path / "in.json", {"kernel": TWO_STATE, "n": 3,
+                                                 "function": {"name": "coordinate_sum"}})
+        argv = [*command, path, "--input", good, "--replicates", "1000"]
+    else:
+        argv = [command[0], "--input", path, *command[1:]]
+    assert main([*argv, "--output", str(tmp_path / "o.json")]) == 1
 
 
 JUNK = st.sampled_from([math.nan, math.inf, -math.inf, -1, 0, 0.5, 2.5, 7, True, None,

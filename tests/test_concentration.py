@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
 from chainconc import (
     ChainSpec,
     Distribution,
+    EnumerationCapError,
     GammaMatrix,
     Kernel,
     LipschitzWeights,
@@ -45,6 +49,79 @@ def product_chain(marginals):
 
 def random_function(rng, spec):
     return TabularFunction(rng.normal(size=spec.joint_size()))
+
+
+# ---------------------------------------------------------------------------
+# tabulation
+
+
+def uniform_chain(sizes) -> ChainSpec:
+    return product_chain([np.full(s, 1.0 / s) for s in sizes])
+
+
+SIZES = st.lists(st.integers(1, 4), min_size=1, max_size=7).map(tuple)
+UNIT = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def elementwise_functions(draw, sizes):
+    """An elementwise function of the coordinate index arrays, of one of four kinds."""
+    n = len(sizes)
+    kind = draw(st.sampled_from(["indicators", "weighted", "fancy", "single"]))
+    c = draw(st.integers(0, n - 1))
+    if kind == "indicators":
+        value = draw(st.integers(0, 3))
+        return lambda grids: sum((g == value).astype(float) for g in grids)
+    if kind == "weighted":
+        w = draw(st.lists(UNIT, min_size=n, max_size=n))
+        return lambda grids: sum(w[i] * g for i, g in enumerate(grids))
+    if kind == "fancy":
+        table = np.array(draw(st.lists(UNIT, min_size=sizes[c], max_size=sizes[c])))
+        return lambda grids: table[grids[c]] + 0.5 * grids[0]
+    return lambda grids: np.exp(-0.3 * grids[c])
+
+
+@given(st.data(), SIZES)
+def test_from_vectorized_is_bitwise_the_flat_grid_tabulation(data, sizes):
+    fn = data.draw(elementwise_functions(sizes))
+    values = TabularFunction.from_vectorized(uniform_chain(sizes), fn).values
+    expected = np.asarray(fn(oracles.coordinate_grid(sizes)), dtype=float)
+    assert values.dtype == np.float64 and values.shape == (math.prod(sizes),)
+    assert values.flags.c_contiguous and values.flags.writeable and values.flags.owndata
+    assert values.tobytes() == expected.tobytes()
+
+
+@given(SIZES, st.sampled_from(["long", "extra_axis"]))
+def test_from_vectorized_rejects_a_result_that_does_not_broadcast(sizes, kind):
+    total = math.prod(sizes)
+    bad = np.zeros(total + 1) if kind == "long" else np.zeros((2,) + sizes)
+    with pytest.raises(ValidationError, match="wrong-shaped"):
+        TabularFunction.from_vectorized(uniform_chain(sizes), lambda grids: bad)
+
+
+@given(SIZES)
+def test_from_vectorized_cap_is_inclusive(sizes):
+    total = math.prod(sizes)
+    assume(total > 1)
+    spec = uniform_chain(sizes)
+    fn = lambda grids: sum(g.astype(float) for g in grids)  # noqa: E731
+    assert TabularFunction.from_vectorized(spec, fn, cap=total).values.size == total
+    with pytest.raises(EnumerationCapError, match=f"joint space of size {total} exceeds"):
+        TabularFunction.from_vectorized(spec, fn, cap=total - 1)
+
+
+def test_from_vectorized_memory_is_bounded():
+    # flat index grids for the n = 20 demo chain peak above 160 MB
+    spec = homogeneous_chain(TWO_STATE, 20, initial=[0.5, 0.5])
+    tracemalloc.start()
+    try:
+        f = TabularFunction.from_vectorized(
+            spec, lambda grids: sum((g == 1).astype(float) for g in grids), cap=2**21)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert f.values.size == 2**20
+    assert peak_mb < 40.0
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,13 @@ def test_ergodic_eps_zero_is_banded():
     assert_allclose(g.entries, expected, atol=0)
 
 
+def test_ergodic_is_bitwise_the_double_loop(rng):
+    cases = [(n, float(rng.random())) for n in range(1, 301)] + [(n, 0.0) for n in (1, 2, 7, 300)]
+    for n_blocks, eps in cases:
+        expected = oracles.ergodic_gamma_entries(n_blocks, eps)
+        assert gamma_ergodic(n_blocks, eps).entries.tobytes() == expected.tobytes()
+
+
 def test_ergodic_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         gamma_ergodic(0, 0.5)

@@ -77,6 +77,8 @@ GOLDEN = {
         "ffa49194935e5b030b9d05999d47284107f39a25ed3b7cfa0c63da2f9333c03b",
     "verify/indicator_count":
         "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
+    "verify/coordinate_sum":
+        "5b055f60ad66380eaf26888373815f3a57bfd526710dc2f553a889fde663e2a5",
     "martingale_brackets":
         "5c21bad8845f9252ca7b77732b68ab9876dbd64817d175f5b62367094770cfff",
 }
@@ -216,6 +218,13 @@ def golden_hashes(tmp_path) -> dict:
          "prefix_probs": br.prefix_probs.tolist(), "width": br.width,
          "oscillation_bound": br.oscillation_bound}
         for br in (martingale_brackets(f, spec, i) for i in range(spec.n))])
+
+    # the other named function, with zero transitions and a size-1 coordinate
+    named = dict(_chain_doc(rng, (2, 4, 1, 3, 3), zero_every=2), function={"name": "coordinate_sum"})
+    tail = tmp_path / "sum_tail.json"
+    assert main(["verify", "--input", _write(tmp_path / "sum.json", named), "--cap", "72",
+                 "--output", str(tail), "--replicates", "4000", "--seed", "13"]) == 0
+    out["verify/coordinate_sum"] = _body_sha(tail)
     return out
 
 
@@ -235,4 +244,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 22
+    assert len(written) == 23

@@ -94,6 +94,14 @@ def test_tail_determinism_and_chunk_independence():
     assert a.to_csv() == c.to_csv()
 
 
+@pytest.mark.parametrize("estimator", [empirical_tail, empirical_mgf])
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf, 0.0, -1.0])
+def test_estimators_reject_a_sigma2_that_is_not_finite_and_positive(estimator, sigma2):
+    spec = fair_product_chain(4)
+    with pytest.raises(ValidationError, match="sigma2"):
+        estimator(spec, hamming_weight(spec), sigma2, replicates=2000)
+
+
 def test_tail_rejects_bad_inputs():
     spec = fair_product_chain(4)
     f = hamming_weight(spec)
