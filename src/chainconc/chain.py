@@ -10,6 +10,7 @@ inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,9 +173,24 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 def dobrushin_coefficient(k: Kernel) -> float:
     """Max TV distance between any two rows of the kernel (Dobrushin/Doeblin coefficient)."""
     rows = k.rows
-    # pairwise half-L1 via broadcasting; source counts are small by construction
+    # pairwise half-L1 via broadcasting, clipped at 1: rows off 1 by rounding can give 1 + 2^-52
     diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    return 0.5 * float(diffs.max())
+    return min(1.0, 0.5 * float(diffs.max()))
+
+
+def t_step_products(spec: ChainSpec):
+    """For t = 1, ..., n-1, the list of t-step kernels K_i ... K_{i+t-1} for starts i < n - t.
+
+    Each extends the lag t-1 product at i by K_{i+t-1}, left to right. When
+    every kernel is equal the list holds the one product all starts share.
+    """
+    kernels = spec.kernels
+    shared = all(k.equals(kernels[0]) for k in kernels)
+    products = [k.rows for k in kernels[:1 if shared else None]]
+    for t in range(1, spec.n):
+        if t > 1:
+            products = [p @ kernels[i + t - 1].rows for i, p in enumerate(products[:spec.n - t])]
+        yield products
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +291,15 @@ def block_law_given_coordinate(spec: ChainSpec, i: int, value: int, j: int,
 
 
 def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
-    """Worst-case TV distance between t-step laws started from two states at position i."""
+    """Worst-case TV distance between t-step laws from two states at position i (lag t, 0 the identity)."""
     if not 0 <= i < spec.n:
         raise ValidationError(f"position {i} out of range for chain of length {spec.n}")
     if t < 0 or i + t >= spec.n:
         raise ValidationError(f"step count {t} from position {i} leaves the horizon (n = {spec.n})")
-    size = spec.coord_sizes[i]
-    prod = np.eye(size)
-    for c in range(i, i + t):
-        prod = prod @ spec.kernels[c].rows
-    return dobrushin_coefficient(Kernel(prod))
+    if t == 0:
+        return dobrushin_coefficient(Kernel(np.eye(spec.coord_sizes[i])))
+    products = next(itertools.islice(t_step_products(spec), t - 1, None))
+    return dobrushin_coefficient(Kernel(products[min(i, len(products) - 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +375,3 @@ def load_chain(path: str) -> ChainSpec:
     with open(path, encoding="utf-8") as fh:
         return chain_from_dict(json.load(fh))
 
-
-def chain_to_dict(spec: ChainSpec) -> dict:
-    return {
-        "coord_sizes": list(spec.coord_sizes),
-        "initial": spec.initial.probs.tolist(),
-        "kernels": [k.rows.tolist() for k in spec.kernels],
-    }

@@ -149,7 +149,12 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
         raise ValidationError('verification input needs a "function" field')
     f = doc["function"]
     if isinstance(f, list):
-        values = np.asarray(f, dtype=float)
+        try:
+            values = np.asarray(f, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"function table must hold numbers: {exc}") from exc
+        if values.ndim != 1:
+            raise ValidationError(f"function table must be a flat list, got shape {values.shape}")
         if values.size != spec.joint_size():
             raise ValidationError(
                 f"function table has {values.size} entries, joint space has {spec.joint_size()}"
@@ -158,7 +163,9 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
             raise ValidationError("function table must contain only finite values")
         return TabularFunction(values)
     if isinstance(f, dict) and f.get("name") == "indicator_count":
-        value = int(f.get("value", 1))
+        value = f.get("value", 1)
+        if type(value) is not int:  # a JSON integer: no bool, float or string
+            raise ValidationError(f"indicator_count value must be an integer, got {value!r}")
         return TabularFunction.from_vectorized(
             spec, lambda grids: sum((g == value).astype(float) for g in grids), cap=cap
         )

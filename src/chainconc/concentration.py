@@ -30,6 +30,7 @@ from .chain import (
     dobrushin_coefficient,
     forward_law,
     prefix_probability,
+    t_step_products,
 )
 from .coupling import wasserstein_matrix_tv
 from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
@@ -54,7 +55,10 @@ class LipschitzWeights:
 
     @classmethod
     def from_array(cls, arr) -> "LipschitzWeights":
-        c = np.asarray(arr, dtype=float)
+        try:
+            c = np.asarray(arr, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"weights must be numbers: {exc}") from exc
         if c.ndim != 1 or c.size == 0:
             raise ValidationError("weights must be a nonempty 1-d vector")
         if not np.isfinite(c).all():
@@ -240,26 +244,18 @@ def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int) -> Martinga
 def mixing_time(spec: ChainSpec, eps: float) -> int | None:
     """Smallest t with worst-case t-step pair TV <= eps at every position, else None.
 
-    Each position i keeps its product K_i ... K_{i+t-1} and extends it by one
-    kernel per t: the same left-to-right products as t_step_pair_tv, so the
-    result is bitwise that of evaluating t_step_pair_tv at every (i, t). When
-    all kernels are equal every position has the same t-step law, and only
-    position 0 is evaluated.
+    Reads the lag table of t_step_products: the first lag whose largest
+    Dobrushin coefficient is at most eps, so the result is bitwise that of
+    evaluating t_step_pair_tv at every (i, t). A chain of equal kernels has
+    one product per lag.
 
     None means the chain does not mix to level eps within its horizon
     ("no-mix"); callers that need a finite mixing time must treat it as such.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps = {eps} must lie in (0, 1)")
-    kernels = spec.kernels
-    homogeneous = all(k.equals(kernels[0]) for k in kernels)
-    products = [np.eye(size) for size in spec.coord_sizes[:1 if homogeneous else -1]]
-    for t in range(1, spec.n):
-        worst = 0.0
-        for i in range(1 if homogeneous else spec.n - t):
-            products[i] = products[i] @ kernels[i + t - 1].rows
-            worst = max(worst, dobrushin_coefficient(Kernel(products[i])))
-        if worst <= eps:
+    for t, products in enumerate(t_step_products(spec), start=1):
+        if max(dobrushin_coefficient(Kernel(p)) for p in products) <= eps:
             return t
     return None
 
@@ -344,11 +340,8 @@ def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "contractive":
-        # one coefficient per run of equal kernels
-        thetas = []
-        for i, k in enumerate(spec.kernels):
-            same = i and k.equals(spec.kernels[i - 1])
-            thetas.append(thetas[-1] if same else dobrushin_coefficient(k))
+        thetas = [dobrushin_coefficient(Kernel(p)) for p in next(t_step_products(spec), [])]
+        thetas *= spec.n - 1 if len(thetas) == 1 else 1  # one product shared by every step
         return gamma_contractive(thetas), {"thetas": thetas}
     if method == "brute_force":
         return wasserstein_matrix_tv(spec), {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, Distribution, Kernel, dobrushin_coefficient
+from .chain import ChainSpec, Distribution, Kernel, dobrushin_coefficient, t_step_products
 from .errors import ValidationError
 from .gamma import GammaMatrix
 
@@ -65,19 +65,20 @@ def wasserstein_matrix_tv(spec: ChainSpec) -> GammaMatrix:
     identity makes this the tightest discrete-metric Wasserstein entry. Given
     X_j, the rest of the block does not depend on X_i (Markov property), so
     that distance is the TV between rows of K_i ... K_{j-1}: the entry is the
-    Dobrushin coefficient of the product restricted to the rows in the
-    support of X_i's forward marginal. Zero-marginal values never constrain
-    the supremum. One running product per i gives the matrix in O(n^2 S^3).
+    Dobrushin coefficient of the lag j - i product at i of t_step_products,
+    restricted to the rows in the support of X_i's forward marginal.
+    Zero-marginal values never constrain the supremum. O(n^2 S^3) in all.
     """
     n = spec.n
     m = np.eye(n)
-    law = spec.initial.probs
-    for i in range(n - 1):
-        support = np.flatnonzero(law > 0.0)
-        if support.size > 1:
-            prod = np.eye(spec.coord_sizes[i])[support]
-            for j in range(i + 1, n):
-                prod = prod @ spec.kernels[j - 1].rows
-                m[i, j] = dobrushin_coefficient(Kernel(prod))
-        law = law @ spec.kernels[i].rows
+    supports, law = [], spec.initial.probs
+    for k in spec.kernels:
+        supports.append(np.flatnonzero(law > 0.0))
+        law = law @ k.rows
+    for t, products in enumerate(t_step_products(spec), start=1):
+        for i, support in enumerate(supports[:n - t]):
+            if support.size > 1:
+                prod = products[min(i, len(products) - 1)]
+                rows = prod if support.size == prod.shape[0] else prod[support]
+                m[i, i + t] = dobrushin_coefficient(Kernel(rows))
     return GammaMatrix(m, "brute_force_tv")

@@ -16,8 +16,8 @@ from chainconc import (
     Kernel,
     TabularFunction,
     conditional_expectation_tables,
+    dobrushin_coefficient,
     local_oscillation_vector,
-    t_step_pair_tv,
     validate_chain,
 )
 from chainconc.chain import trajectories_from_uniforms
@@ -123,7 +123,10 @@ def block_law_given_value(spec, i, value, j) -> np.ndarray:
 
 
 def t_step_tv(spec, i, t) -> float:
-    """Worst pair TV via numpy matrix powers (homogeneous case) or explicit product."""
+    """Worst pair TV of K_i ... K_{i+t-1}, built from the identity, by a loop over row pairs.
+
+    TV is at most 1, so a half-L1 distance that rounding puts above 1 is clipped.
+    """
     prod = np.eye(spec.coord_sizes[i])
     for c in range(i, i + t):
         prod = prod @ spec.kernels[c].rows
@@ -131,7 +134,28 @@ def t_step_tv(spec, i, t) -> float:
     for a in range(prod.shape[0]):
         for b in range(a + 1, prod.shape[0]):
             worst = max(worst, 0.5 * float(np.abs(prod[a] - prod[b]).sum()))
-    return worst
+    return min(1.0, worst)
+
+
+def wasserstein_matrix_rows(spec) -> np.ndarray:
+    """Exact coupling Gamma, row by row: one running product per i, restricted from the start.
+
+    Entry (i, j) is the Dobrushin coefficient of the rows of K_i ... K_{j-1}
+    in the support of X_i, each product started from the support rows of the
+    identity and extended one kernel at a time.
+    """
+    n = spec.n
+    m = np.eye(n)
+    law = spec.initial.probs
+    for i in range(n - 1):
+        support = np.flatnonzero(law > 0.0)
+        if support.size > 1:
+            prod = np.eye(spec.coord_sizes[i])[support]
+            for j in range(i + 1, n):
+                prod = prod @ spec.kernels[j - 1].rows
+                m[i, j] = dobrushin_coefficient(Kernel(prod))
+        law = law @ spec.kernels[i].rows
+    return m
 
 
 def inverse_cdf_trajectories(spec, u) -> np.ndarray:
@@ -152,12 +176,12 @@ def inverse_cdf_trajectories(spec, u) -> np.ndarray:
 
 
 def mixing_time_per_position(spec, eps):
-    """Smallest t with t_step_pair_tv(spec, i, t) <= eps at every position i, else None.
+    """Smallest t with t_step_tv(spec, i, t) <= eps at every position i, else None.
 
     Every (i, t) product is rebuilt from the identity, one position at a time.
     """
     for t in range(1, spec.n):
-        worst = max(t_step_pair_tv(spec, i, t) for i in range(spec.n - t))
+        worst = max(t_step_tv(spec, i, t) for i in range(spec.n - t))
         if worst <= eps:
             return t
     return None

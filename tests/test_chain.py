@@ -19,14 +19,17 @@ from chainconc import (
     dobrushin_coefficient,
     homogeneous_chain,
     marginal,
+    mixing_time,
     prefix_probability,
     sample_trajectories,
     sample_trajectory,
     t_step_pair_tv,
     tv_distance,
     validate_chain,
+    wasserstein_matrix_tv,
 )
 from chainconc.chain import block_law_given_coordinate, forward_law, trajectories_from_uniforms
+from chainconc.concentration import build_gamma
 from chainconc.rng import uniform_matrix
 from conftest import random_chain
 
@@ -137,6 +140,20 @@ def test_tv_distance_is_a_metric(size, seed):
 )
 def test_dobrushin_examples(rows, expected):
     assert dobrushin_coefficient(Kernel(rows)) == pytest.approx(expected, abs=1e-15)
+
+
+# disjoint rows, the last one summing to 1 only up to rounding
+ROUNDED_ROWS = [[0, 1, 0, 0], [1, 0, 0, 0],
+                [0.8326773486759026, 0, 0.0014666839997370792, 0.16585596732436036],
+                [0.01046876663088994, 0, 0.6976278806328194, 0.2919033527362907]]
+
+
+def test_dobrushin_is_clipped_at_one():
+    k = Kernel.from_array(ROUNDED_ROWS)
+    assert 0.5 * float(np.abs(k.rows[0] - k.rows[3]).sum()) > 1.0
+    assert dobrushin_coefficient(k) == 1.0
+    spec = homogeneous_chain(ROUNDED_ROWS, 4)
+    assert t_step_pair_tv(spec, 0, 1) == 1.0 == oracles.t_step_tv(spec, 0, 1)
 
 
 def test_dobrushin_bounds_and_zero_iff_equal_rows(rng):
@@ -275,6 +292,52 @@ def test_t_step_submultiplicative_in_dobrushin(rng):
             for t in range(spec.n - i):
                 bound = float(np.prod(thetas[i: i + t])) if t else 1.0
                 assert t_step_pair_tv(spec, i, t) <= bound + 1e-12
+
+
+@st.composite
+def _lag_table_chains(draw):
+    """Chains of sizes 1-5 with zero entries (so zero-marginal states too).
+
+    The kernels are all equal, equal in runs, or free. Equal kernels are
+    distinct Kernel objects with equal rows.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 7))
+    layout = draw(st.sampled_from(["equal", "runs", "free"]))
+    if layout == "free":
+        sizes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    else:
+        sizes = [draw(st.integers(1, 5))] * n
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.6]))
+
+    def rows(m, size):
+        keep = rng.random((m, size)) >= zero_share
+        keep[np.arange(m), rng.integers(0, size, m)] = True
+        out = rng.dirichlet(np.ones(size), size=m) * keep
+        return out / out.sum(axis=1, keepdims=True)
+
+    kernels = []
+    for i in range(n - 1):
+        same = i > 0 and (layout == "equal" or layout == "runs" and draw(st.booleans()))
+        kernels.append(kernels[-1].copy() if same else rows(sizes[i], sizes[i + 1]))
+    return validate_chain(ChainSpec(tuple(sizes), Distribution(rows(1, sizes[0])[0]),
+                                    tuple(Kernel(k) for k in kernels)))
+
+
+@given(_lag_table_chains(), st.sampled_from([0.05, 0.3, 0.7]))
+def test_lag_table_consumers_match_the_references(spec, eps):
+    thetas = build_gamma(spec, "contractive")[1]["thetas"]
+    assert thetas == [oracles.t_step_tv(spec, i, 1) for i in range(spec.n - 1)]
+    assert mixing_time(spec, eps) == oracles.mixing_time_per_position(spec, eps)
+    for i in range(spec.n):
+        for t in range(spec.n - i):
+            assert t_step_pair_tv(spec, i, t) == oracles.t_step_tv(spec, i, t)
+    # a row of a product rounds alike only when the product keeps every row
+    brute, ref = wasserstein_matrix_tv(spec).entries, oracles.wasserstein_matrix_rows(spec)
+    if all(np.all(marginal(spec, i).probs > 0.0) for i in range(spec.n)):
+        assert np.array_equal(brute, ref)
+    else:
+        assert_allclose(brute, ref, rtol=0, atol=1e-15)
 
 
 def test_t_step_index_errors():

@@ -469,6 +469,24 @@ def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
     (["verify", "--certificate"], {"report": {"sigma2_opnorm": "1.5"}}),
     (["verify", "--certificate"], {"report": {"sigma2_opnorm": True}}),
     (["verify", "--certificate"], {"report": {"sigma2_opnorm": 10**400}}),
+    (["certify"], {"kernel": TWO_STATE, "n": 2, "weights": ["a", 1]}),
+    (["certify"], {"kernel": TWO_STATE, "n": 2, "weights": "abc"}),
+    (["certify"], {"kernel": TWO_STATE, "n": 2, "weights": {"x": 1}}),
+    (["certify"], {"kernel": TWO_STATE, "n": 2, "weights": [10**400, 1]}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2, "function": ["a", 1, 2, 3]}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": [[1, 2], [3, 4]]}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": {"name": "indicator_count", "value": "x"}}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": {"name": "indicator_count", "value": None}}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": {"name": "indicator_count",
+                                                     "value": math.inf}}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": {"name": "indicator_count", "value": 1.5}}),
+    (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
+                                        "function": {"name": "indicator_count", "value": True}}),
 ])
 def test_malformed_documents_exit_1(tmp_path, command, doc):
     path = write_json(tmp_path / "doc.json", doc)
@@ -526,6 +544,8 @@ def rl_documents(draw):
 def _has_non_finite(value) -> bool:
     if isinstance(value, float):
         return not math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
     return isinstance(value, list) and any(_has_non_finite(v) for v in value)
 
 
@@ -589,3 +609,74 @@ def test_fuzzed_coupling_documents_exit_with_a_documented_code(doc):
     assert code in (0, 1, 2)
     if _has_non_finite(list(doc.values()) if isinstance(doc, dict) else [doc]):
         assert code != 0
+
+
+@st.composite
+def chain_documents(draw):
+    """A small valid chain document with weights and a function, in either chain
+    form, then up to two of the weights and function and up to two chain fields
+    dropped or corrupted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def row(size):
+        return rng.dirichlet(np.ones(size)).tolist()
+
+    if draw(st.booleans()):
+        size, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        doc = {"kernel": [row(size) for _ in range(size)], "n": n}
+        if draw(st.booleans()):
+            doc["initial"] = row(size)
+        sizes = [size] * n
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        doc = {"coord_sizes": sizes, "initial": row(sizes[0]),
+               "kernels": [[row(b) for _ in range(a)] for a, b in zip(sizes, sizes[1:])]}
+    doc["weights"] = rng.uniform(0.0, 2.0, len(sizes)).tolist()
+    doc["function"] = draw(st.sampled_from([
+        rng.normal(size=math.prod(sizes)).tolist(),
+        {"name": "indicator_count", "value": draw(st.one_of(st.integers(0, 3), JUNK))},
+        {"name": "coordinate_sum"},
+    ]))
+    chain_fields = tuple(k for k in doc if k not in ("weights", "function"))
+    return _corrupted(draw, _corrupted(draw, doc, ("weights", "function"), 2), chain_fields, 2)
+
+
+@settings(max_examples=120)
+@given(doc=st.one_of(chain_documents(), JUNK), command=st.sampled_from(["certify", "verify"]),
+       method=st.sampled_from(["contractive", "ergodic", "brute"]),
+       eps=st.sampled_from([0.25, 0.6]))
+def test_fuzzed_chain_documents_exit_with_a_documented_code(doc, command, method, eps):
+    argv = [command, "--method", method, "--eps", repr(eps)]
+    if command == "verify":
+        argv += ["--replicates", "1000"]
+    code = _run_on_document(argv, doc)
+    assert code in (0, 1, 2, 3)
+    # certify reads every field but the function; verify certifies inline, so reads all
+    read = ({k: v for k, v in doc.items() if command == "verify" or k != "function"}
+            if isinstance(doc, dict) else doc)
+    if _has_non_finite(read):
+        assert code != 0
+
+
+def test_rounded_rows_certify_with_thetas_and_entries_of_at_most_one(tmp_path):
+    # disjoint rows, the last one summing to 1 only up to rounding
+    rows = [[0, 1, 0, 0], [1, 0, 0, 0],
+            [0.8326773486759026, 0, 0.0014666839997370792, 0.16585596732436036],
+            [0.01046876663088994, 0, 0.6976278806328194, 0.2919033527362907]]
+    chain = write_json(tmp_path / "chain.json", {"kernel": rows, "n": 5})
+    mdp = write_json(tmp_path / "mdp.json", {"S": 4, "A": 1, "H": 5, "initial": [0.25] * 4,
+                                             "transitions": [[r] for r in rows],
+                                             "rewards": [[0.5]] * 4})
+    runs = {"contractive": ["certify", "--input", chain],
+            "brute": ["certify", "--input", chain, "--method", "brute"],
+            "gamma": ["gamma", "--input", chain],
+            "rl-bound": ["rl-bound", "--input", mdp]}
+    docs = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--output", str(out)]) == 0, name
+        docs[name] = json.loads(out.read_text())
+    assert docs["contractive"]["report"]["details"]["thetas"] == [1.0] * 4
+    for gamma in (docs["contractive"]["report"]["gamma"], docs["brute"]["report"]["gamma"],
+                  docs["gamma"]["gamma"]):
+        assert max(max(r) for r in gamma["entries"]) == 1.0

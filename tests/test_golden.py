@@ -79,6 +79,10 @@ GOLDEN = {
         "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
     "verify/coordinate_sum":
         "5b055f60ad66380eaf26888373815f3a57bfd526710dc2f553a889fde663e2a5",
+    "certify/brute_homogeneous":
+        "baf5ae5c270bd6c5a517e3f88c0f9fc634f2aa7f6651365e83c54d1b770a9ff2",
+    "mix/homogeneous":
+        "3f1bbbe8f409221083befc67eb458e2f0226e1cbd57c30d40dd7d7a8c2bd3e38",
     "martingale_brackets":
         "5c21bad8845f9252ca7b77732b68ab9876dbd64817d175f5b62367094770cfff",
 }
@@ -225,6 +229,23 @@ def golden_hashes(tmp_path) -> dict:
     assert main(["verify", "--input", _write(tmp_path / "sum.json", named), "--cap", "72",
                  "--output", str(tail), "--replicates", "4000", "--seed", "13"]) == 0
     out["verify/coordinate_sum"] = _body_sha(tail)
+
+    # a homogeneous chain never enters state 1, so every coordinate's support
+    # is a strict subset and every lag has one product shared by all positions
+    kernel = rng.dirichlet(np.ones(4), size=4)
+    kernel[:, 1] = 0.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    shared = _write(tmp_path / "shared.json", {"kernel": kernel.tolist(), "n": 8,
+                                               "initial": [0.5, 0.0, 0.3, 0.2]})
+    runs = {
+        "certify/brute_homogeneous": ["certify", "--input", shared, "--method", "brute",
+                                      "--convention", "exact"],
+        "mix/homogeneous": ["mix", "--input", shared, "--eps", "0.05"],
+    }
+    for name, argv in runs.items():
+        report = tmp_path / (name.replace("/", "-") + ".json")
+        assert main(argv + ["--output", str(report)]) == 0, name
+        out[name] = _body_sha(report)
     return out
 
 
@@ -244,4 +265,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 23
+    assert len(written) == 25
