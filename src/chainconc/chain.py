@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap
+from .errors import PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap, json_int
 from .rng import uniform_matrix
 
 
@@ -362,8 +362,8 @@ def chain_from_dict(doc: dict) -> ChainSpec:
         if "kernel" in doc:
             if "n" not in doc:
                 raise ValidationError('homogeneous chain shorthand requires "n"')
-            return homogeneous_chain(doc["kernel"], int(doc["n"]), initial=doc.get("initial"))
-        sizes = tuple(int(s) for s in doc["coord_sizes"])
+            return homogeneous_chain(doc["kernel"], json_int(doc["n"], "n"), initial=doc.get("initial"))
+        sizes = tuple(json_int(s, "coord_sizes entry") for s in doc["coord_sizes"])
         initial = Distribution(np.asarray(doc["initial"], dtype=float))
         kernels = tuple(Kernel(np.asarray(k, dtype=float)) for k in doc["kernels"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -36,6 +36,7 @@ from .errors import (
     EnumerationCapError,
     NoMixError,
     ValidationError,
+    json_int,
 )
 from .rl import (
     HammingMetric,
@@ -163,9 +164,7 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
             raise ValidationError("function table must contain only finite values")
         return TabularFunction(values)
     if isinstance(f, dict) and f.get("name") == "indicator_count":
-        value = f.get("value", 1)
-        if type(value) is not int:  # a JSON integer: no bool, float or string
-            raise ValidationError(f"indicator_count value must be an integer, got {value!r}")
+        value = json_int(f.get("value", 1), "indicator_count value")
         return TabularFunction.from_vectorized(
             spec, lambda grids: sum((g == value).astype(float) for g in grids), cap=cap
         )
@@ -223,8 +222,10 @@ def _cmd_verify(args) -> int:
     bad = est.violations()
     if bad:
         worst = max(bad, key=lambda i: est.empirical[i] - est.bound[i])
-        print(f"VIOLATION: empirical tail exceeds bound + 2 SE at t = {est.t_grid[worst]!r} "
-              f"({est.empirical[worst]!r} > {est.bound[worst]!r} + 2*{est.standard_errors[worst]!r})")
+        t, emp, bound, se = (float(a[worst]) for a in (est.t_grid, est.empirical, est.bound,
+                                                        est.standard_errors))
+        print(f"VIOLATION: empirical tail exceeds bound + 2 SE at t = {t!r} "
+              f"({emp!r} > {bound!r} + 2*{se!r})")
         return EXIT_VIOLATION
     print(f"verified: no tail violation at any of {est.t_grid.size} grid points; "
           f"wrote {args.output}")
@@ -275,7 +276,7 @@ def _cmd_gamma(args) -> int:
         elif args.method == "ergodic" and "n_blocks" in doc:
             if args.eps is None:
                 raise ValidationError("ergodic gamma requires --eps")
-            g = gamma_ergodic(int(doc["n_blocks"]), args.eps)
+            g = gamma_ergodic(json_int(doc["n_blocks"], "n_blocks"), args.eps)
         else:
             g, _ = build_gamma(chain_from_dict(doc), args.method, args.eps)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -34,6 +34,13 @@ class ConvergenceError(ChainconcError):
     """A numerical routine failed to converge (for example a LAPACK eigensolver)."""
 
 
+def json_int(value, what: str) -> int:
+    """value itself if it is a JSON integer; a bool, float or string raises ValidationError."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def enumeration_cap(override: int | None = None) -> int:
     """Resolve the enumeration cap: explicit override, else env var, else default.
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import ChainSpec, Distribution, Kernel
 from .concentration import mixing_time
-from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
+from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_int
 
 
 @dataclass(frozen=True)
@@ -126,37 +126,27 @@ class Policy:
         return (self.actions, self.stage_actions)
 
 
-def _check_scale(scale: float) -> None:
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValidationError(f"scale = {scale} must be finite and positive")
-
-
 class HammingMetric:
-    """d(pi, pi') = scale * #{s : pi(s) != pi'(s)} on stationary action tables."""
+    """d(pi, pi') = #{s : pi(s) != pi'(s)} on stationary action tables."""
 
     name = "hamming"
 
-    def __init__(self, scale: float = 1.0):
-        _check_scale(scale)
-        self.scale = scale
-
-    def __call__(self, a: Policy, b: Policy) -> float:
-        return float(self.matrix((a, b))[0, 1])
-
-    def matrix(self, policies) -> np.ndarray:
-        """All pairwise distances, counting disagreements one state at a time."""
+    def distance_rows(self, policies):
+        """row(k): distances from policy k, one compare-and-add per state of an (S, P) table."""
         if len({len(pi.actions) for pi in policies}) > 1:
             raise ValidationError("policies act on different state spaces")
-        actions = np.array([pi.actions for pi in policies])
-        counts = np.zeros((len(policies), len(policies)))
-        for column in actions.T:
-            counts += column[:, None] != column[None, :]
-        counts *= self.scale
-        return counts
+        table = np.ascontiguousarray(np.array([pi.actions for pi in policies]).T)
+
+        def row(k: int) -> np.ndarray:
+            counts = np.zeros(len(policies))
+            for actions in table:
+                counts += actions != actions[k]
+            return counts
+        return row
 
 
 class MixingTimeMetric:
-    """d(pi, pi') = scale * |tau_pi(eps) - tau_pi'(eps)| on induced chains.
+    """d(pi, pi') = |tau_pi(eps) - tau_pi'(eps)| on induced chains.
 
     Policies whose induced chain never reaches level eps within the horizon
     get tau = H, one past the largest attainable mixing time, so the metric
@@ -165,23 +155,18 @@ class MixingTimeMetric:
 
     name = "mixing"
 
-    def __init__(self, mdp: MdpSpec, eps: float, scale: float = 1.0):
-        _check_scale(scale)
+    def __init__(self, mdp: MdpSpec, eps: float):
         self.mdp = mdp
         self.eps = eps
-        self.scale = scale
 
     def tau(self, pi: Policy) -> int:
         t = self.mdp.policy_tau(pi, self.eps)
         return self.mdp.horizon if t is None else t
 
-    def __call__(self, a: Policy, b: Policy) -> float:
-        return float(self.matrix((a, b))[0, 1])
-
-    def matrix(self, policies) -> np.ndarray:
-        """All pairwise distances, from the vector of mixing times."""
+    def distance_rows(self, policies):
+        """row(k): distances from policy k to every policy, from the vector of mixing times."""
         taus = np.array([self.tau(pi) for pi in policies])
-        return self.scale * np.abs(taus[:, None] - taus[None, :])
+        return lambda k: np.abs(taus - taus[k])
 
 
 @dataclass(frozen=True)
@@ -189,7 +174,7 @@ class PolicyClass:
     """Finite, duplicate-free collection of policies with a metric on it."""
 
     policies: tuple[Policy, ...]
-    metric: object  # (Policy, Policy) -> float, with .name and .matrix(policies)
+    metric: object  # .name, and .distance_rows(policies) -> (k -> distances from policy k)
 
     def __post_init__(self):
         if not self.policies:
@@ -200,9 +185,6 @@ class PolicyClass:
 
     def __len__(self) -> int:
         return len(self.policies)
-
-    def distance_matrix(self) -> np.ndarray:
-        return self.metric.matrix(self.policies)
 
 
 # ---------------------------------------------------------------------------
@@ -285,42 +267,46 @@ def greedy_net_radii(pc: PolicyClass, scale: float = 1.0) -> list[float]:
     (radii[0] = inf for the seed); they are nonincreasing after the seed.
     The traversal stops once every remaining policy is at distance zero, so
     the greedy covering number at radius eps is #{k : radii[k] > eps}.
+    Distances are scale * the metric's count, read one row per inserted
+    center, so memory stays linear in the class size.
     """
-    dist = scale * pc.distance_matrix()
-    m = len(pc)
-    centers = [0]
+    row = pc.metric.distance_rows(pc.policies)
     radii = [math.inf]
-    nearest = dist[0].copy()
-    while True:
-        far = int(np.argmax(nearest))
+    nearest = scale * row(0)
+    while len(radii) < len(pc):
+        far = int(np.argmax(nearest))  # the first of ties: another choice can move the radii
         r = float(nearest[far])
         if r <= 0.0:
             break
-        centers.append(far)
         radii.append(r)
-        nearest = np.minimum(nearest, dist[far])
-        if len(centers) == m:
-            break
+        np.minimum(nearest, scale * row(far), out=nearest)
     return radii
+
+
+def _net_size(radii: list[float], eps: float) -> int:
+    if eps < 0:
+        raise ValidationError("eps must be nonnegative")
+    return sum(1 for r in radii if r > eps)
 
 
 def covering_number(pc: PolicyClass, eps: float, scale: float = 1.0) -> int:
     """Size of the deterministic greedy eps-net: an upper bound on the minimal cover."""
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
-    radii = greedy_net_radii(pc, scale=scale)
-    return sum(1 for r in radii if r > eps)
+    return _net_size(greedy_net_radii(pc, scale=scale), eps)
 
 
 def lipschitz_process_bound(sigma2: float, expected_c: float, pc: PolicyClass,
                             eps_grid) -> float:
-    """Covering refinement: min over eps of eps E[C] + sqrt(2 sigma2 log N(eps))."""
+    """Covering refinement: min over eps of eps E[C] + sqrt(2 sigma2 log N(eps)).
+
+    One traversal gives the greedy net size at every eps of the grid.
+    """
     grid = [float(e) for e in eps_grid]
     if not grid:
         raise ValidationError("eps grid must be nonempty")
+    radii = greedy_net_radii(pc)
     best = math.inf
     for eps in grid:
-        n_eps = covering_number(pc, eps)
+        n_eps = _net_size(radii, eps)
         best = min(best, eps * expected_c + math.sqrt(2.0 * sigma2 * math.log(n_eps)))
     return best
 
@@ -332,7 +318,8 @@ def dudley_bound(pc: PolicyClass, scale: float = 1.0) -> float:
     are the greedy insertion radii, so the integral is a finite sum of
     segment widths times sqrt(log k).
     """
-    _check_scale(scale)
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale = {scale} must be finite and positive")
     radii = greedy_net_radii(pc, scale=scale)
     total = 0.0
     for k in range(1, len(radii)):
@@ -366,7 +353,7 @@ def finite_state_bound(horizon: int, tau_mix: float, n_states: int, n_actions: i
 def mdp_from_dict(doc: dict) -> MdpSpec:
     try:
         return MdpSpec.build(
-            int(doc["S"]), int(doc["A"]), int(doc["H"]),
+            json_int(doc["S"], "S"), json_int(doc["A"], "A"), json_int(doc["H"], "H"),
             doc["transitions"], doc["rewards"], doc["initial"],
             stage_caps=doc.get("stage_caps"),
         )

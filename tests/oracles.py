@@ -237,6 +237,35 @@ def pairwise_distances(pc, distance) -> np.ndarray:
     return d
 
 
+def hamming(a, b) -> int:
+    """Number of states at which two stationary action tables disagree."""
+    return sum(x != y for x, y in zip(a.actions, b.actions))
+
+
+def greedy_net_radii_dense(dist: np.ndarray) -> list[float]:
+    """Farthest-point traversal from point 0 over a dense (P, P) distance matrix.
+
+    Insertion radii, radii[0] = inf for the seed, first argmax on ties; it
+    stops once every remaining point is at distance zero. The reference for
+    the on-demand rows of rl.greedy_net_radii.
+    """
+    m = dist.shape[0]
+    centers = [0]
+    radii = [math.inf]
+    nearest = dist[0].copy()
+    while True:
+        far = int(np.argmax(nearest))
+        r = float(nearest[far])
+        if r <= 0.0:
+            break
+        centers.append(far)
+        radii.append(r)
+        nearest = np.minimum(nearest, dist[far])
+        if len(centers) == m:
+            break
+    return radii
+
+
 def spectral_norm(matrix) -> float:
     return float(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)[0])
 

@@ -93,6 +93,23 @@ def test_verify_flags_absurd_certificate_with_exit_3(tmp_path):
     assert code == 3
 
 
+def test_verify_violation_line_prints_plain_floats(tmp_path, capsys):
+    chain = write_json(
+        tmp_path / "chain.json",
+        {"kernel": TWO_STATE, "n": 8, "initial": [0.5, 0.5],
+         "function": {"name": "indicator_count", "value": 1}},
+    )
+    fake = write_json(tmp_path / "fake_cert.json", {"report": {"sigma2_opnorm": 1e-4}})
+    out = tmp_path / "tail.json"
+    assert main(["verify", "--input", chain, "--certificate", fake,
+                 "--output", str(out), "--replicates", "5000"]) == 3
+    tail = json.loads(out.read_text())["tail"]
+    i = max(tail["violations"], key=lambda k: tail["empirical"][k] - tail["bound"][k])
+    assert capsys.readouterr().out == (
+        f"VIOLATION: empirical tail exceeds bound + 2 SE at t = {tail['t_grid'][i]!r} "
+        f"({tail['empirical'][i]!r} > {tail['bound'][i]!r} + 2*{tail['standard_errors'][i]!r})\n")
+
+
 def test_coupling_subcommand(tmp_path):
     inp = write_json(tmp_path / "pq.json", {"p": [0.5, 0.5], "q": [0.5, 0.5]})
     out = tmp_path / "coupling.json"
@@ -487,6 +504,16 @@ def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
                                         "function": {"name": "indicator_count", "value": 1.5}}),
     (["verify", "--replicates", "1000"], {"kernel": TWO_STATE, "n": 2,
                                         "function": {"name": "indicator_count", "value": True}}),
+    # sizes are JSON integers: a float or a bool is not truncated to one
+    (["mix", "--eps", "0.3"], {"kernel": TWO_STATE, "n": 2.5}),
+    (["mix", "--eps", "0.3"], {"kernel": TWO_STATE, "n": True}),
+    (["mix", "--eps", "0.3"], {"coord_sizes": [2.9, 1.5], "initial": [0.5, 0.5],
+                               "kernels": [[[1.0], [1.0]]]}),
+    (["rl-bound"], dict(_small_mdp(), S=2.7)),
+    (["rl-bound"], dict(_small_mdp(), A=2.0)),
+    (["rl-bound"], dict(_small_mdp(), H=True)),
+    (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": 2.5}),
+    (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": True}),
 ])
 def test_malformed_documents_exit_1(tmp_path, command, doc):
     path = write_json(tmp_path / "doc.json", doc)

@@ -85,6 +85,10 @@ GOLDEN = {
         "3f1bbbe8f409221083befc67eb458e2f0226e1cbd57c30d40dd7d7a8c2bd3e38",
     "martingale_brackets":
         "5c21bad8845f9252ca7b77732b68ab9876dbd64817d175f5b62367094770cfff",
+    "rl-bound/hamming_scale":
+        "216016f410e3ad6749bd7a7654e81b49bbd09e4b6d22f7e4ea47a36a3d5bb8e4",
+    "rl-bound/mixing_scale":
+        "4880e97b92ed5c8e15e3973a620a4ef69fc41d08db878fbfeedc2695d4ef9899",
 }
 
 
@@ -241,6 +245,11 @@ def golden_hashes(tmp_path) -> dict:
         "certify/brute_homogeneous": ["certify", "--input", shared, "--method", "brute",
                                       "--convention", "exact"],
         "mix/homogeneous": ["mix", "--input", shared, "--eps", "0.05"],
+        # non-unit scales, which the traversal multiplies into every distance count
+        "rl-bound/hamming_scale": ["rl-bound", "--input", mdp_file, "--metric", "hamming",
+                                   "--scale", "0.37"],
+        "rl-bound/mixing_scale": ["rl-bound", "--input", mdp_file, "--metric", "mixing",
+                                  "--eps", "0.3", "--scale", "2.5"],
     }
     for name, argv in runs.items():
         report = tmp_path / (name.replace("/", "-") + ".json")
@@ -265,4 +274,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 25
+    assert len(written) == 27

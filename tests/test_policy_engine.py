@@ -224,33 +224,58 @@ def test_mixing_time_of_a_permutation_chain_is_none():
 
 
 # ---------------------------------------------------------------------------
-# distance matrices
+# distance rows and the farthest-point traversal
 
 
-def test_hamming_matrix_matches_pairwise_loop(rng):
-    mdp = random_mdp(rng, 4, 3, 3)
-    for pc in (enumerate_policies(4, 3, metric=HammingMetric(scale=0.5)),
-               random_class(rng, mdp, 9, staged=True)):
-        scale = pc.metric.scale
-        want = oracles.pairwise_distances(
-            pc, lambda a, b: scale * sum(x != y for x, y in zip(a.actions, b.actions)))
-        assert pc.distance_matrix().tobytes() == want.tobytes()
-
-
-def test_mixing_matrix_matches_pairwise_loop_with_tau_ties(rng):
-    mdp = random_mdp(rng, 3, 2, 6)
-    metric = MixingTimeMetric(mdp, 0.3, scale=1.5)
-    pc = enumerate_policies(3, 2, metric=metric)
-
+def oracle_tau(mdp, eps):
+    """tau_pi(eps) by the per-position mixing time of the per-stage induced chain."""
     def tau(pi):
-        t = oracles.mixing_time_per_position(oracles.induced_chain_per_stage(mdp, pi), 0.3)
+        t = oracles.mixing_time_per_position(oracles.induced_chain_per_stage(mdp, pi), eps)
         return mdp.horizon if t is None else t
+    return tau
 
+
+def stacked_rows(pc) -> np.ndarray:
+    row = pc.metric.distance_rows(pc.policies)
+    return np.stack([row(k) for k in range(len(pc))])
+
+
+def test_hamming_rows_match_pairwise_loop(rng):
+    mdp = random_mdp(rng, 4, 3, 3)
+    for pc in (enumerate_policies(4, 3), random_class(rng, mdp, 9, staged=True)):
+        want = oracles.pairwise_distances(pc, oracles.hamming)
+        assert stacked_rows(pc).tobytes() == want.tobytes()
+
+
+def test_mixing_rows_match_pairwise_loop_with_tau_ties(rng):
+    mdp = random_mdp(rng, 3, 2, 6)
+    metric = MixingTimeMetric(mdp, 0.3)
+    pc = enumerate_policies(3, 2, metric=metric)
+    tau = oracle_tau(mdp, 0.3)
     taus = [tau(pi) for pi in pc.policies]
     assert len(set(taus)) < len(taus)  # ties
-    want = oracles.pairwise_distances(pc, lambda a, b: 1.5 * abs(tau(a) - tau(b)))
-    assert pc.distance_matrix().tobytes() == want.tobytes()
+    want = oracles.pairwise_distances(pc, lambda a, b: abs(tau(a) - tau(b)))
+    assert np.array_equal(stacked_rows(pc), want)
     assert [metric.tau(pi) for pi in pc.policies] == taus
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_actions=st.integers(1, 3),
+       horizon=st.integers(1, 6), size=st.integers(1, 16), staged=st.booleans(),
+       mixing=st.booleans(), eps=st.sampled_from([0.3, 0.05]),
+       scale=st.sampled_from([1.0, 0.37, 2.5]))
+def test_greedy_radii_match_the_dense_traversal_bitwise(seed, n_states, n_actions, horizon, size,
+                                                         staged, mixing, eps, scale):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, n_actions, horizon)
+    pc = random_class(rng, mdp, size, staged)
+    distance = oracles.hamming
+    if mixing:
+        pc = PolicyClass(pc.policies, MixingTimeMetric(mdp, eps))
+        tau = oracle_tau(mdp, eps)
+        distance = lambda a, b: abs(tau(a) - tau(b))  # noqa: E731
+    want = oracles.greedy_net_radii_dense(scale * oracles.pairwise_distances(pc, distance))
+    assert np.array(rl.greedy_net_radii(pc, scale)).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from chainconc import (
     mdp_from_dict,
     value_function,
 )
+from chainconc import rl
 from chainconc.rl import greedy_net_radii
 
 
@@ -231,7 +233,7 @@ def test_maximal_bound_monotone():
 
 def test_covering_number_extremes():
     pc = enumerate_policies(3, 2)
-    dist = pc.distance_matrix()
+    dist = oracles.pairwise_distances(pc, oracles.hamming)
     diameter = float(dist.max())
     assert covering_number(pc, diameter) == 1
     assert covering_number(pc, 0.0) == len(pc)
@@ -239,7 +241,7 @@ def test_covering_number_extremes():
 
 def test_covering_number_against_exact_cover():
     pc = enumerate_policies(3, 2)
-    dist = pc.distance_matrix()
+    dist = oracles.pairwise_distances(pc, oracles.hamming)
     greedy = covering_number(pc, 1.0)
     exact = oracles.min_cover_size(dist, 1.0)
     assert greedy == 2
@@ -282,6 +284,23 @@ def test_lipschitz_process_bound_two_level_example():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_lipschitz_process_bound_runs_one_traversal(monkeypatch):
+    pc = cluster_policy_class()
+    grid = [0.0, 0.5, 1.0, 3.0, 8.0, 9.0]
+    want = math.inf
+    for eps in grid:  # the covering number at each grid point, as the bound defines it
+        want = min(want, eps * 1.5 + math.sqrt(2.0 * 0.7 * math.log(covering_number(pc, eps))))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return greedy_net_radii(*args, **kwargs)
+
+    monkeypatch.setattr(rl, "greedy_net_radii", spy)
+    assert lipschitz_process_bound(0.7, 1.5, pc, grid) == want
+    assert len(calls) == 1
+
+
 def test_lipschitz_process_bound_rejects_empty_grid():
     with pytest.raises(ValidationError):
         lipschitz_process_bound(1.0, 1.0, enumerate_policies(2, 2), [])
@@ -304,7 +323,7 @@ def test_dudley_two_policies():
 def dudley_oracle(pc, scale=1.0):
     """Breakpoint enumeration: integrate the greedy covering staircase over
     the sorted distinct pairwise distances."""
-    dist = scale * pc.distance_matrix()
+    dist = scale * oracles.pairwise_distances(pc, oracles.hamming)
     points = sorted({0.0} | {float(d) for d in dist.ravel() if d > 0})
     total = 0.0
     for lo, hi in zip(points, points[1:]):
@@ -325,6 +344,25 @@ def test_dudley_scales_linearly():
     base = dudley_bound(pc, scale=1.0)
     assert dudley_bound(pc, scale=2.5) == pytest.approx(2.5 * base, rel=1e-12)
     assert base >= 0.0
+
+
+def test_dudley_bound_memory_is_linear_in_the_class_size():
+    pc = enumerate_policies(6, 4)  # 4,096 policies: a (P, P) float matrix alone is 128 MiB
+    tracemalloc.start()
+    try:
+        dudley_bound(pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_greedy_radii_take_the_first_of_tied_policies():
+    # several policies tie as farthest; taking the last of them gives [inf, 3, 2, 2, 2, 1, 1]
+    actions = [(2, 0, 0), (2, 2, 0), (0, 2, 1), (0, 2, 0), (1, 1, 1), (0, 0, 2), (2, 2, 1)]
+    pc = PolicyClass(tuple(Policy(a) for a in actions), HammingMetric())
+    want = oracles.greedy_net_radii_dense(oracles.pairwise_distances(pc, oracles.hamming))
+    assert greedy_net_radii(pc) == want == [math.inf, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]
 
 
 def test_greedy_radii_are_nonincreasing():
@@ -362,18 +400,13 @@ def test_finite_state_bound_rejects_bad_inputs():
 # metrics and JSON
 
 
-def test_hamming_metric_counts_disagreements():
-    d = HammingMetric()
-    assert d(Policy((0, 1, 0)), Policy((0, 0, 1))) == 2.0
-    assert HammingMetric(scale=0.5)(Policy((0, 1, 0)), Policy((0, 0, 1))) == 1.0
-
-
 def test_mixing_metric_uses_induced_chain_taus(rng):
     mdp = random_mdp(rng, horizon=6)
     metric = MixingTimeMetric(mdp, eps=0.3)
     a, b = Policy((0, 0, 0)), Policy((1, 1, 1))
-    assert metric(a, b) == abs(metric.tau(a) - metric.tau(b))
-    assert metric(a, a) == 0.0
+    row = metric.distance_rows((a, b))
+    assert row(0).tolist() == [0, abs(metric.tau(a) - metric.tau(b))]
+    assert row(1).tolist() == [abs(metric.tau(a) - metric.tau(b)), 0]
 
 
 def test_policy_class_rejects_duplicates():
