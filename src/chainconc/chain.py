@@ -170,12 +170,24 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
     return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
+def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
+    """Max TV distance between any two rows of each matrix in a (..., rows, states) stack.
+
+    The pairwise half-L1 distances come from one broadcast difference, so the
+    caller bounds memory by the stack's size times its row count. Each
+    coefficient is clipped at 1: rows off 1 by rounding can give 1 + 2^-52.
+    A single matrix gives a numpy scalar, clipped by Python's min, since a
+    ufunc call on a scalar costs more than the rest of a small matrix's work.
+    """
+    diffs = stack[..., :, None, :] - stack[..., None, :, :]
+    sums = np.add.reduce(np.abs(diffs, out=diffs), axis=-1)
+    half = 0.5 * np.maximum.reduce(sums, axis=(-2, -1))
+    return np.minimum(half, 1.0, out=half) if half.ndim else min(half, 1.0)
+
+
 def dobrushin_coefficient(k: Kernel) -> float:
     """Max TV distance between any two rows of the kernel (Dobrushin/Doeblin coefficient)."""
-    rows = k.rows
-    # pairwise half-L1 via broadcasting, clipped at 1: rows off 1 by rounding can give 1 + 2^-52
-    diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-    return min(1.0, 0.5 * float(diffs.max()))
+    return float(dobrushin_coefficients(k.rows))
 
 
 def t_step_products(spec: ChainSpec):

@@ -26,6 +26,7 @@ from .concentration import (
     certify,
     gamma_contractive,
     gamma_ergodic,
+    local_oscillation_vector,
     mixing_time,
 )
 from .coupling import goldstein_coupling
@@ -212,7 +213,15 @@ def _cmd_verify(args) -> int:
         except OverflowError as exc:
             raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
     else:
-        sigma2 = certify(spec, _load_weights(doc, spec), args.method, eps=args.eps,
+        weights = _load_weights(doc, spec)
+        if "weights" in doc:  # a certificate for weights the function exceeds bounds nothing
+            osc = local_oscillation_vector(f, spec)
+            over = np.flatnonzero(osc > weights.c)
+            if over.size:
+                i = int(over[0])
+                raise ValidationError(f"function oscillation {float(osc[i])!r} at coordinate {i} "
+                                      f"exceeds its weight {float(weights.c[i])!r}")
+        sigma2 = certify(spec, weights, args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected
     est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed)
     out = {"meta": _meta(args), "convention": args.convention,
@@ -297,26 +306,37 @@ def _policy_cap(args) -> int:
     return DEFAULT_POLICY_CAP if args.cap is None else args.cap
 
 
+def _certificate_key(method: str, mdp, pi, theta: float, tau: int | None):
+    """What a policy's certificate depends on beyond the shared stage caps: the
+    generator of its Gamma. One coordinate gives every policy the same 1x1
+    certificate; a tau of None under ergodic makes certify raise NoMixError."""
+    if mdp.horizon == 1:
+        return None
+    if method == "contractive":
+        return theta  # thetas = [theta] * (H - 1)
+    if method == "ergodic":
+        return tau  # hence n_blocks and the block weights
+    return mdp.kernel_rows[np.arange(mdp.n_states), pi.actions].tobytes()
+
+
 def _rl_report(args, mdp):
     """The rl-bound report and the policy class it was built over."""
     pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp),
                             cap=_policy_cap(args))
     weights = LipschitzWeights(mdp.stage_caps)
-    # an identical Gamma and details give an identical certificate, and the
-    # induced chains of a class share few distinct Gammas
+    # the table fills the tau memo that the mixing-time metric reads; the
+    # induced chain is built, and certified, once per distinct generator
+    thetas, class_taus = mdp.class_table(pc.policies, args.eps)
     reports = {}
     per_policy = []
     sigma2_max = 0.0
     taus = []
-    for pi in pc.policies:
-        chain_spec = mdp.policy_chain(pi)
-        gamma, details = build_gamma(chain_spec, args.method, args.eps)
-        key = (gamma.entries.tobytes(), repr(details))
+    for pi, theta, tau in zip(pc.policies, thetas.tolist(), class_taus):
+        key = _certificate_key(args.method, mdp, pi, theta, tau)
         if key not in reports:
-            reports[key] = certify(chain_spec, weights, args.method, eps=args.eps,
+            reports[key] = certify(mdp.policy_chain(pi), weights, args.method, eps=args.eps,
                                    convention=args.convention)
         report = reports[key]
-        tau = mdp.policy_tau(pi, args.eps)
         taus.append(mdp.horizon if tau is None else tau)
         sigma2_max = max(sigma2_max, getattr(report, f"sigma2_{args.convention}"))
         per_policy.append({

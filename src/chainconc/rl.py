@@ -18,9 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, Distribution, Kernel
+from .chain import ChainSpec, Distribution, Kernel, dobrushin_coefficients
 from .concentration import mixing_time
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_int
+
+# largest pair-difference stack, policies x S^3 entries, of one class_table
+# block: 512 KB, so that no temporary grows with the class size
+TABLE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,8 @@ class MdpSpec:
 
     The spec is immutable, so what it derives per policy (induced chain, exact
     value, mixing times) is memoised: certificates, policy metrics and the
-    Monte Carlo supremum share one computation of each.
+    Monte Carlo supremum share one computation of each. class_table fills the
+    mixing times of a whole stationary class at once.
     """
 
     n_states: int
@@ -104,6 +109,45 @@ class MdpSpec:
         return self._memoised(("tau", pi.key(), eps),
                               lambda: mixing_time(self.policy_chain(pi), eps))
 
+    def class_table(self, policies, eps: float) -> tuple[np.ndarray, list[int | None]]:
+        """Dobrushin coefficient theta and mixing time tau of every stationary policy.
+
+        Works on the (P, S, S) stack of induced kernels, in blocks of policies
+        whose pair differences fit TABLE_BLOCK_ELEMENTS: theta is one batched
+        Dobrushin coefficient, and tau the first lag whose power K^t has a
+        coefficient at most eps (None if no lag below the horizon does). Each
+        lag extends the powers of the policies not yet mixed by one stacked
+        matmul, and the loop stops once all have mixed. Every entry is bitwise
+        dobrushin_coefficient and mixing_time of the policy's induced chain;
+        the taus fill the policy_tau memo.
+        """
+        if not 0.0 < eps < 1.0:
+            raise ValidationError(f"eps = {eps} must lie in (0, 1)")
+        acts = action_tables(self, policies)
+        if acts.shape[1] != 1:
+            raise ValidationError("the class table needs stationary policies")
+        thetas = np.empty(len(policies))
+        taus = np.zeros(len(policies), dtype=int)  # 0: not mixed within the horizon
+        block = max(1, TABLE_BLOCK_ELEMENTS // self.n_states**3)
+        for lo in range(0, len(policies), block):
+            kernels = self.kernel_rows[np.arange(self.n_states), acts[lo:lo + block, 0]]
+            coeffs = dobrushin_coefficients(kernels)
+            thetas[lo:lo + len(kernels)] = coeffs
+            left, power = np.arange(lo, lo + len(kernels)), kernels
+            for t in range(1, self.horizon):
+                if t > 1:
+                    power = power @ kernels
+                    coeffs = dobrushin_coefficients(power)
+                mixed = coeffs <= eps
+                taus[left[mixed]] = t
+                left, power, kernels = left[~mixed], power[~mixed], kernels[~mixed]
+                if not left.size:
+                    break
+        out = [int(t) or None for t in taus]
+        for pi, tau in zip(policies, out):
+            self._memo[("tau", pi.key(), eps)] = tau
+        return thetas, out
+
 
 @dataclass(frozen=True)
 class Policy:
@@ -133,6 +177,10 @@ class HammingMetric:
 
     def distance_rows(self, policies):
         """row(k): distances from policy k, one compare-and-add per state of an (S, P) table."""
+        if any(pi.stage_actions is not None for pi in policies):
+            # the count reads only the stationary tables, so it would put
+            # policies that differ only by stage at distance 0
+            raise ValidationError("the Hamming metric is defined on stationary policies only")
         if len({len(pi.actions) for pi in policies}) > 1:
             raise ValidationError("policies act on different state spaces")
         table = np.ascontiguousarray(np.array([pi.actions for pi in policies]).T)
@@ -211,6 +259,22 @@ def induced_chain(mdp: MdpSpec, pi: Policy) -> ChainSpec:
     return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.chain_initial, kernels)
 
 
+def action_tables(mdp: MdpSpec, policies) -> np.ndarray:
+    """(P, 1, S) action array of stationary policies, or (P, H, S) when any is
+    stage-dependent; every action must be one of the MDP's."""
+    if all(pi.stage_actions is None for pi in policies):
+        tables = [[pi.actions] for pi in policies]
+    else:
+        tables = [[pi.action_table(stage) for stage in range(mdp.horizon)] for pi in policies]
+    try:
+        acts = np.array(tables, dtype=np.intp)
+    except ValueError as exc:
+        raise ValidationError(f"policy action tables differ in length: {exc}") from exc
+    if acts.shape[2:] != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
+        raise ValidationError("policy actions out of range for the MDP")
+    return acts
+
+
 def value_function(mdp: MdpSpec, pi: Policy, traj) -> float:
     """Sum of stage rewards along a trajectory under the policy.
 
@@ -284,8 +348,8 @@ def greedy_net_radii(pc: PolicyClass, scale: float = 1.0) -> list[float]:
 
 
 def _net_size(radii: list[float], eps: float) -> int:
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    if not 0 <= eps < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"eps = {eps} must be finite and nonnegative")
     return sum(1 for r in radii if r > eps)
 
 

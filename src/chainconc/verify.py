@@ -22,7 +22,7 @@ import numpy as np
 from .chain import ChainSpec, strides_for, trajectories_from_uniforms
 from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
-from .rl import MdpSpec, PolicyClass
+from .rl import MdpSpec, PolicyClass, action_tables
 from .rng import chunk_ranges, uniform_matrix
 
 PILOT_REPLICATES = 10**6
@@ -316,19 +316,8 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
 def _pair_rows(mdp: MdpSpec, pc: PolicyClass) -> np.ndarray:
     """(policies, H, S) table of the state-action row s * A + pi_stage(s) each
     policy takes; a broadcast view when every policy is stationary."""
-    if all(pi.stage_actions is None for pi in pc.policies):
-        tables = [[pi.actions] for pi in pc.policies]
-    else:
-        tables = [[pi.action_table(stage) for stage in range(mdp.horizon)]
-                  for pi in pc.policies]
-    try:
-        acts = np.array(tables, dtype=np.intp)
-    except ValueError as exc:
-        raise ValidationError(f"policy action tables differ in length: {exc}") from exc
-    if acts.shape[2:] != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
-        raise ValidationError("policy actions out of range for the MDP")
-    return np.broadcast_to(np.arange(mdp.n_states) * mdp.n_actions + acts,
-                           (len(pc), mdp.horizon, mdp.n_states))
+    rows = np.arange(mdp.n_states) * mdp.n_actions + action_tables(mdp, pc.policies)
+    return np.broadcast_to(rows, (len(pc), mdp.horizon, mdp.n_states))
 
 
 def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
@@ -338,7 +327,9 @@ def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
     rows[p, stage, s] is the state-action row policy p takes at (stage, s).
     States are held as codes p * S + s, so one flat gather maps every state
     to its row; the next state is #{k : cdf[k, row] <= u}, counted as in
-    chain.trajectories_from_uniforms.
+    chain.trajectories_from_uniforms. Every gather index is in range by
+    construction, so the gathers into out= arrays use mode="clip": under the
+    default mode="raise" numpy writes through a temporary buffer each time.
     """
     n_policies, horizon, n_states = rows.shape
     m = u.shape[1]
@@ -354,13 +345,13 @@ def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
     replicate = np.arange(m)
     for stage in range(horizon):
         stage_rows = rows[:, stage].ravel()
-        values += rewards.take(stage_rows).take(codes, out=reward)
+        values += rewards.take(stage_rows).take(codes, out=reward, mode="clip")
         if stage + 1 < horizon:
             nxt.fill(0)
             for k in range(cdf.shape[0]):
                 nxt += cdf[k][:, None] <= u[stage + 1]
-            (stage_rows * m).take(codes, out=taken)
+            (stage_rows * m).take(codes, out=taken, mode="clip")
             taken += replicate
-            nxt.take(taken, out=codes)
+            nxt.take(taken, out=codes, mode="clip")
             codes += offsets
     return values

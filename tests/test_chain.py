@@ -28,7 +28,12 @@ from chainconc import (
     validate_chain,
     wasserstein_matrix_tv,
 )
-from chainconc.chain import block_law_given_coordinate, forward_law, trajectories_from_uniforms
+from chainconc.chain import (
+    block_law_given_coordinate,
+    dobrushin_coefficients,
+    forward_law,
+    trajectories_from_uniforms,
+)
 from chainconc.concentration import build_gamma
 from chainconc.rng import uniform_matrix
 from conftest import random_chain
@@ -154,6 +159,18 @@ def test_dobrushin_is_clipped_at_one():
     assert dobrushin_coefficient(k) == 1.0
     spec = homogeneous_chain(ROUNDED_ROWS, 4)
     assert t_step_pair_tv(spec, 0, 1) == 1.0 == oracles.t_step_tv(spec, 0, 1)
+
+
+def test_batched_dobrushin_is_the_pairwise_loop_per_matrix(rng):
+    stack = rng.dirichlet(np.ones(4), size=(9, 3))
+    stack[rng.random(stack.shape) < 0.3] = 0.0
+    stack[4] = Kernel.from_array(ROUNDED_ROWS).rows[[0, 1, 3]]  # clipped at 1
+    stack[5] = stack[5, 0]  # equal rows
+    want = [min(1.0, max(0.5 * float(np.abs(a - b).sum()) for a in m for b in m)) for m in stack]
+    assert dobrushin_coefficients(stack).tolist() == want
+    assert [dobrushin_coefficient(Kernel(m)) for m in stack] == want
+    assert want[4] == 1.0 and want[5] == 0.0
+    assert dobrushin_coefficients(stack[:0]).shape == (0,)
 
 
 def test_dobrushin_bounds_and_zero_iff_equal_rows(rng):

@@ -171,6 +171,31 @@ def test_verify_without_certificate_certifies_inline(tmp_path):
     assert json.loads(out.read_text())["tail"]["violations"] == []
 
 
+def test_inline_verify_rejects_a_function_beyond_its_weights(tmp_path, capsys):
+    doc = {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 1, "weights": [0.1], "function": [0.0, 1.0]}
+    out = tmp_path / "tail.json"
+    assert main(["verify", "--input", write_json(tmp_path / "chain.json", doc),
+                 "--replicates", "1000", "--output", str(out)]) == 1
+    assert "oscillation 1.0 at coordinate 0 exceeds its weight 0.1" in capsys.readouterr().err
+    assert not out.exists()
+    # weights that dominate the oscillation certify and verify as before
+    doc["weights"] = [1.0]
+    assert main(["verify", "--input", write_json(tmp_path / "chain.json", doc),
+                 "--replicates", "1000", "--output", str(out)]) == 0
+
+
+def test_verify_against_a_certificate_does_not_scan_the_table(tmp_path, monkeypatch):
+    chain = write_json(tmp_path / "chain.json",
+                       {"kernel": TWO_STATE, "n": 6, "weights": [1.0] * 6,
+                        "function": {"name": "indicator_count", "value": 1}})
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--input", chain, "--output", str(cert)]) == 0
+    monkeypatch.setattr(cli, "local_oscillation_vector",
+                        lambda *a: pytest.fail("oscillations scanned"))
+    assert main(["verify", "--input", chain, "--certificate", str(cert),
+                 "--replicates", "1000", "--output", str(tmp_path / "tail.json")]) == 0
+
+
 def test_malformed_input_exits_1(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -273,6 +298,35 @@ def test_no_mix_certify_exits_2(tmp_path):
     chain = write_json(tmp_path / "chain.json", {"kernel": [[1.0, 0.0], [0.0, 1.0]], "n": 5})
     assert main(["certify", "--input", chain, "--method", "ergodic", "--eps", "0.3",
                  "--output", str(tmp_path / "o.json")]) == 2
+
+
+def _cycling_mdp(tmp_path):
+    """3 states, 2 actions, H = 8; action 1 cycles the states, so policy (1, 1, 1) never mixes."""
+    rng = np.random.default_rng(3)
+    trans = rng.dirichlet(np.ones(3), size=(3, 2))
+    trans[:, 1] = np.roll(np.eye(3), 1, axis=1)
+    return write_json(tmp_path / "mdp.json",
+                      {"S": 3, "A": 2, "H": 8, "initial": [0.2, 0.3, 0.5],
+                       "transitions": trans.tolist(), "rewards": rng.random((3, 2)).tolist()})
+
+
+@pytest.mark.parametrize("command", [["rl-bound"], ["rl-verify", "--replicates", "100"]])
+def test_rl_ergodic_with_a_non_mixing_policy_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "o.json"
+    assert main([*command, "--input", _cycling_mdp(tmp_path), "--method", "ergodic",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "infeasible: chain does not mix to eps = 0.25 within horizon 8\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps, shown", [("1.5", "1.5"), ("0", "0.0"), ("nan", "nan")])
+def test_rl_bad_eps_under_contractive_exits_1(tmp_path, capsys, eps, shown):
+    out = tmp_path / "o.json"
+    assert main(["rl-bound", "--input", _cycling_mdp(tmp_path), "--eps", eps,
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: eps = {shown} must lie in (0, 1)\n"
+    assert not out.exists()
 
 
 def test_rl_bound_and_verify(tmp_path, rng):

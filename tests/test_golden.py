@@ -89,6 +89,10 @@ GOLDEN = {
         "216016f410e3ad6749bd7a7654e81b49bbd09e4b6d22f7e4ea47a36a3d5bb8e4",
     "rl-bound/mixing_scale":
         "4880e97b92ed5c8e15e3973a620a4ef69fc41d08db878fbfeedc2695d4ef9899",
+    "rl-bound/ergodic":
+        "ec7e70fcd4078372ab34ded2bfeb21c31d2a0d954d7574d96b479b76bc52e204",
+    "rl-verify/ergodic_mixing":
+        "7e68e62c4d9d41bff3689224c714e4013289f9b597e86455944ddf45084e366e",
 }
 
 
@@ -250,6 +254,11 @@ def golden_hashes(tmp_path) -> dict:
                                    "--scale", "0.37"],
         "rl-bound/mixing_scale": ["rl-bound", "--input", mdp_file, "--metric", "mixing",
                                   "--eps", "0.3", "--scale", "2.5"],
+        # ergodic certificates keyed by their mixing time, at the default eps
+        "rl-bound/ergodic": ["rl-bound", "--input", mdp_file, "--method", "ergodic"],
+        "rl-verify/ergodic_mixing": ["rl-verify", "--input", mdp_file, "--method", "ergodic",
+                                     "--metric", "mixing", "--replicates", "3000",
+                                     "--seed", "14"],
     }
     for name, argv in runs.items():
         report = tmp_path / (name.replace("/", "-") + ".json")
@@ -274,4 +283,4 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
-    assert len(written) == 27
+    assert len(written) == 29

@@ -6,9 +6,12 @@ per-position mixing time and the pairwise distance loop. The engine must
 reproduce them bit for bit.
 """
 
+import contextlib
 import json
+import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 import oracles
 from chainconc import (
     HammingMetric,
+    Kernel,
     MdpSpec,
     MixingTimeMetric,
     Policy,
@@ -35,7 +39,7 @@ from chainconc import (
     mdp_from_dict,
     verify,
 )
-from chainconc import cli, rl
+from chainconc import cli, concentration, rl
 from chainconc.concentration import build_gamma
 
 
@@ -242,7 +246,7 @@ def stacked_rows(pc) -> np.ndarray:
 
 def test_hamming_rows_match_pairwise_loop(rng):
     mdp = random_mdp(rng, 4, 3, 3)
-    for pc in (enumerate_policies(4, 3), random_class(rng, mdp, 9, staged=True)):
+    for pc in (enumerate_policies(4, 3), random_class(rng, mdp, 9, staged=False)):
         want = oracles.pairwise_distances(pc, oracles.hamming)
         assert stacked_rows(pc).tobytes() == want.tobytes()
 
@@ -268,7 +272,7 @@ def test_greedy_radii_match_the_dense_traversal_bitwise(seed, n_states, n_action
                                                          staged, mixing, eps, scale):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon)
-    pc = random_class(rng, mdp, size, staged)
+    pc = random_class(rng, mdp, size, staged and mixing)  # Hamming is stationary-only
     distance = oracles.hamming
     if mixing:
         pc = PolicyClass(pc.policies, MixingTimeMetric(mdp, eps))
@@ -279,14 +283,78 @@ def test_greedy_radii_match_the_dense_traversal_bitwise(seed, n_states, n_action
 
 
 # ---------------------------------------------------------------------------
-# one computation per policy and per distinct Gamma
+# the class table of contraction coefficients and mixing times
 
 
-def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
-    trans = rng.dirichlet(np.full(3, 2.0), size=(3, 3))
-    trans[:, 2] = trans[:, 0]  # actions 0 and 2 coincide: repeated Gammas
-    doc = {"S": 3, "A": 3, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
-           "rewards": rng.uniform(0, 1, (3, 3)).tolist()}
+@settings(max_examples=60)
+@given(n_states=st.integers(1, 6), n_actions=st.integers(1, 4), horizon=st.integers(1, 12),
+       zeros=st.booleans(), size=st.integers(1, 40), budget=st.integers(1, 2000),
+       eps=st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1))
+@example(n_states=6, n_actions=4, horizon=12, zeros=True, size=40, budget=1, eps=0.01, seed=0)
+@example(n_states=1, n_actions=1, horizon=1, zeros=False, size=1, budget=1, eps=0.5, seed=1)
+def test_class_table_is_bitwise_the_per_policy_coefficients(n_states, n_actions, horizon, zeros,
+                                                            size, budget, eps, seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
+    policies = random_class(rng, mdp, size, staged=False).policies
+    # small budgets split the class into blocks of a few policies
+    with mock.patch.object(rl, "TABLE_BLOCK_ELEMENTS", budget):
+        thetas, taus = mdp.class_table(policies, eps)
+    states = np.arange(n_states)
+    want_thetas = [dobrushin_coefficient(Kernel(mdp.kernel_rows[states, list(pi.actions)]))
+                   for pi in policies]
+    assert thetas.tobytes() == np.array(want_thetas).tobytes()
+    assert taus == [mixing_time(induced_chain(mdp, pi), eps) for pi in policies]
+    with mock.patch.object(rl, "mixing_time", side_effect=AssertionError("not memoised")):
+        assert [mdp.policy_tau(pi, eps) for pi in policies] == taus
+
+
+def test_class_table_at_the_mixing_boundaries():
+    # action 0 cycles the states; action 1 has dyadic rows at pairwise TV exactly 1/2
+    trans = [[[0.0, 1.0, 0.0], [0.5, 0.5, 0.0]],
+             [[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]],
+             [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]]]
+    mdp = MdpSpec.build(3, 2, 6, trans, np.zeros((3, 2)), [0.2, 0.3, 0.5])
+    pc = enumerate_policies(3, 2)
+    thetas, taus = mdp.class_table(pc.policies, 0.5)
+    assert (thetas[0], taus[0]) == (1.0, None)  # (0, 0, 0) never mixes
+    assert (thetas[-1], taus[-1]) == (0.5, 1)  # (1, 1, 1) mixes at a coefficient equal to eps
+    assert taus == [mixing_time(induced_chain(mdp, pi), 0.5) for pi in pc.policies]
+
+
+def test_class_table_memory_is_bounded_by_its_block():
+    # 2^13 policies on 13 states: the unblocked (P, S, S, S) pair differences alone are 144 MB
+    mdp = random_mdp(np.random.default_rng(13), 13, 2, 5, zeros=True)
+    policies = enumerate_policies(13, 2, cap=2**13).policies
+    tracemalloc.start()
+    try:
+        thetas, taus = mdp.class_table(policies, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(taus) == thetas.size == 2**13
+    assert peak < 16 * 2**20
+
+
+def test_class_table_rejects_bad_eps_and_stage_dependent_policies(rng):
+    mdp = random_mdp(rng, 2, 2, 3)
+    stationary = enumerate_policies(2, 2).policies
+    for eps in (0.0, 1.0, math.nan, -0.5):
+        with pytest.raises(ValidationError, match="must lie in"):
+            mdp.class_table(stationary, eps)
+    staged = Policy((0, 1), stage_actions=((0, 1), (1, 1), (1, 0)))
+    with pytest.raises(ValidationError):
+        mdp.class_table(stationary + (staged,), 0.25)
+    with pytest.raises(ValidationError):
+        mdp.class_table((Policy((0, 2)),), 0.25)
+
+
+# ---------------------------------------------------------------------------
+# one computation per distinct certificate
+
+
+def _counted_rl_run(argv, doc, targets):
+    """Run the CLI on doc with every (module, name) of targets wrapped in a call counter."""
     counts = {}
 
     def counted(name, fn):
@@ -295,23 +363,50 @@ def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
             return fn(*args, **kwargs)
         return wrapper
 
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
         path = os.path.join(tmp, "mdp.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        with mock.patch.object(rl, "induced_chain", counted("chain", rl.induced_chain)), \
-                mock.patch.object(rl, "exact_value", counted("value", rl.exact_value)), \
-                mock.patch.object(rl, "mixing_time", counted("tau", rl.mixing_time)), \
-                mock.patch.object(cli, "certify", counted("certify", cli.certify)):
-            assert cli.main(["rl-verify", "--input", path, "--metric", "mixing",
-                             "--replicates", "500", "--output",
-                             os.path.join(tmp, "out.json")]) == 0
+        for label, (module, name) in targets.items():
+            stack.enter_context(mock.patch.object(module, name,
+                                                  counted(label, getattr(module, name))))
+        code = cli.main(argv + ["--input", path, "--output", os.path.join(tmp, "out.json")])
+    return code, counts
+
+
+def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
+    trans = rng.dirichlet(np.full(3, 2.0), size=(3, 3))
+    trans[:, 2] = trans[:, 0]  # actions 0 and 2 coincide: repeated Gammas
+    doc = {"S": 3, "A": 3, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
+           "rewards": rng.uniform(0, 1, (3, 3)).tolist()}
+    code, counts = _counted_rl_run(
+        ["rl-verify", "--metric", "mixing", "--replicates", "500"], doc,
+        {"chain": (rl, "induced_chain"), "value": (rl, "exact_value"),
+         "tau": (rl, "mixing_time"), "certify": (cli, "certify")})
+    assert code == 0
     mdp = mdp_from_dict(doc)
     policies = enumerate_policies(3, 3).policies
     thetas = {dobrushin_coefficient(oracles.induced_chain_per_stage(mdp, pi).kernels[0])
               for pi in policies}
-    assert counts == {"chain": 27, "value": 27, "tau": 27, "certify": len(thetas)}
+    # one chain and certificate per distinct theta, no per-policy mixing time
+    assert counts == {"chain": len(thetas), "value": 27, "certify": len(thetas)}
     assert len(thetas) < 27
+
+
+def test_ergodic_rl_bound_computes_one_mixing_time_per_certificate(rng):
+    trans = rng.dirichlet(np.full(3, 2.0), size=(3, 2))
+    trans[:, 1] = 0.5 * np.eye(3) + 0.5 * trans[:, 1]  # action 1 mixes slowly: several taus
+    doc = {"S": 3, "A": 2, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
+           "rewards": rng.uniform(0, 1, (3, 2)).tolist()}
+    code, counts = _counted_rl_run(
+        ["rl-bound", "--method", "ergodic"], doc,
+        {"tau": (concentration, "mixing_time"), "policy tau": (rl, "mixing_time"),
+         "chain": (rl, "induced_chain"), "certify": (cli, "certify")})
+    assert code == 0
+    mdp = mdp_from_dict(doc)
+    taus = {mixing_time(induced_chain(mdp, pi), 0.25) for pi in enumerate_policies(3, 2).policies}
+    assert counts == {"tau": len(taus), "chain": len(taus), "certify": len(taus)}
+    assert len(taus) > 1
 
 
 def test_policy_memo_is_per_mdp(rng):

@@ -306,6 +306,25 @@ def test_lipschitz_process_bound_rejects_empty_grid():
         lipschitz_process_bound(1.0, 1.0, enumerate_policies(2, 2), [])
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1.0])
+def test_cover_radii_must_be_finite_and_nonnegative(eps):
+    pc = enumerate_policies(2, 2)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        covering_number(pc, eps)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        lipschitz_process_bound(1.0, 1.0, pc, [0.5, eps])
+
+
+def test_hamming_metric_rejects_stage_dependent_policies():
+    # the same stationary table, opposite stage tables: a count of stationary
+    # disagreements would put them at distance 0
+    pc = PolicyClass((Policy((0, 1), stage_actions=((0, 1),) * 3),
+                      Policy((0, 1), stage_actions=((1, 0),) * 3)), HammingMetric())
+    for bound in (greedy_net_radii, dudley_bound):
+        with pytest.raises(ValidationError, match="stationary"):
+            bound(pc)
+
+
 # ---------------------------------------------------------------------------
 # Dudley staircase
 
