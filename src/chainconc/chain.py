@@ -10,6 +10,7 @@ inputs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -19,6 +20,10 @@ import numpy as np
 
 from .errors import PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap, json_int
 from .rng import uniform_matrix
+
+# largest pair-difference temporary, matrices x rows^2 x states entries, of one
+# dobrushin_coefficients block: 512 KB
+PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,32 @@ class Distribution:
         return self.probs.size
 
 
+def _stochastic_stack(stack: np.ndarray, name) -> np.ndarray:
+    """Check a (k, rows, states) stack of row-stochastic matrices; return it renormalized.
+
+    Entries must be finite and nonnegative, and each row must sum to 1 within
+    PROB_TOL. The first matrix that fails raises, named name(j) for its index
+    j, with its first non-finite entry, else its smallest negative entry, else
+    its first row off 1.
+    """
+    finite = np.isfinite(stack)
+    sums = stack.sum(axis=2)
+    off = np.abs(sums - 1.0) > PROB_TOL
+    bad = ~finite.all(axis=(1, 2)) | (stack < 0).any(axis=(1, 2)) | off.any(axis=1)
+    if bad.any():
+        j = int(bad.argmax())
+        rows, where = stack[j], name(j)
+        if not finite[j].all():
+            i, c = np.unravel_index(int(np.argmin(finite[j])), rows.shape)
+            raise ValidationError(f"{where}: non-finite entry {rows[i, c]} at row {i}, column {c}")
+        if np.any(rows < 0):
+            i, c = np.unravel_index(int(np.argmin(rows)), rows.shape)
+            raise ValidationError(f"{where}: negative entry {rows[i, c]} at row {i}, column {c}")
+        i = int(np.argmax(off[j]))
+        raise ValidationError(f"{where}: row {i} sums to {sums[j, i]}, not 1 within {PROB_TOL}")
+    return stack / sums[:, :, None]
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Row-stochastic matrix: rows[s] is the distribution of the next state given s."""
@@ -63,18 +94,7 @@ class Kernel:
         rows = np.asarray(arr, dtype=float)
         if rows.ndim != 2 or rows.size == 0:
             raise ValidationError(f"{where}: expected a nonempty 2-d matrix")
-        if not np.isfinite(rows).all():
-            i, j = np.unravel_index(int(np.argmin(np.isfinite(rows))), rows.shape)
-            raise ValidationError(f"{where}: non-finite entry {rows[i, j]} at row {i}, column {j}")
-        if np.any(rows < 0):
-            i, j = np.unravel_index(int(np.argmin(rows)), rows.shape)
-            raise ValidationError(f"{where}: negative entry {rows[i, j]} at row {i}, column {j}")
-        sums = rows.sum(axis=1)
-        bad = np.abs(sums - 1.0) > PROB_TOL
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise ValidationError(f"{where}: row {i} sums to {sums[i]}, not 1 within {PROB_TOL}")
-        return cls(rows / sums[:, None])
+        return cls(_stochastic_stack(rows[None], lambda j: where)[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -137,15 +157,36 @@ def validate_chain(spec: ChainSpec) -> ChainSpec:
         raise ValidationError(
             f"expected {len(sizes) - 1} kernels for {len(sizes)} coordinates, got {len(spec.kernels)}"
         )
-    kernels = []
-    for i, k in enumerate(spec.kernels):
-        validated = Kernel.from_array(k.rows, where=f"kernel {i}")
-        if validated.shape != (sizes[i], sizes[i + 1]):
-            raise ValidationError(
-                f"kernel {i} has shape {validated.shape}, expected ({sizes[i]}, {sizes[i + 1]})"
-            )
-        kernels.append(validated)
+    kernels: list[Kernel] = []
+    for _, run in itertools.groupby(spec.kernels, key=lambda k: np.shape(k.rows)):
+        kernels += _validated_run(list(run), len(kernels), sizes)
     return ChainSpec(sizes, initial, tuple(kernels))
+
+
+def _validated_run(run: list, first: int, sizes: tuple[int, ...]) -> list[Kernel]:
+    """Validate the equal-shape kernels at positions first, first + 1, ... as one stack.
+
+    Each distinct kernel object is checked once, and its repeats share one
+    validated Kernel. Errors come in position order, as checking one kernel
+    at a time would raise them: a kernel's entries before its shape.
+    """
+    objects = list({id(k): k for k in run}.values())  # in order of first position
+    slot = {id(k): j for j, k in enumerate(objects)}
+    where = [slot[id(k)] for k in run]
+    stack = np.array([k.rows for k in objects], dtype=float)
+    if stack.ndim != 3 or stack[0].size == 0:
+        raise ValidationError(f"kernel {first}: expected a nonempty 2-d matrix")
+    shape = stack.shape[1:]
+    expected = np.array(sizes[first:first + len(run) + 1])
+    wrong = np.flatnonzero((expected[:-1] != shape[0]) | (expected[1:] != shape[1]))
+    last = int(wrong[0]) if wrong.size else len(run) - 1  # the last position that counts
+    seen = max(where[:last + 1]) + 1
+    rows = _stochastic_stack(stack[:seen], lambda j: f"kernel {first + where.index(j)}")
+    if wrong.size:
+        raise ValidationError(f"kernel {first + last} has shape {shape}, "
+                              f"expected ({expected[last]}, {expected[last + 1]})")
+    validated = [Kernel(r) for r in rows]
+    return [validated[j] for j in where]
 
 
 def homogeneous_chain(kernel, n: int, initial=None) -> ChainSpec:
@@ -173,12 +214,18 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     """Max TV distance between any two rows of each matrix in a (..., rows, states) stack.
 
-    The pairwise half-L1 distances come from one broadcast difference, so the
-    caller bounds memory by the stack's size times its row count. Each
-    coefficient is clipped at 1: rows off 1 by rounding can give 1 + 2^-52.
-    A single matrix gives a numpy scalar, clipped by Python's min, since a
-    ufunc call on a scalar costs more than the rest of a small matrix's work.
+    The pairwise half-L1 distances come from one broadcast difference per
+    block: a (k, rows, states) stack goes in blocks whose differences fit
+    PAIR_BLOCK_ELEMENTS, so no temporary grows with k. Each coefficient is
+    clipped at 1: rows off 1 by rounding can give 1 + 2^-52. A single matrix
+    gives a numpy scalar, clipped by Python's min, since a ufunc call on a
+    scalar costs more than the rest of a small matrix's work.
     """
+    if stack.ndim == 3:
+        block = max(1, PAIR_BLOCK_ELEMENTS // (stack.shape[1] ** 2 * stack.shape[2]))
+        if len(stack) > block:
+            return np.concatenate([dobrushin_coefficients(stack[lo:lo + block])
+                                   for lo in range(0, len(stack), block)])
     diffs = stack[..., :, None, :] - stack[..., None, :, :]
     sums = np.add.reduce(np.abs(diffs, out=diffs), axis=-1)
     half = 0.5 * np.maximum.reduce(sums, axis=(-2, -1))
@@ -191,18 +238,45 @@ def dobrushin_coefficient(k: Kernel) -> float:
 
 
 def t_step_products(spec: ChainSpec):
-    """For t = 1, ..., n-1, the list of t-step kernels K_i ... K_{i+t-1} for starts i < n - t.
+    """For t = 1, ..., n-1, the t-step kernels K_i ... K_{i+t-1} of the starts i < n - t.
 
-    Each extends the lag t-1 product at i by K_{i+t-1}, left to right. When
-    every kernel is equal the list holds the one product all starts share.
+    Each lag is a list of (m, rows, cols) stacks that hold the products in
+    start order, one stack per run of starts with equal shapes. Lag t extends
+    lag t-1 by one stacked matmul per run, which keeps the bits of each
+    start's own left-to-right product. When every kernel is equal, each lag
+    holds the one product that all starts share.
     """
     kernels = spec.kernels
-    shared = all(k.equals(kernels[0]) for k in kernels)
-    products = [k.rows for k in kernels[:1 if shared else None]]
+    if all(k.equals(kernels[0]) for k in kernels[1:]):
+        product = kernels[0].rows if kernels else None
+        for t in range(1, spec.n):
+            if t > 1:
+                product = product @ kernels[0].rows
+            yield [product[None]]
+        return
+    runs = [np.array([k.rows for k in run])
+            for _, run in itertools.groupby(kernels, key=lambda k: k.shape)]
+    firsts = list(itertools.accumulate(map(len, runs[:-1]), initial=0))  # their first positions
+    table = list(zip(firsts, runs))  # (first start, stack of products) pairs
     for t in range(1, spec.n):
         if t > 1:
-            products = [p @ kernels[i + t - 1].rows for i, p in enumerate(products[:spec.n - t])]
-        yield products
+            extended = []
+            for start, stack in table:
+                i, stop = start, min(start + len(stack), spec.n - t)
+                while i < stop:  # the starts from i whose kernel i + t - 1 lies in one run
+                    r = bisect.bisect_right(firsts, i + t - 1) - 1
+                    j = min(stop, firsts[r] + len(runs[r]) - t + 1)
+                    at = i + t - 1 - firsts[r]
+                    extended.append((i, stack[i - start:j - start] @ runs[r][at:at + j - i]))
+                    i = j
+            table = extended
+        yield [stack for _, stack in table]
+
+
+def t_step_coefficients(spec: ChainSpec):
+    """For each lag of t_step_products, the Dobrushin coefficient of every product in start order."""
+    for stacks in t_step_products(spec):
+        yield np.concatenate([dobrushin_coefficients(stack) for stack in stacks])
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +384,8 @@ def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
         raise ValidationError(f"step count {t} from position {i} leaves the horizon (n = {spec.n})")
     if t == 0:
         return dobrushin_coefficient(Kernel(np.eye(spec.coord_sizes[i])))
-    products = next(itertools.islice(t_step_products(spec), t - 1, None))
+    products = [p for stack in next(itertools.islice(t_step_products(spec), t - 1, None))
+                for p in stack]
     return dobrushin_coefficient(Kernel(products[min(i, len(products) - 1)]))
 
 

@@ -10,6 +10,9 @@ outcome: it means the theory the certificate encodes was falsified.
 from __future__ import annotations
 
 import argparse
+import array
+import functools
+import itertools
 import json
 import os
 import sys
@@ -76,15 +79,51 @@ def _meta(args: argparse.Namespace) -> dict:
 
 _ENCODE = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
 _ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True).encode
-_NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the item-by-item path
+_NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the stdlib path
+_FLOAT = {float}
+
+
+@functools.cache
+def _items_encoder(inner: str):
+    """C encoder of a numeric list whose items sit on their own lines at the depth of inner."""
+    return json.JSONEncoder(separators=("," + inner, ": ")).encode
+
+
+def _items(row, inner: str) -> str:
+    """The items of a numeric list as the C encoder writes them, one per line at inner.
+
+    A finite float is written as float.__repr__, so a row of them is one C-level
+    map; any other row, or one holding NaN or an infinity (whose repr has an n),
+    takes one call of the encoder.
+    """
+    if set(map(type, row)) == _FLOAT:
+        text = ("," + inner).join(map(float.__repr__, row))
+        if "n" not in text:
+            return text
+    return _items_encoder(inner)(row)[1:-1]
+
+
+def _is_row(obj) -> bool:
+    """A nonempty list of exact ints, floats and bools, which _items formats at C level."""
+    return type(obj) in (list, tuple) and bool(obj) and _NUMBER_TYPES.issuperset(map(type, obj))
+
+
+def _streamed(obj) -> bool:
+    """A numeric list, a list that holds one, or a dict with string keys that holds one
+    among its values, directly or in a streamed value: _dump writes its items one at a
+    time, where one stdlib call writes any other container."""
+    if type(obj) is dict:
+        return any(map(_streamed, obj.values())) and all(isinstance(k, str) for k in obj)
+    return type(obj) in (list, tuple) and (_is_row(obj) or any(map(_is_row, obj)))
 
 
 def _write_json(path: str, doc: dict) -> None:
     """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True), plus a newline.
 
-    The stdlib indents in pure Python, one token at a time. Here dicts and
-    mixed lists are streamed item by item, and each list of numbers (a Gamma
-    row, the weights) is encoded in one C-encoder call and reflowed.
+    The stdlib indents in pure Python, one token at a time. Here each numeric
+    list is formatted at C level (_items), the rows of a matrix one at a time
+    (_dump_rows), and the containers that lead to them key by key; every other
+    container takes one stdlib call.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _dump(doc, fh, "\n")
@@ -94,27 +133,56 @@ def _write_json(path: str, doc: dict) -> None:
 def _dump(obj, fh, newline: str) -> None:
     """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
     inner = newline + "  "
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+    if _is_row(obj):
+        fh.write("[" + inner + _items(obj, inner) + newline + "]")
+    elif not _streamed(obj):
+        # an escaped string never holds a raw line break, so re-indenting is safe
+        fh.write(_ENCODE_INDENTED(obj).replace("\n", newline)
+                 if isinstance(obj, (dict, list, tuple)) else _ENCODE(obj))
+    elif isinstance(obj, dict):
         sep = "{"
         for key, value in sorted(obj.items()):
             fh.write(f"{sep}{inner}{_ENCODE(key)}: ")
             _dump(value, fh, inner)
             sep = ","
         fh.write(newline + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        if _NUMBER_TYPES.issuperset(map(type, obj)):
-            fh.write("[" + inner + _ENCODE(obj)[1:-1].replace(", ", "," + inner) + newline + "]")
-            return
-        sep = "["
-        for value in obj:
-            fh.write(sep + inner)
-            _dump(value, fh, inner)
-            sep = ","
-        fh.write(newline + "]")
     else:
-        # scalars, empty containers and dicts with non-string keys; an escaped
-        # string never holds a raw line break, so re-indenting is safe
-        fh.write(_ENCODE_INDENTED(obj).replace("\n", newline))
+        _dump_rows(obj, fh, newline)
+
+
+def _dump_rows(rows, fh, newline: str) -> None:
+    """Write a list that holds numeric lists, streaming one row at a time.
+
+    A row of floats writes its leading +0.0 entries as one repeated string and
+    formats only its tail. The first such tail is kept with its item strings:
+    a later tail that is bitwise a prefix of it, as in a Toeplitz Gamma whose
+    rows shift right by one, is a slice of that text, so it is formatted once.
+    """
+    inner = newline + "  "
+    sep = "," + inner + "  "
+    first = text = ends = None  # bytes, text and item end offsets of the first float tail
+    lead = "[" + inner
+    for row in rows:
+        if type(row) not in (list, tuple) or set(map(type, row)) != _FLOAT:
+            fh.write(lead)
+            _dump(row, fh, inner)
+            lead = "," + inner
+            continue
+        bits = array.array("d", row).tobytes()
+        zeros = (len(bits) - len(bits.lstrip(b"\0"))) // 8  # a nonzero double has a nonzero byte
+        tail = bits[8 * zeros:]
+        if first is not None and tail and first.startswith(tail):
+            if ends is None:
+                ends = list(itertools.accumulate(len(item) + len(sep) for item in text.split(sep)))
+            body = text[:ends[len(tail) // 8 - 1] - len(sep)]
+        else:
+            body = _items(row[zeros:], inner + "  ") if tail else ""
+            if first is None and tail:
+                first, text = tail, body
+        prefix = ("0.0" + sep) * zeros  # "0.0" is repr(+0.0)
+        fh.write(f"{lead}[{inner}  {prefix + body if body else prefix[:-len(sep)]}{inner}]")
+        lead = "," + inner
+    fh.write(newline + "]")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -213,14 +281,15 @@ def _cmd_verify(args) -> int:
         except OverflowError as exc:
             raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
     else:
+        # a certificate for weights the function exceeds, the default unit
+        # weights included, bounds nothing
         weights = _load_weights(doc, spec)
-        if "weights" in doc:  # a certificate for weights the function exceeds bounds nothing
-            osc = local_oscillation_vector(f, spec)
-            over = np.flatnonzero(osc > weights.c)
-            if over.size:
-                i = int(over[0])
-                raise ValidationError(f"function oscillation {float(osc[i])!r} at coordinate {i} "
-                                      f"exceeds its weight {float(weights.c[i])!r}")
+        osc = local_oscillation_vector(f, spec)
+        over = np.flatnonzero(osc > weights.c)
+        if over.size:
+            i = int(over[0])
+            raise ValidationError(f"function oscillation {float(osc[i])!r} at coordinate {i} "
+                                  f"exceeds its weight {float(weights.c[i])!r}")
         sigma2 = certify(spec, weights, args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected
     est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed)

@@ -25,12 +25,10 @@ import numpy as np
 
 from .chain import (
     ChainSpec,
-    Kernel,
     Trajectory,
-    dobrushin_coefficient,
     forward_law,
     prefix_probability,
-    t_step_products,
+    t_step_coefficients,
 )
 from .coupling import wasserstein_matrix_tv
 from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
@@ -244,18 +242,19 @@ def martingale_brackets(f: TabularFunction, spec: ChainSpec, i: int) -> Martinga
 def mixing_time(spec: ChainSpec, eps: float) -> int | None:
     """Smallest t with worst-case t-step pair TV <= eps at every position, else None.
 
-    Reads the lag table of t_step_products: the first lag whose largest
+    Reads the lag table of t_step_coefficients: the first lag whose largest
     Dobrushin coefficient is at most eps, so the result is bitwise that of
-    evaluating t_step_pair_tv at every (i, t). A chain of equal kernels has
-    one product per lag.
+    evaluating t_step_pair_tv at every (i, t). Each lag costs one stacked
+    matmul and one batched coefficient, and a chain of equal kernels has one
+    product per lag.
 
     None means the chain does not mix to level eps within its horizon
     ("no-mix"); callers that need a finite mixing time must treat it as such.
     """
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"eps = {eps} must lie in (0, 1)")
-    for t, products in enumerate(t_step_products(spec), start=1):
-        if max(dobrushin_coefficient(Kernel(p)) for p in products) <= eps:
+    for t, coefficients in enumerate(t_step_coefficients(spec), start=1):
+        if coefficients.max() <= eps:
             return t
     return None
 
@@ -340,7 +339,7 @@ def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "contractive":
-        thetas = [dobrushin_coefficient(Kernel(p)) for p in next(t_step_products(spec), [])]
+        thetas = next(t_step_coefficients(spec), np.empty(0)).tolist()
         thetas *= spec.n - 1 if len(thetas) == 1 else 1  # one product shared by every step
         return gamma_contractive(thetas), {"thetas": thetas}
     if method == "brute_force":

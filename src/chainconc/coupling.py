@@ -75,7 +75,8 @@ def wasserstein_matrix_tv(spec: ChainSpec) -> GammaMatrix:
     for k in spec.kernels:
         supports.append(np.flatnonzero(law > 0.0))
         law = law @ k.rows
-    for t, products in enumerate(t_step_products(spec), start=1):
+    for t, stacks in enumerate(t_step_products(spec), start=1):
+        products = [p for stack in stacks for p in stack]
         for i, support in enumerate(supports[:n - t]):
             if support.size > 1:
                 prod = products[min(i, len(products) - 1)]

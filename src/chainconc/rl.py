@@ -18,13 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .chain import ChainSpec, Distribution, Kernel, dobrushin_coefficients
+from .chain import PAIR_BLOCK_ELEMENTS, ChainSpec, Distribution, Kernel, dobrushin_coefficients
 from .concentration import mixing_time
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_int
 
 # largest pair-difference stack, policies x S^3 entries, of one class_table
-# block: 512 KB, so that no temporary grows with the class size
-TABLE_BLOCK_ELEMENTS = 1 << 16
+# block, so that no temporary grows with the class size
+TABLE_BLOCK_ELEMENTS = PAIR_BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class MdpSpec:
     The spec is immutable, so what it derives per policy (induced chain, exact
     value, mixing times) is memoised: certificates, policy metrics and the
     Monte Carlo supremum share one computation of each. class_table fills the
-    mixing times of a whole stationary class at once.
+    mixing times and values of a whole stationary class at once.
     """
 
     n_states: int
@@ -120,6 +120,10 @@ class MdpSpec:
         matmul, and the loop stops once all have mixed. Every entry is bitwise
         dobrushin_coefficient and mixing_time of the policy's induced chain;
         the taus fill the policy_tau memo.
+
+        The exact values fill the policy_value memo: one backward induction
+        over the block's stack of raw rows, rows @ v[:, :, None] per stage,
+        then initial @ v per policy, each bitwise exact_value.
         """
         if not 0.0 < eps < 1.0:
             raise ValidationError(f"eps = {eps} must lie in (0, 1)")
@@ -129,8 +133,16 @@ class MdpSpec:
         thetas = np.empty(len(policies))
         taus = np.zeros(len(policies), dtype=int)  # 0: not mixed within the horizon
         block = max(1, TABLE_BLOCK_ELEMENTS // self.n_states**3)
+        states = np.arange(self.n_states)
         for lo in range(0, len(policies), block):
-            kernels = self.kernel_rows[np.arange(self.n_states), acts[lo:lo + block, 0]]
+            block_acts = acts[lo:lo + block, 0]
+            rows, rewards = self.transitions[states, block_acts], self.rewards[states, block_acts]
+            v = rewards
+            for _ in range(self.horizon - 1):
+                v = rewards + (rows @ v[:, :, None])[:, :, 0]
+            for pi, values in zip(policies[lo:lo + block], v):
+                self._memo[("value", pi.key())] = float(self.initial.probs @ values)
+            kernels = self.kernel_rows[states, block_acts]
             coeffs = dobrushin_coefficients(kernels)
             thetas[lo:lo + len(kernels)] = coeffs
             left, power = np.arange(lo, lo + len(kernels)), kernels

@@ -15,6 +15,7 @@ from chainconc import (
     ChainSpec,
     Kernel,
     TabularFunction,
+    ValidationError,
     conditional_expectation_tables,
     dobrushin_coefficient,
     local_oscillation_vector,
@@ -173,6 +174,35 @@ def inverse_cdf_trajectories(spec, u) -> np.ndarray:
         nxt = (cdf[out[:, c]] <= u[:, c + 1][:, None]).sum(axis=1)
         out[:, c + 1] = np.minimum(nxt, cdf.shape[1] - 1)
     return out
+
+
+def validate_kernels_one_by_one(spec):
+    """The kernels of a chain validated one at a time, in position order: each
+    kernel's entries (Kernel.from_array), then its shape against coord_sizes."""
+    kernels = []
+    for i, k in enumerate(spec.kernels):
+        validated = Kernel.from_array(k.rows, where=f"kernel {i}")
+        if validated.shape != (spec.coord_sizes[i], spec.coord_sizes[i + 1]):
+            raise ValidationError(f"kernel {i} has shape {validated.shape}, expected "
+                                  f"({spec.coord_sizes[i]}, {spec.coord_sizes[i + 1]})")
+        kernels.append(validated)
+    return kernels
+
+
+def t_step_products_per_position(spec):
+    """For t = 1, ..., n-1, the list of K_i ... K_{i+t-1} for starts i < n - t, each
+    start's product extended on its own by one 2-d matmul per lag."""
+    products = [k.rows for k in spec.kernels]
+    for t in range(1, spec.n):
+        if t > 1:
+            products = [p @ spec.kernels[i + t - 1].rows
+                        for i, p in enumerate(products[:spec.n - t])]
+        yield products
+
+
+def thetas_per_kernel(spec) -> list[float]:
+    """Contraction coefficients, one dobrushin_coefficient call per kernel."""
+    return [dobrushin_coefficient(k) for k in spec.kernels]
 
 
 def mixing_time_per_position(spec, eps):

@@ -182,6 +182,14 @@ def test_inline_verify_rejects_a_function_beyond_its_weights(tmp_path, capsys):
     doc["weights"] = [1.0]
     assert main(["verify", "--input", write_json(tmp_path / "chain.json", doc),
                  "--replicates", "1000", "--output", str(out)]) == 0
+    # the default unit weights are checked as well
+    out.unlink()
+    del doc["weights"]
+    doc["function"] = [0.0, 2.0]
+    assert main(["verify", "--input", write_json(tmp_path / "chain.json", doc),
+                 "--replicates", "1000", "--output", str(out)]) == 1
+    assert "oscillation 2.0 at coordinate 0 exceeds its weight 1.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_against_a_certificate_does_not_scan_the_table(tmp_path, monkeypatch):
@@ -465,6 +473,49 @@ DOCS = st.recursive(SCALARS, lambda inner: st.one_of(
           "": {}, "empty": [], "t": (None, True, 1, 2.5, np.float64(0.1)),
           "nested": [[1.0, False], [], [{}], {"k": ()}]})
 def test_write_json_is_byte_identical_to_json_dump(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.json"
+        cli._write_json(str(path), doc)
+        got = path.read_bytes()
+    assert got == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+ODD_ENTRIES = st.sampled_from([0.0, -0.0, 0, 1, False, True, math.nan, -math.inf, 1e-300])
+
+
+@st.composite
+def matrices(draw):
+    """Toeplitz, upper-triangular, dense or ragged rows, with a few entries swapped
+    for -0.0, ints, bools, NaN or infinities."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["toeplitz", "upper", "dense", "ragged"]))
+    first = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    if kind == "toeplitz":  # each row the previous one shifted right by one
+        rows = [[0.0] * min(i, m) + first[:max(m - i, 0)] for i in range(n)]
+    elif kind == "upper":
+        rows = [[0.0] * min(i, m) + draw(st.lists(ENTRIES, min_size=max(m - i, 0),
+                                                  max_size=max(m - i, 0))) for i in range(n)]
+    elif kind == "dense":
+        rows = [draw(st.lists(ENTRIES, min_size=m, max_size=m)) for _ in range(n)]
+    else:
+        rows = draw(st.lists(st.lists(ENTRIES, max_size=7), max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and rows[0]:
+            i = draw(st.integers(0, len(rows) - 1))
+            if rows[i]:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(ODD_ENTRIES)
+    return [tuple(r) for r in rows] if draw(st.booleans()) else rows
+
+
+@given(matrices(), matrices())
+@example([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]], [[7.0]])
+@example([[1.0, 0.5], [-0.0, 1.0], [0.0, 0.0]], [[], [0.0, 0], [0, 0.0]])
+@example([[0.0, 1.0, math.nan], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, True], [0.0, 1.0]])
+def test_write_json_streams_matrices_as_json_dump_would(first, second):
+    doc = {"report": {"gamma": {"entries": first, "shape": [len(first), 0]},
+                      "weights": first[0] if first else [], "nested": [second, [first]]},
+           "rows": second, "z": [{"m": second}, 3]}
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "r.json"
         cli._write_json(str(path), doc)

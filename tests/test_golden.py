@@ -21,6 +21,7 @@ from chainconc import (
     empirical_mgf,
     empirical_sup_value,
     empirical_tail,
+    local_oscillation_vector,
     martingale_brackets,
     mdp_from_dict,
 )
@@ -34,7 +35,7 @@ GOLDEN = {
     "demo/demo_tail.json":
         "19d33b8586a2032e7adee3c875792d7552febd8d11a9cf435c8384d2984fc690",
     "verify/tail.json":
-        "a4e722e9a40c88806ddbc11ded654be08581a9d24edb59f68bab4ed45d8cf283",
+        "81de390676b978b7996ed2dc5fffbf3ee22685af650cbf8455fa604dea3e2f6e",
     "rl-verify/rl_verify.json":
         "367a20d8030d50e820331152938889915ac92f51dd8f74bc47fcebc00e0a855b",
     "empirical_tail":
@@ -78,7 +79,7 @@ GOLDEN = {
     "verify/indicator_count":
         "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
     "verify/coordinate_sum":
-        "5b055f60ad66380eaf26888373815f3a57bfd526710dc2f553a889fde663e2a5",
+        "cc73df5897aec2a5a177311f04331f158db633ad80ee926bfa33eeff62418501",
     "certify/brute_homogeneous":
         "baf5ae5c270bd6c5a517e3f88c0f9fc634f2aa7f6651365e83c54d1b770a9ff2",
     "mix/homogeneous":
@@ -137,10 +138,9 @@ def golden_hashes(tmp_path) -> dict:
     sizes = (2, 3, 3, 2, 4, 3)
     doc = _chain_doc(rng, sizes, zero_every=3)
     doc["function"] = rng.uniform(-1.0, 2.0, int(np.prod(sizes))).tolist()
-    tail = tmp_path / "tail.json"
-    assert main(["verify", "--input", _write(tmp_path / "verify.json", doc),
-                 "--output", str(tail), "--replicates", "5000", "--seed", "9"]) == 0
-    out["verify/tail.json"] = _body_sha(tail)
+    # its oscillations, 2.8-2.9, exceed the default unit weights: the run is
+    # repeated with explicit weights at the end
+    unweighted = {"verify/tail.json": (doc, None, ["--replicates", "5000", "--seed", "9"])}
 
     trans = rng.dirichlet(np.ones(3), size=(3, 2))
     mdp = {"S": 3, "A": 2, "H": 7, "initial": [0.2, 0.3, 0.5],
@@ -232,11 +232,10 @@ def golden_hashes(tmp_path) -> dict:
         for br in (martingale_brackets(f, spec, i) for i in range(spec.n))])
 
     # the other named function, with zero transitions and a size-1 coordinate
+    # (oscillations 1, 3, 0, 2, 2 against the default unit weights)
     named = dict(_chain_doc(rng, (2, 4, 1, 3, 3), zero_every=2), function={"name": "coordinate_sum"})
-    tail = tmp_path / "sum_tail.json"
-    assert main(["verify", "--input", _write(tmp_path / "sum.json", named), "--cap", "72",
-                 "--output", str(tail), "--replicates", "4000", "--seed", "13"]) == 0
-    out["verify/coordinate_sum"] = _body_sha(tail)
+    unweighted["verify/coordinate_sum"] = (named, 72, ["--cap", "72", "--replicates", "4000",
+                                                        "--seed", "13"])
 
     # a homogeneous chain never enters state 1, so every coordinate's support
     # is a strict subset and every lag has one product shared by all positions
@@ -263,6 +262,19 @@ def golden_hashes(tmp_path) -> dict:
     for name, argv in runs.items():
         report = tmp_path / (name.replace("/", "-") + ".json")
         assert main(argv + ["--output", str(report)]) == 0, name
+        out[name] = _body_sha(report)
+
+    # inline verification rejects a function beyond its weights, the default
+    # unit weights included; with its oscillations as weights it certifies
+    for name, (doc, cap, flags) in unweighted.items():
+        report = tmp_path / (name.replace("/", "-").replace(".json", "") + ".json")
+        argv = ["verify", *flags, "--output", str(report), "--input"]
+        assert main(argv + [_write(tmp_path / "unweighted.json", doc)]) == 1, name
+        assert not report.exists()
+        spec = chain_from_dict(doc)
+        weights = local_oscillation_vector(cli._load_function(doc, spec, cap), spec)
+        assert main(argv + [_write(tmp_path / "weighted.json",
+                                   dict(doc, weights=weights.tolist()))]) == 0, name
         out[name] = _body_sha(report)
     return out
 

@@ -1,15 +1,19 @@
-"""The batched policy-class engine against the per-policy code it replaced.
+"""The batched policy-class engine and the stacked kernel table against the
+per-policy and per-kernel code they replaced.
 
 The reference paths live in oracles.py: the per-policy CRN supremum loop
 (each induced chain validated, sampled and centred on its own), the
-per-position mixing time and the pairwise distance loop. The engine must
-reproduce them bit for bit.
+per-policy exact values, the per-position t-step products, thetas and mixing
+time, the one-by-one kernel validation and the pairwise distance loop. The
+engine must reproduce them bit for bit.
 """
 
 import contextlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -28,6 +32,8 @@ from chainconc import (
     Policy,
     PolicyClass,
     ValidationError,
+    ChainSpec,
+    Distribution,
     chain_from_dict,
     dobrushin_coefficient,
     empirical_sup_value,
@@ -37,9 +43,11 @@ from chainconc import (
     induced_chain,
     mixing_time,
     mdp_from_dict,
+    validate_chain,
     verify,
 )
-from chainconc import cli, concentration, rl
+from chainconc import chain, cli, concentration, rl
+from chainconc.chain import dobrushin_coefficients, t_step_products
 from chainconc.concentration import build_gamma
 
 
@@ -208,7 +216,10 @@ def _chain(rng, kind, n, size, zeros):
         kernels = [k] * (n - 2) + [kernel(size, size)] if n > 2 else [kernel(size, size)] * (n - 1)
         return chain_from_dict({"coord_sizes": [size] * n, "initial": [1.0 / size] * size,
                                 "kernels": kernels})
-    sizes = rng.integers(1, size + 1, n).tolist()
+    if kind == "runs":  # coordinate sizes in blocks: several runs of equal-shape kernels
+        sizes = np.repeat(rng.integers(1, size + 1, n), rng.integers(1, 5, n))[:n].tolist()
+    else:
+        sizes = rng.integers(1, size + 1, n).tolist()
     return chain_from_dict({"coord_sizes": sizes, "initial": [1.0 / sizes[0]] * sizes[0],
                             "kernels": [kernel(sizes[i], sizes[i + 1]) for i in range(n - 1)]})
 
@@ -225,6 +236,113 @@ def test_mixing_time_matches_per_position_evaluation(kind, n, size, zeros, eps, 
 def test_mixing_time_of_a_permutation_chain_is_none():
     flip = homogeneous_chain([[0.0, 1.0], [1.0, 0.0]], 6)
     assert mixing_time(flip, 0.5) is None is oracles.mixing_time_per_position(flip, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel table
+
+
+KINDS = ["homogeneous", "equal-copies", "last-differs", "inhomogeneous", "runs"]
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 14), size=st.integers(1, 4),
+       zeros=st.booleans(), eps=st.sampled_from([0.01, 0.1, 0.25, 0.5, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+@example(kind="runs", n=14, size=3, zeros=True, eps=0.01, seed=3)
+def test_lag_table_is_bitwise_the_per_position_products(kind, n, size, zeros, eps, seed):
+    spec = _chain(np.random.default_rng(seed), kind, n, size, zeros)
+    shared = all(np.array_equal(k.rows, spec.kernels[0].rows) for k in spec.kernels)
+    lags = list(t_step_products(spec))
+    want = list(oracles.t_step_products_per_position(spec))
+    assert len(lags) == len(want) == spec.n - 1
+    for stacks, products in zip(lags, want):
+        got = [p for stack in stacks for p in stack]
+        assert len(got) == (1 if shared else len(products))
+        assert [got[min(i, len(got) - 1)].tobytes() for i in range(len(products))] == \
+            [p.tobytes() for p in products]
+    thetas = build_gamma(spec, "contractive")[1]["thetas"]
+    assert np.array(thetas).tobytes() == np.array(oracles.thetas_per_kernel(spec)).tobytes()
+    assert mixing_time(spec, eps) == oracles.mixing_time_per_position(spec, eps)
+
+
+def test_lag_table_at_the_dyadic_mixing_boundary():
+    # dyadic rows at pairwise TV exactly 1/2, and a permutation of them
+    half = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+    shifted = [half[1], half[2], half[0]]
+    doc = {"coord_sizes": [3] * 7, "initial": [0.2, 0.3, 0.5],
+           "kernels": [half, shifted, half, half, shifted, half]}
+    for spec in (homogeneous_chain(half, 7), chain_from_dict(doc)):
+        assert build_gamma(spec, "contractive")[1]["thetas"] == [0.5] * 6
+        for eps in (0.5, np.nextafter(0.5, 0.0), 0.25, np.nextafter(0.25, 0.0)):
+            tau = mixing_time(spec, eps)
+            assert tau == oracles.mixing_time_per_position(spec, eps), eps
+        assert mixing_time(spec, 0.5) == 1  # a coefficient equal to eps has mixed
+        assert mixing_time(spec, np.nextafter(0.5, 0.0)) > 1
+
+
+def test_batched_coefficients_stay_within_their_block():
+    # 64 matrices on 40 states: the unblocked pair differences alone are 32 MB
+    rng = np.random.default_rng(40)
+    spec = validate_chain(ChainSpec((40,) * 65, Distribution(np.full(40, 1 / 40)), tuple(
+        Kernel(m) for m in rng.dirichlet(np.ones(40), size=(64, 40)))))
+    stack = np.array([k.rows for k in spec.kernels])
+    want = np.array([dobrushin_coefficient(k) for k in spec.kernels])
+    budget = 8 * chain.PAIR_BLOCK_ELEMENTS
+    for run in (lambda: dobrushin_coefficients(stack),
+                lambda: np.array(build_gamma(spec, "contractive")[1]["thetas"])):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            thetas = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert thetas.tobytes() == want.tobytes()
+        # one block's differences and row sums, plus the (64, 40, 40) kernel stack
+        assert peak < 1.1 * budget + 2 * stack.nbytes
+
+
+def _corrupt(rng, rows, how):
+    rows = np.array(rows)
+    i, j = rng.integers(0, rows.shape[0]), rng.integers(0, rows.shape[1])
+    if how == "nan":
+        rows[i, j] = math.nan
+    elif how == "negative":
+        rows[i, j] = -0.25
+    elif how == "sum":
+        rows[i] *= 1.5
+    elif how == "shape":
+        rows = np.hstack([rows, rows[:, :1]])
+    else:
+        rows = rows[0]
+    return rows
+
+
+@settings(max_examples=80)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 12), size=st.integers(1, 4),
+       faults=st.lists(st.tuples(st.integers(0, 10), st.sampled_from(
+           ["nan", "negative", "sum", "shape", "flat"])), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_runs_validate_as_kernels_one_by_one(kind, n, size, faults, seed):
+    rng = np.random.default_rng(seed)
+    spec = _chain(rng, kind, n, size, zeros=False)
+    kernels = list(spec.kernels)
+    for position, how in faults:
+        if position < len(kernels) and np.ndim(kernels[position].rows) == 2:
+            kernels[position] = Kernel(_corrupt(rng, kernels[position].rows, how))
+    raw = ChainSpec(spec.coord_sizes, spec.initial, tuple(kernels))
+    try:
+        want = oracles.validate_kernels_one_by_one(raw)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            validate_chain(raw)
+        assert str(got.value) == str(exc)
+        return
+    got = validate_chain(raw).kernels
+    assert [k.rows.tobytes() for k in got] == [k.rows.tobytes() for k in want]
+    # repeats of one kernel object share one validated kernel
+    assert len({id(k) for k in got}) == len({id(k) for k in kernels})
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +454,34 @@ def test_class_table_memory_is_bounded_by_its_block():
     assert peak < 16 * 2**20
 
 
+@settings(max_examples=40)
+@given(n_states=st.integers(1, 16), n_actions=st.integers(1, 3), horizon=st.integers(1, 12),
+       zeros=st.booleans(), size=st.integers(1, 30), budget=st.integers(1, 5000),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_states=16, n_actions=3, horizon=12, zeros=True, size=30, budget=5000, seed=0)
+def test_class_values_are_bitwise_the_per_policy_induction(n_states, n_actions, horizon, zeros,
+                                                           size, budget, seed):
+    rng = np.random.default_rng(seed)
+    mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
+    policies = random_class(rng, mdp, size, staged=False).policies
+    with mock.patch.object(rl, "TABLE_BLOCK_ELEMENTS", budget):
+        mdp.class_table(policies, 0.5)
+    with mock.patch.object(rl, "exact_value", side_effect=AssertionError("not memoised")):
+        values = [mdp.policy_value(pi) for pi in policies]
+    want = [oracles.exact_value_per_stage(mdp, pi) for pi in policies]
+    assert np.array(values).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_class_values_are_bitwise_under_either_blas_thread_count(threads):
+    test = f"{__file__}::test_class_values_are_bitwise_the_per_policy_induction"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(chain.__file__)))}
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout[-2000:]
+
+
 def test_class_table_rejects_bad_eps_and_stage_dependent_policies(rng):
     mdp = random_mdp(rng, 2, 2, 3)
     stationary = enumerate_policies(2, 2).policies
@@ -388,8 +534,9 @@ def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
     policies = enumerate_policies(3, 3).policies
     thetas = {dobrushin_coefficient(oracles.induced_chain_per_stage(mdp, pi).kernels[0])
               for pi in policies}
-    # one chain and certificate per distinct theta, no per-policy mixing time
-    assert counts == {"chain": len(thetas), "value": 27, "certify": len(thetas)}
+    # one chain and certificate per distinct theta, no per-policy mixing time or
+    # value: the class table fills both memos
+    assert counts == {"chain": len(thetas), "certify": len(thetas)}
     assert len(thetas) < 27
 
 
