@@ -12,11 +12,9 @@ from .chain import (
     conditional_law,
     dobrushin_coefficient,
     homogeneous_chain,
-    load_chain,
     marginal,
     prefix_probability,
     sample_trajectories,
-    sample_trajectory,
     t_step_pair_tv,
     tv_distance,
     validate_chain,
@@ -59,10 +57,8 @@ from .rl import (
     finite_state_bound,
     induced_chain,
     lipschitz_process_bound,
-    load_mdp,
     maximal_bound,
     mdp_from_dict,
-    value_function,
 )
 from .verify import (
     MgfEstimate,

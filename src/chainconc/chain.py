@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -428,12 +427,6 @@ def sample_trajectories(spec: ChainSpec, seed: int, replicates: int, first: int 
     return trajectories_from_uniforms(spec, uniform_matrix(seed, replicates, spec.n, first=first))
 
 
-def sample_trajectory(spec: ChainSpec, seed: int, replicate: int = 0) -> Trajectory:
-    """One trajectory for (seed, replicate): row `replicate` of sample_trajectories."""
-    row = sample_trajectories(spec, seed, 1, first=replicate)[0]
-    return Trajectory(tuple(int(s) for s in row))
-
-
 # ---------------------------------------------------------------------------
 # JSON interface
 
@@ -456,9 +449,4 @@ def chain_from_dict(doc: dict) -> ChainSpec:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed chain document: {exc}") from exc
     return validate_chain(ChainSpec(sizes, initial, kernels))
-
-
-def load_chain(path: str) -> ChainSpec:
-    with open(path, encoding="utf-8") as fh:
-        return chain_from_dict(json.load(fh))
 

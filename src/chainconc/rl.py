@@ -1,8 +1,10 @@
 """Tabular MDPs, policy classes, and expected-supremum bounds on value functions.
 
-A fixed policy turns an MDP into a finite-horizon Markov chain over states,
-so every chain certificate applies to the trajectory sum of stage rewards
-(which is weighted-Hamming Lipschitz with the stage reward caps as weights).
+A policy is stationary and deterministic: one action per state, the same at
+every stage. It turns an MDP into a homogeneous finite-horizon Markov chain
+over states (one kernel, repeated), so every chain certificate applies to the
+trajectory sum of stage rewards (which is weighted-Hamming Lipschitz with the
+stage reward caps as weights).
 The bounds on E sup over a policy class are the subgaussian maximal
 inequality, its covering-number refinement for Lipschitz processes, and the
 entropy-integral (chaining) bound.
@@ -11,7 +13,6 @@ entropy-integral (chaining) bound.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,7 +38,7 @@ class MdpSpec:
     The spec is immutable, so what it derives per policy (induced chain, exact
     value, mixing times) is memoised: certificates, policy metrics and the
     Monte Carlo supremum share one computation of each. class_table fills the
-    mixing times and values of a whole stationary class at once.
+    mixing times and values of a whole class at once.
     """
 
     n_states: int
@@ -110,7 +111,7 @@ class MdpSpec:
                               lambda: mixing_time(self.policy_chain(pi), eps))
 
     def class_table(self, policies, eps: float) -> tuple[np.ndarray, list[int | None]]:
-        """Dobrushin coefficient theta and mixing time tau of every stationary policy.
+        """Dobrushin coefficient theta and mixing time tau of every policy.
 
         Works on the (P, S, S) stack of induced kernels, in blocks of policies
         whose pair differences fit TABLE_BLOCK_ELEMENTS: theta is one batched
@@ -128,14 +129,12 @@ class MdpSpec:
         if not 0.0 < eps < 1.0:
             raise ValidationError(f"eps = {eps} must lie in (0, 1)")
         acts = action_tables(self, policies)
-        if acts.shape[1] != 1:
-            raise ValidationError("the class table needs stationary policies")
         thetas = np.empty(len(policies))
         taus = np.zeros(len(policies), dtype=int)  # 0: not mixed within the horizon
         block = max(1, TABLE_BLOCK_ELEMENTS // self.n_states**3)
         states = np.arange(self.n_states)
         for lo in range(0, len(policies), block):
-            block_acts = acts[lo:lo + block, 0]
+            block_acts = acts[lo:lo + block]
             rows, rewards = self.transitions[states, block_acts], self.rewards[states, block_acts]
             v = rewards
             for _ in range(self.horizon - 1):
@@ -163,36 +162,21 @@ class MdpSpec:
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic policy: stationary action table, or one table per stage."""
+    """Stationary deterministic policy: actions[s] is taken in state s at every stage."""
 
     actions: tuple[int, ...]
-    stage_actions: tuple[tuple[int, ...], ...] | None = None
-
-    def action(self, stage: int, state: int) -> int:
-        if self.stage_actions is not None:
-            return self.stage_actions[stage][state]
-        return self.actions[state]
-
-    def action_table(self, stage: int) -> np.ndarray:
-        if self.stage_actions is not None:
-            return np.asarray(self.stage_actions[stage], dtype=int)
-        return np.asarray(self.actions, dtype=int)
 
     def key(self) -> tuple:
-        return (self.actions, self.stage_actions)
+        return self.actions
 
 
 class HammingMetric:
-    """d(pi, pi') = #{s : pi(s) != pi'(s)} on stationary action tables."""
+    """d(pi, pi') = #{s : pi(s) != pi'(s)} on action tables."""
 
     name = "hamming"
 
     def distance_rows(self, policies):
         """row(k): distances from policy k, one compare-and-add per state of an (S, P) table."""
-        if any(pi.stage_actions is not None for pi in policies):
-            # the count reads only the stationary tables, so it would put
-            # policies that differ only by stage at distance 0
-            raise ValidationError("the Hamming metric is defined on stationary policies only")
         if len({len(pi.actions) for pi in policies}) > 1:
             raise ValidationError("policies act on different state spaces")
         table = np.ascontiguousarray(np.array([pi.actions for pi in policies]).T)
@@ -252,62 +236,39 @@ class PolicyClass:
 
 
 def induced_chain(mdp: MdpSpec, pi: Policy) -> ChainSpec:
-    """The state chain under a fixed policy: kernel rows P(. | s, pi(s)) per stage.
+    """The state chain under a policy: kernel rows P(. | s, pi(s)), one kernel
+    repeated over the horizon.
 
     Rows come from the MDP's normalised tensor (kernel_rows), which its build
-    validated; a stationary policy gives one kernel, repeated.
+    validated.
     """
-    def kernel(stage: int) -> Kernel:
-        acts = pi.action_table(stage)
-        if acts.shape != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
-            raise ValidationError(f"policy actions out of range at stage {stage}")
-        return Kernel(mdp.kernel_rows[np.arange(mdp.n_states), acts])
-
-    steps = mdp.horizon - 1
-    if pi.stage_actions is None:
-        kernels = (kernel(0),) * steps if steps else ()
-    else:
-        kernels = tuple(kernel(stage) for stage in range(steps))
-    return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.chain_initial, kernels)
+    acts = action_tables(mdp, (pi,))[0]
+    kernel = Kernel(mdp.kernel_rows[np.arange(mdp.n_states), acts])
+    return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.chain_initial,
+                     (kernel,) * (mdp.horizon - 1))
 
 
 def action_tables(mdp: MdpSpec, policies) -> np.ndarray:
-    """(P, 1, S) action array of stationary policies, or (P, H, S) when any is
-    stage-dependent; every action must be one of the MDP's."""
-    if all(pi.stage_actions is None for pi in policies):
-        tables = [[pi.actions] for pi in policies]
-    else:
-        tables = [[pi.action_table(stage) for stage in range(mdp.horizon)] for pi in policies]
+    """(P, S) action array of the policies; each must give one of the MDP's
+    actions, an integer, in each of its states."""
     try:
-        acts = np.array(tables, dtype=np.intp)
+        acts = np.array([pi.actions for pi in policies])
     except ValueError as exc:
         raise ValidationError(f"policy action tables differ in length: {exc}") from exc
-    if acts.shape[2:] != (mdp.n_states,) or np.any(acts < 0) or np.any(acts >= mdp.n_actions):
-        raise ValidationError("policy actions out of range for the MDP")
-    return acts
-
-
-def value_function(mdp: MdpSpec, pi: Policy, traj) -> float:
-    """Sum of stage rewards along a trajectory under the policy.
-
-    Weighted-Hamming Lipschitz with the stage caps as weights: changing one
-    state changes at most that stage's reward.
-    """
-    states = [int(s) for s in (traj.states if hasattr(traj, "states") else traj)]
-    if len(states) != mdp.horizon:
-        raise ValidationError(f"trajectory length {len(states)} does not match horizon {mdp.horizon}")
-    return float(sum(mdp.rewards[s, pi.action(stage, s)] for stage, s in enumerate(states)))
+    if (acts.dtype.kind not in "iu" or acts.shape[1:] != (mdp.n_states,)
+            or np.any(acts < 0) or np.any(acts >= mdp.n_actions)):
+        raise ValidationError("policy actions must be integer actions of the MDP, one per state")
+    return acts.astype(np.intp, copy=False)
 
 
 def exact_value(mdp: MdpSpec, pi: Policy) -> float:
-    """E[V_pi] by backward induction over stages."""
-    idx = np.arange(mdp.n_states)
-    v = None
-    for stage in range(mdp.horizon - 1, -1, -1):
-        if v is None or pi.stage_actions is not None:
-            acts = pi.action_table(stage)
-            stage_reward, rows = mdp.rewards[idx, acts], mdp.transitions[idx, acts, :]
-        v = stage_reward.astype(float) if v is None else stage_reward + rows @ v
+    """E[V_pi] by backward induction over stages, on rows and rewards gathered once."""
+    states = np.arange(mdp.n_states)
+    acts = action_tables(mdp, (pi,))[0]
+    reward, rows = mdp.rewards[states, acts], mdp.transitions[states, acts]
+    v = reward
+    for _ in range(mdp.horizon - 1):
+        v = reward + rows @ v
     return float(mdp.initial.probs @ v)
 
 
@@ -437,13 +398,5 @@ def mdp_from_dict(doc: dict) -> MdpSpec:
         raise ValidationError(f"malformed MDP document: {exc}") from exc
 
 
-def load_mdp(path: str) -> MdpSpec:
-    with open(path, encoding="utf-8") as fh:
-        return mdp_from_dict(json.load(fh))
-
-
 def policy_to_dict(pi: Policy) -> dict:
-    doc: dict = {"actions": list(pi.actions)}
-    if pi.stage_actions is not None:
-        doc["stage_actions"] = [list(row) for row in pi.stage_actions]
-    return doc
+    return {"actions": list(pi.actions)}

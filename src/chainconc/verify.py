@@ -280,14 +280,13 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
 
     All policies are sampled together. Per stage, one (S*A, m) table holds
     the next state of every state-action pair under the block's m uniforms,
-    and the (policies, m) state array steps through it by one gather;
-    stage-dependent policies read their actions from a (policies, H, S)
-    table. A block holds m = SUP_BLOCK_ELEMENTS // max(policies, S*A)
-    replicates (at least one, at most SAMPLE_BLOCK), so memory stays bounded
-    whatever the class size and the replicate count, and every policy shares
-    each stage's table. Rewards are summed in stage order and each policy is
-    centred at its exact value (MdpSpec.policy_value), so every sample is
-    bitwise that of sampling each induced chain on its own.
+    and the (policies, m) state array steps through it by one gather. A block
+    holds m = SUP_BLOCK_ELEMENTS // max(policies, S*A) replicates (at least
+    one, at most SAMPLE_BLOCK), so memory stays bounded whatever the class
+    size and the replicate count, and every policy shares each stage's table.
+    Rewards are summed in stage order and each policy is centred at its exact
+    value (MdpSpec.policy_value), so every sample is bitwise that of sampling
+    each induced chain on its own.
     """
     if len(pc) > cap:
         raise EnumerationCapError(f"policy class of size {len(pc)} exceeds cap {cap}")
@@ -314,26 +313,25 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
 
 
 def _pair_rows(mdp: MdpSpec, pc: PolicyClass) -> np.ndarray:
-    """(policies, H, S) table of the state-action row s * A + pi_stage(s) each
-    policy takes; a broadcast view when every policy is stationary."""
-    rows = np.arange(mdp.n_states) * mdp.n_actions + action_tables(mdp, pc.policies)
-    return np.broadcast_to(rows, (len(pc), mdp.horizon, mdp.n_states))
+    """Flat (policies * S) table: entry p * S + s is the state-action row
+    s * A + pi_p(s) that policy p takes in state s."""
+    return (np.arange(mdp.n_states) * mdp.n_actions + action_tables(mdp, pc.policies)).ravel()
 
 
 def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
                    cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(policies, m) summed rewards on the replicates of u, one row of u per stage.
 
-    rows[p, stage, s] is the state-action row policy p takes at (stage, s).
+    rows is the flat _pair_rows table, over S = init_cdf.size + 1 states.
     States are held as codes p * S + s, so one flat gather maps every state
     to its row; the next state is #{k : cdf[k, row] <= u}, counted as in
     chain.trajectories_from_uniforms. Every gather index is in range by
     construction, so the gathers into out= arrays use mode="clip": under the
     default mode="raise" numpy writes through a temporary buffer each time.
     """
-    n_policies, horizon, n_states = rows.shape
-    m = u.shape[1]
-    offsets = np.arange(0, n_policies * n_states, n_states)[:, None]
+    horizon, m = u.shape
+    n_states = init_cdf.size + 1
+    offsets = np.arange(0, rows.size, n_states)[:, None]
     first = np.zeros(m, dtype=np.intp)
     for k in range(init_cdf.size):
         first += init_cdf[k] <= u[0]
@@ -343,14 +341,14 @@ def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
     values = np.zeros(codes.shape)
     nxt = np.empty((cdf.shape[1], m), dtype=np.intp)
     replicate = np.arange(m)
+    code_rewards, code_offsets = rewards.take(rows), rows * m
     for stage in range(horizon):
-        stage_rows = rows[:, stage].ravel()
-        values += rewards.take(stage_rows).take(codes, out=reward, mode="clip")
+        values += code_rewards.take(codes, out=reward, mode="clip")
         if stage + 1 < horizon:
             nxt.fill(0)
             for k in range(cdf.shape[0]):
                 nxt += cdf[k][:, None] <= u[stage + 1]
-            (stage_rows * m).take(codes, out=taken, mode="clip")
+            code_offsets.take(codes, out=taken, mode="clip")
             taken += replicate
             nxt.take(taken, out=codes, mode="clip")
             codes += offsets

@@ -220,17 +220,17 @@ def mixing_time_per_position(spec, eps):
 def induced_chain_per_stage(mdp, pi):
     """The induced chain as validate_chain builds it: one raw kernel per stage,
     each normalised on its own."""
-    states = np.arange(mdp.n_states)
-    kernels = tuple(Kernel(mdp.transitions[states, pi.action_table(stage), :])
-                    for stage in range(mdp.horizon - 1))
+    states, acts = np.arange(mdp.n_states), np.asarray(pi.actions)
+    kernels = tuple(Kernel(mdp.transitions[states, acts, :])
+                    for _ in range(mdp.horizon - 1))
     return validate_chain(ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial, kernels))
 
 
 def exact_value_per_stage(mdp, pi) -> float:
     """E[V_pi] by backward induction, every stage's rows gathered afresh."""
     v = np.zeros(mdp.n_states)
+    acts = np.asarray(pi.actions)
     for stage in range(mdp.horizon - 1, -1, -1):
-        acts = pi.action_table(stage)
         idx = np.arange(mdp.n_states)
         stage_reward = mdp.rewards[idx, acts]
         if stage == mdp.horizon - 1:
@@ -238,6 +238,18 @@ def exact_value_per_stage(mdp, pi) -> float:
         else:
             v = stage_reward + mdp.transitions[idx, acts, :] @ v
     return float(mdp.initial.probs @ v)
+
+
+def value_function(mdp, pi, traj) -> float:
+    """Sum of stage rewards along a trajectory under the policy.
+
+    Weighted-Hamming Lipschitz with the stage caps as weights: changing one
+    state changes at most that stage's reward.
+    """
+    states = [int(s) for s in (traj.states if hasattr(traj, "states") else traj)]
+    if len(states) != mdp.horizon:
+        raise ValidationError(f"trajectory length {len(states)} != horizon {mdp.horizon}")
+    return float(sum(mdp.rewards[s, pi.actions[s]] for s in states))
 
 
 def sup_value_per_policy(mdp, pc, replicates, seed):
@@ -250,9 +262,10 @@ def sup_value_per_policy(mdp, pc, replicates, seed):
     sup = np.full(replicates, -np.inf)
     for pi in pc.policies:
         states = trajectories_from_uniforms(induced_chain_per_stage(mdp, pi), u)
+        reward = mdp.rewards[np.arange(mdp.n_states), list(pi.actions)]
         v = np.zeros(replicates)
         for stage in range(mdp.horizon):
-            v += mdp.rewards[np.arange(mdp.n_states), pi.action_table(stage)][states[:, stage]]
+            v += reward[states[:, stage]]
         sup = np.maximum(sup, v - exact_value_per_stage(mdp, pi))
     return float(np.mean(sup)), float(np.std(sup, ddof=1) / math.sqrt(replicates))
 

@@ -12,7 +12,6 @@ from chainconc import (
     Distribution,
     EnumerationCapError,
     Kernel,
-    Trajectory,
     ValidationError,
     chain_from_dict,
     conditional_law,
@@ -22,7 +21,6 @@ from chainconc import (
     mixing_time,
     prefix_probability,
     sample_trajectories,
-    sample_trajectory,
     t_step_pair_tv,
     tv_distance,
     validate_chain,
@@ -375,20 +373,21 @@ def test_sample_trajectory_deterministic_chain_unique_path():
         {"coord_sizes": [2, 2, 2], "initial": [1.0, 0.0], "kernels": [flip.tolist()] * 2}
     )
     for seed in (0, 1, 12345):
-        assert sample_trajectory(spec, seed) == Trajectory((0, 1, 0))
+        assert sample_trajectories(spec, seed, 1).tolist() == [[0, 1, 0]]
 
 
 def test_sample_trajectory_is_deterministic():
     spec = homogeneous_chain(TWO_STATE, 6)
-    assert sample_trajectory(spec, 42) == sample_trajectory(spec, 42)
-    assert sample_trajectory(spec, 42, replicate=3) == sample_trajectory(spec, 42, replicate=3)
+    for first in (0, 3):
+        assert np.array_equal(sample_trajectories(spec, 42, 1, first=first),
+                              sample_trajectories(spec, 42, 1, first=first))
 
 
 def test_sample_trajectories_rows_match_single_samples():
     spec = homogeneous_chain(TWO_STATE, 5)
     block = sample_trajectories(spec, 7, 10)
     for r in range(10):
-        assert tuple(block[r]) == sample_trajectory(spec, 7, replicate=r).states
+        assert np.array_equal(block[r], sample_trajectories(spec, 7, 1, first=r)[0])
     # chunk-independence: rows [3, 10) reproduce the same trajectories
     tail = sample_trajectories(spec, 7, 7, first=3)
     assert np.array_equal(tail, block[3:])

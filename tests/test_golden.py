@@ -74,8 +74,8 @@ GOLDEN = {
         "d0b4b7cc85bbab2ea92e100d7de0dec8006914d898a18903e8f8056b5e451ad2",
     "rl-verify/mixing":
         "a1a96a4c8307637adeeff1faf8b644bf217c3ed940ddb9511d65de847ef5e1cc",
-    "empirical_sup_value/stage":
-        "ffa49194935e5b030b9d05999d47284107f39a25ed3b7cfa0c63da2f9333c03b",
+    "empirical_sup_value/zero_entries":
+        "d65cbd8c9701a04e3b0a18388d908e7d95f4c70e51ae8661dcc7931960fb34e6",
     "verify/indicator_count":
         "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
     "verify/coordinate_sum":
@@ -200,20 +200,18 @@ def golden_hashes(tmp_path) -> dict:
         assert main(argv + ["--output", str(report)]) == 0, name
         out[name] = _body_sha(report)
 
-    # stage-dependent policies on an MDP with zero transition entries
+    # a random class on an MDP with zero transition entries: the distinct
+    # tables among 49 draws (the later entries depend on that draw count)
     trans = rng.dirichlet(np.ones(4), size=(4, 3))
     trans[:, :, ::3] = 0.0
     trans /= trans.sum(axis=2, keepdims=True)
-    stage_mdp = mdp_from_dict({"S": 4, "A": 3, "H": 6, "initial": [0.1, 0.2, 0.3, 0.4],
-                               "transitions": trans.tolist(),
-                               "rewards": rng.uniform(0, 1, (4, 3)).tolist()})
-    policies = tuple(
-        Policy(tuple(rng.integers(0, 3, 4).tolist()),
-               stage_actions=tuple(tuple(rng.integers(0, 3, 4).tolist()) for _ in range(6)))
-        for _ in range(7))
-    out["empirical_sup_value/stage"] = _sha(empirical_sup_value(
-        stage_mdp, PolicyClass(policies, HammingMetric()), replicates=5000, seed=8,
-        chunks=3).to_dict())
+    zero_mdp = mdp_from_dict({"S": 4, "A": 3, "H": 6, "initial": [0.1, 0.2, 0.3, 0.4],
+                              "transitions": trans.tolist(),
+                              "rewards": rng.uniform(0, 1, (4, 3)).tolist()})
+    tables = dict.fromkeys(tuple(rng.integers(0, 3, 4).tolist()) for _ in range(49))
+    out["empirical_sup_value/zero_entries"] = _sha(empirical_sup_value(
+        zero_mdp, PolicyClass(tuple(map(Policy, tables)), HammingMetric()), replicates=5000,
+        seed=8, chunks=3).to_dict())
 
     # a named function tabulated under a cap equal to its joint size
     named = dict(_chain_doc(rng, (3, 2, 4, 3)), function={"name": "indicator_count", "value": 2})

@@ -3,12 +3,16 @@
 ``TARGETS`` is read from the source with ``ast`` (importing run.py would
 configure BLAS threads and the import path), and every name must resolve the
 way the tracer resolves it, so renaming or deleting a traced function fails
-here rather than in ``perfbench/run.py --trace 1``.
+here rather than in ``perfbench/run.py --trace 1``. A short traced run of the
+policy workload also checks what the tracer's hooks read from their
+arguments (such as ``pi.key()``).
 """
 
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -32,3 +36,12 @@ def test_every_traced_target_resolves():
         for part in rest:
             owner = inspect.getattr_static(owner, part)
         assert callable(getattr(owner, "__func__", owner)), path
+
+
+def test_traced_policy_class_run_is_correct(tmp_path):
+    # the run writes its work and output directories under its cwd
+    run = subprocess.run([sys.executable, str(RUN_PY), "--workload", "policy_class", "--seed", "1",
+                          "--seconds", "1", "--trace", "1"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert '"correct": true' in run.stdout.splitlines()[-1], run.stdout[-2000:]

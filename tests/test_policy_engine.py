@@ -65,16 +65,11 @@ def random_mdp(rng, n_states, n_actions, horizon, zeros=False) -> MdpSpec:
                          initial / initial.sum())
 
 
-def random_class(rng, mdp, size, staged) -> PolicyClass:
-    """Up to `size` distinct policies: stationary, or one action table per stage."""
+def random_class(rng, mdp, size) -> PolicyClass:
+    """Up to `size` distinct random policies."""
     seen = {}
     for _ in range(4 * size):
-        actions = tuple(rng.integers(0, mdp.n_actions, mdp.n_states).tolist())
-        stage_actions = None
-        if staged:
-            stage_actions = tuple(tuple(rng.integers(0, mdp.n_actions, mdp.n_states).tolist())
-                                  for _ in range(mdp.horizon))
-        pi = Policy(actions, stage_actions)
+        pi = Policy(tuple(rng.integers(0, mdp.n_actions, mdp.n_states).tolist()))
         seen.setdefault(pi.key(), pi)
         if len(seen) == size:
             break
@@ -87,22 +82,22 @@ def random_class(rng, mdp, size, staged) -> PolicyClass:
 
 @settings(max_examples=40)
 @given(n_states=st.integers(1, 4), n_actions=st.integers(1, 3), horizon=st.integers(1, 6),
-       zeros=st.booleans(), staged=st.booleans(), size=st.integers(1, 12),
+       zeros=st.booleans(), size=st.integers(1, 12),
        replicates=st.integers(2, 300), chunks=st.integers(1, 3), block=st.integers(1, 64),
        budget=st.integers(1, 512), seed=st.integers(0, 2**32 - 1))
-@example(n_states=1, n_actions=1, horizon=1, zeros=False, staged=False, size=1,
+@example(n_states=1, n_actions=1, horizon=1, zeros=False, size=1,
          replicates=2, chunks=1, block=64, budget=512, seed=0)
-@example(n_states=1, n_actions=3, horizon=4, zeros=False, staged=True, size=5,
+@example(n_states=1, n_actions=3, horizon=4, zeros=False, size=3,
          replicates=50, chunks=2, block=7, budget=9, seed=1)
-@example(n_states=4, n_actions=1, horizon=5, zeros=True, staged=False, size=1,
+@example(n_states=4, n_actions=1, horizon=5, zeros=True, size=1,
          replicates=97, chunks=3, block=10, budget=3, seed=2)
-@example(n_states=4, n_actions=3, horizon=1, zeros=True, staged=False, size=12,
+@example(n_states=4, n_actions=3, horizon=1, zeros=True, size=12,
          replicates=120, chunks=1, block=64, budget=100, seed=3)
-def test_sampler_matches_per_policy_loop(n_states, n_actions, horizon, zeros, staged, size,
+def test_sampler_matches_per_policy_loop(n_states, n_actions, horizon, zeros, size,
                                          replicates, chunks, block, budget, seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
-    pc = random_class(rng, mdp, size, staged)
+    pc = random_class(rng, mdp, size)
     want = oracles.sup_value_per_policy(mdp, pc, replicates, seed=seed % 1000)
     # small blocks and budgets put block boundaries inside the replicate range
     with mock.patch.object(verify, "SAMPLE_BLOCK", block), \
@@ -173,12 +168,12 @@ def test_sampler_rejects_policies_outside_the_mdp(rng):
 
 @settings(max_examples=25)
 @given(n_states=st.integers(1, 5), n_actions=st.integers(1, 3), horizon=st.integers(1, 7),
-       zeros=st.booleans(), staged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       zeros=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_induced_chains_and_values_match_per_stage_construction(n_states, n_actions, horizon,
-                                                                zeros, staged, seed):
+                                                                zeros, seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
-    for pi in random_class(rng, mdp, 4, staged).policies:
+    for pi in random_class(rng, mdp, 4).policies:
         new, old = induced_chain(mdp, pi), oracles.induced_chain_per_stage(mdp, pi)
         assert new.coord_sizes == old.coord_sizes
         assert new.initial.probs.tobytes() == old.initial.probs.tobytes()
@@ -364,7 +359,7 @@ def stacked_rows(pc) -> np.ndarray:
 
 def test_hamming_rows_match_pairwise_loop(rng):
     mdp = random_mdp(rng, 4, 3, 3)
-    for pc in (enumerate_policies(4, 3), random_class(rng, mdp, 9, staged=False)):
+    for pc in (enumerate_policies(4, 3), random_class(rng, mdp, 9)):
         want = oracles.pairwise_distances(pc, oracles.hamming)
         assert stacked_rows(pc).tobytes() == want.tobytes()
 
@@ -383,14 +378,13 @@ def test_mixing_rows_match_pairwise_loop_with_tau_ties(rng):
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_actions=st.integers(1, 3),
-       horizon=st.integers(1, 6), size=st.integers(1, 16), staged=st.booleans(),
-       mixing=st.booleans(), eps=st.sampled_from([0.3, 0.05]),
+       horizon=st.integers(1, 6), size=st.integers(1, 16), mixing=st.booleans(), eps=st.sampled_from([0.3, 0.05]),
        scale=st.sampled_from([1.0, 0.37, 2.5]))
 def test_greedy_radii_match_the_dense_traversal_bitwise(seed, n_states, n_actions, horizon, size,
-                                                         staged, mixing, eps, scale):
+                                                         mixing, eps, scale):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon)
-    pc = random_class(rng, mdp, size, staged and mixing)  # Hamming is stationary-only
+    pc = random_class(rng, mdp, size)
     distance = oracles.hamming
     if mixing:
         pc = PolicyClass(pc.policies, MixingTimeMetric(mdp, eps))
@@ -414,7 +408,7 @@ def test_class_table_is_bitwise_the_per_policy_coefficients(n_states, n_actions,
                                                             size, budget, eps, seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
-    policies = random_class(rng, mdp, size, staged=False).policies
+    policies = random_class(rng, mdp, size).policies
     # small budgets split the class into blocks of a few policies
     with mock.patch.object(rl, "TABLE_BLOCK_ELEMENTS", budget):
         thetas, taus = mdp.class_table(policies, eps)
@@ -463,7 +457,7 @@ def test_class_values_are_bitwise_the_per_policy_induction(n_states, n_actions, 
                                                            size, budget, seed):
     rng = np.random.default_rng(seed)
     mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
-    policies = random_class(rng, mdp, size, staged=False).policies
+    policies = random_class(rng, mdp, size).policies
     with mock.patch.object(rl, "TABLE_BLOCK_ELEMENTS", budget):
         mdp.class_table(policies, 0.5)
     with mock.patch.object(rl, "exact_value", side_effect=AssertionError("not memoised")):
@@ -482,17 +476,31 @@ def test_class_values_are_bitwise_under_either_blas_thread_count(threads):
     assert run.returncode == 0, run.stdout[-2000:]
 
 
-def test_class_table_rejects_bad_eps_and_stage_dependent_policies(rng):
+def test_class_table_rejects_bad_eps_and_out_of_range_actions(rng):
     mdp = random_mdp(rng, 2, 2, 3)
-    stationary = enumerate_policies(2, 2).policies
+    policies = enumerate_policies(2, 2).policies
     for eps in (0.0, 1.0, math.nan, -0.5):
         with pytest.raises(ValidationError, match="must lie in"):
-            mdp.class_table(stationary, eps)
-    staged = Policy((0, 1), stage_actions=((0, 1), (1, 1), (1, 0)))
-    with pytest.raises(ValidationError):
-        mdp.class_table(stationary + (staged,), 0.25)
+            mdp.class_table(policies, eps)
     with pytest.raises(ValidationError):
         mdp.class_table((Policy((0, 2)),), 0.25)
+
+
+@pytest.mark.parametrize("actions", [(0, -1), (0,), (0, 2), (0, 1, 0), (0.5, 1)],
+                         ids=["negative", "short", "too_large", "long", "fractional"])
+@pytest.mark.parametrize("entry", [
+    induced_chain,
+    exact_value,
+    MdpSpec.policy_value,
+    lambda mdp, pi: mdp.class_table((pi,), 0.25),
+    lambda mdp, pi: empirical_sup_value(mdp, PolicyClass((pi,), HammingMetric()), replicates=10),
+], ids=["induced_chain", "exact_value", "policy_value", "class_table", "empirical_sup_value"])
+def test_every_per_policy_entry_rejects_malformed_actions(actions, entry):
+    # unchecked, a negative action would wrap, a short table broadcast over
+    # the states and a fractional action truncate
+    mdp = random_mdp(np.random.default_rng(4), 2, 2, 3)
+    with pytest.raises(ValidationError):
+        entry(mdp, Policy(actions))
 
 
 # ---------------------------------------------------------------------------

