@@ -48,6 +48,7 @@ from .rl import (
     dudley_bound,
     enumerate_policies,
     finite_state_bound,
+    induced_chain,
     maximal_bound,
     mdp_from_dict,
     policy_to_dict,
@@ -393,17 +394,17 @@ def _rl_report(args, mdp):
     pc = enumerate_policies(mdp.n_states, mdp.n_actions, metric=_rl_metric(args, mdp),
                             cap=_policy_cap(args))
     weights = LipschitzWeights(mdp.stage_caps)
-    # the table fills the tau memo that the mixing-time metric reads; the
-    # induced chain is built, and certified, once per distinct generator
+    # the induced chain is built, and certified, once per distinct generator
     thetas, class_taus = mdp.class_table(pc.policies, args.eps)
+    values = mdp.class_values(pc.policies).tolist()
     reports = {}
     per_policy = []
     sigma2_max = 0.0
     taus = []
-    for pi, theta, tau in zip(pc.policies, thetas.tolist(), class_taus):
+    for pi, theta, tau, value in zip(pc.policies, thetas.tolist(), class_taus, values):
         key = _certificate_key(args.method, mdp, pi, theta, tau)
         if key not in reports:
-            reports[key] = certify(mdp.policy_chain(pi), weights, args.method, eps=args.eps,
+            reports[key] = certify(induced_chain(mdp, pi), weights, args.method, eps=args.eps,
                                    convention=args.convention)
         report = reports[key]
         taus.append(mdp.horizon if tau is None else tau)
@@ -414,7 +415,7 @@ def _rl_report(args, mdp):
             "sigma2_opnorm": report.sigma2_opnorm,
             "sigma2_paper": report.sigma2_paper,
             "tau": tau,
-            "expected_value": mdp.policy_value(pi),
+            "expected_value": value,
         })
     tau_mix = max(taus)
     class_size = len(pc)

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import PAIR_BLOCK_ELEMENTS, ChainSpec, Distribution, Kernel, dobrushin_coefficients
-from .concentration import mixing_time
+from .chain import _stochastic_stack
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_int
 
 # largest pair-difference stack, policies x S^3 entries, of one class_table
@@ -35,20 +34,22 @@ class MdpSpec:
     rewards[s, a] must lie in [0, min(stage_caps)]; stage_caps (default all 1)
     are the per-stage reward bounds that become Lipschitz weights.
 
-    The spec is immutable, so what it derives per policy (induced chain, exact
-    value, mixing times) is memoised: certificates, policy metrics and the
-    Monte Carlo supremum share one computation of each. class_table fills the
-    mixing times and values of a whole class at once.
+    The spec is a plain validated value and holds no cache: build derives the
+    normalised kernel rows and chain initial law once, and every per-policy
+    quantity comes from the batched class_values and class_table. Each reader
+    recomputes them: the mixing-time metric makes its own table pass, and the
+    CRN supremum its own value pass.
     """
 
     n_states: int
     n_actions: int
     horizon: int
-    transitions: np.ndarray  # (S, A, S)
+    transitions: np.ndarray  # (S, A, S), as given
     rewards: np.ndarray  # (S, A)
     initial: Distribution
     stage_caps: np.ndarray  # (H,)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    kernel_rows: np.ndarray  # (S, A, S), each row normalised as Kernel.from_array does
+    chain_initial: Distribution  # initial, normalised as validate_chain does for an induced chain
 
     @classmethod
     def build(cls, n_states: int, n_actions: int, horizon: int, transitions, rewards,
@@ -60,9 +61,7 @@ class MdpSpec:
             raise ValidationError(
                 f"transition tensor has shape {trans.shape}, expected {(n_states, n_actions, n_states)}"
             )
-        for s in range(n_states):
-            for a in range(n_actions):
-                Distribution.from_array(trans[s, a], where=f"transitions[{s}][{a}]")
+        kernel_rows = _stochastic_stack(trans, lambda s: f"transitions[{s}]")
         rew = np.asarray(rewards, dtype=float)
         if rew.shape != (n_states, n_actions):
             raise ValidationError(f"rewards have shape {rew.shape}, expected {(n_states, n_actions)}")
@@ -80,68 +79,52 @@ class MdpSpec:
         init = Distribution.from_array(initial, where="mdp initial distribution")
         if len(init) != n_states:
             raise ValidationError(f"initial distribution has length {len(init)}, expected {n_states}")
-        return cls(n_states, n_actions, horizon, trans, rew, init, caps)
+        chain_initial = Distribution.from_array(init.probs, where="initial distribution")
+        return cls(n_states, n_actions, horizon, trans, rew, init, caps, kernel_rows, chain_initial)
 
-    @cached_property
-    def kernel_rows(self) -> np.ndarray:
-        """The (S, A, S) transition tensor, each row normalised as Kernel.from_array does."""
-        return self.transitions / self.transitions.sum(axis=2)[:, :, None]
+    def _blocks(self, policies):
+        """(offset, (p, S) action array) per block of policies whose pair
+        differences, p x S^3 entries, fit TABLE_BLOCK_ELEMENTS."""
+        acts = action_tables(self, policies)
+        block = max(1, TABLE_BLOCK_ELEMENTS // self.n_states**3)
+        for lo in range(0, len(acts), block):
+            yield lo, acts[lo:lo + block]
 
-    @cached_property
-    def chain_initial(self) -> Distribution:
-        """The initial law normalised as validate_chain does for an induced chain."""
-        return Distribution.from_array(self.initial.probs, where="initial distribution")
+    def class_values(self, policies) -> np.ndarray:
+        """(P,) exact values E[V_pi] of the policies, recomputed on each call.
 
-    def _memoised(self, key: tuple, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def policy_chain(self, pi: "Policy") -> ChainSpec:
-        """induced_chain(self, pi), built once per policy."""
-        return self._memoised(("chain", pi.key()), lambda: induced_chain(self, pi))
-
-    def policy_value(self, pi: "Policy") -> float:
-        """exact_value(self, pi), computed once per policy."""
-        return self._memoised(("value", pi.key()), lambda: exact_value(self, pi))
-
-    def policy_tau(self, pi: "Policy", eps: float) -> int | None:
-        """mixing_time of the policy's induced chain at level eps, computed once."""
-        return self._memoised(("tau", pi.key(), eps),
-                              lambda: mixing_time(self.policy_chain(pi), eps))
+        One backward induction per block over the stack of raw transition
+        rows, rows @ v[:, :, None] per stage, then initial @ v per policy (one
+        block-wide mat-vec would round differently), so each value is bitwise
+        an induction over the policy's own rows.
+        """
+        values = np.empty(len(policies))
+        states = np.arange(self.n_states)
+        for lo, acts in self._blocks(policies):
+            rows, rewards = self.transitions[states, acts], self.rewards[states, acts]
+            v = rewards
+            for _ in range(self.horizon - 1):
+                v = rewards + (rows @ v[:, :, None])[:, :, 0]
+            values[lo:lo + len(v)] = [self.initial.probs @ row for row in v]
+        return values
 
     def class_table(self, policies, eps: float) -> tuple[np.ndarray, list[int | None]]:
-        """Dobrushin coefficient theta and mixing time tau of every policy.
+        """Dobrushin coefficient theta and mixing time tau of every policy, recomputed per call.
 
-        Works on the (P, S, S) stack of induced kernels, in blocks of policies
-        whose pair differences fit TABLE_BLOCK_ELEMENTS: theta is one batched
+        Works per block on the stack of induced kernels: theta is one batched
         Dobrushin coefficient, and tau the first lag whose power K^t has a
         coefficient at most eps (None if no lag below the horizon does). Each
         lag extends the powers of the policies not yet mixed by one stacked
         matmul, and the loop stops once all have mixed. Every entry is bitwise
-        dobrushin_coefficient and mixing_time of the policy's induced chain;
-        the taus fill the policy_tau memo.
-
-        The exact values fill the policy_value memo: one backward induction
-        over the block's stack of raw rows, rows @ v[:, :, None] per stage,
-        then initial @ v per policy, each bitwise exact_value.
+        dobrushin_coefficient and mixing_time of the policy's induced chain.
         """
         if not 0.0 < eps < 1.0:
             raise ValidationError(f"eps = {eps} must lie in (0, 1)")
-        acts = action_tables(self, policies)
         thetas = np.empty(len(policies))
         taus = np.zeros(len(policies), dtype=int)  # 0: not mixed within the horizon
-        block = max(1, TABLE_BLOCK_ELEMENTS // self.n_states**3)
         states = np.arange(self.n_states)
-        for lo in range(0, len(policies), block):
-            block_acts = acts[lo:lo + block]
-            rows, rewards = self.transitions[states, block_acts], self.rewards[states, block_acts]
-            v = rewards
-            for _ in range(self.horizon - 1):
-                v = rewards + (rows @ v[:, :, None])[:, :, 0]
-            for pi, values in zip(policies[lo:lo + block], v):
-                self._memo[("value", pi.key())] = float(self.initial.probs @ values)
-            kernels = self.kernel_rows[states, block_acts]
+        for lo, acts in self._blocks(policies):
+            kernels = self.kernel_rows[states, acts]
             coeffs = dobrushin_coefficients(kernels)
             thetas[lo:lo + len(kernels)] = coeffs
             left, power = np.arange(lo, lo + len(kernels)), kernels
@@ -154,10 +137,7 @@ class MdpSpec:
                 left, power, kernels = left[~mixed], power[~mixed], kernels[~mixed]
                 if not left.size:
                     break
-        out = [int(t) or None for t in taus]
-        for pi, tau in zip(policies, out):
-            self._memo[("tau", pi.key(), eps)] = tau
-        return thetas, out
+        return thetas, [int(t) or None for t in taus]
 
 
 @dataclass(frozen=True)
@@ -203,13 +183,10 @@ class MixingTimeMetric:
         self.mdp = mdp
         self.eps = eps
 
-    def tau(self, pi: Policy) -> int:
-        t = self.mdp.policy_tau(pi, self.eps)
-        return self.mdp.horizon if t is None else t
-
     def distance_rows(self, policies):
-        """row(k): distances from policy k to every policy, from the vector of mixing times."""
-        taus = np.array([self.tau(pi) for pi in policies])
+        """row(k): distances from policy k to every policy, from the class table's mixing times."""
+        taus = np.array([self.mdp.horizon if t is None else t
+                         for t in self.mdp.class_table(policies, self.eps)[1]])
         return lambda k: np.abs(taus - taus[k])
 
 
@@ -262,14 +239,8 @@ def action_tables(mdp: MdpSpec, policies) -> np.ndarray:
 
 
 def exact_value(mdp: MdpSpec, pi: Policy) -> float:
-    """E[V_pi] by backward induction over stages, on rows and rewards gathered once."""
-    states = np.arange(mdp.n_states)
-    acts = action_tables(mdp, (pi,))[0]
-    reward, rows = mdp.rewards[states, acts], mdp.transitions[states, acts]
-    v = reward
-    for _ in range(mdp.horizon - 1):
-        v = reward + rows @ v
-    return float(mdp.initial.probs @ v)
+    """E[V_pi] by backward induction over stages: the class values of (pi,)."""
+    return float(mdp.class_values((pi,))[0])
 
 
 def enumerate_policies(n_states: int, n_actions: int, metric=None,
@@ -292,8 +263,7 @@ def maximal_bound(sigma2: float, class_size: int) -> float:
     """Subgaussian maximal inequality: sqrt(2 sigma2 log class_size)."""
     if class_size < 1:
         raise ValidationError("class_size must be >= 1")
-    if sigma2 < 0:
-        raise ValidationError("sigma2 must be nonnegative")
+    _finite_nonnegative("sigma2", sigma2)
     return math.sqrt(2.0 * sigma2 * math.log(class_size))
 
 
@@ -307,6 +277,8 @@ def greedy_net_radii(pc: PolicyClass, scale: float = 1.0) -> list[float]:
     Distances are scale * the metric's count, read one row per inserted
     center, so memory stays linear in the class size.
     """
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale = {scale} must be finite and positive")
     row = pc.metric.distance_rows(pc.policies)
     radii = [math.inf]
     nearest = scale * row(0)
@@ -320,9 +292,13 @@ def greedy_net_radii(pc: PolicyClass, scale: float = 1.0) -> list[float]:
     return radii
 
 
+def _finite_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"{name} = {value} must be finite and nonnegative")
+
+
 def _net_size(radii: list[float], eps: float) -> int:
-    if not 0 <= eps < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"eps = {eps} must be finite and nonnegative")
+    _finite_nonnegative("eps", eps)
     return sum(1 for r in radii if r > eps)
 
 
@@ -337,6 +313,8 @@ def lipschitz_process_bound(sigma2: float, expected_c: float, pc: PolicyClass,
 
     One traversal gives the greedy net size at every eps of the grid.
     """
+    _finite_nonnegative("sigma2", sigma2)
+    _finite_nonnegative("expected_c", expected_c)
     grid = [float(e) for e in eps_grid]
     if not grid:
         raise ValidationError("eps grid must be nonempty")
@@ -355,8 +333,6 @@ def dudley_bound(pc: PolicyClass, scale: float = 1.0) -> float:
     are the greedy insertion radii, so the integral is a finite sum of
     segment widths times sqrt(log k).
     """
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValidationError(f"scale = {scale} must be finite and positive")
     radii = greedy_net_radii(pc, scale=scale)
     total = 0.0
     for k in range(1, len(radii)):

@@ -285,15 +285,15 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     one, at most SAMPLE_BLOCK), so memory stays bounded whatever the class
     size and the replicate count, and every policy shares each stage's table.
     Rewards are summed in stage order and each policy is centred at its exact
-    value (MdpSpec.policy_value), so every sample is bitwise that of sampling
-    each induced chain on its own.
+    value, recomputed here for the whole class by MdpSpec.class_values, so
+    every sample is bitwise that of sampling each induced chain on its own.
     """
     if len(pc) > cap:
         raise EnumerationCapError(f"policy class of size {len(pc)} exceeds cap {cap}")
     if replicates < 2:
         raise ValidationError(f"replicates = {replicates} must be at least 2")
     rows = _pair_rows(mdp, pc)
-    centers = np.array([mdp.policy_value(pi) for pi in pc.policies])[:, None]
+    centers = mdp.class_values(pc.policies)[:, None]
     rewards = mdp.rewards.ravel()
     # cdf[k, row] is breakpoint k of state-action row s * A + a's next-state CDF
     cdf = np.cumsum(mdp.kernel_rows, axis=2).reshape(-1, mdp.n_states)[:, :-1].T.copy()
@@ -303,7 +303,7 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     for lo, hi in chunk_ranges(replicates, chunks):
         for a, b in _blocks(lo, hi, width):
             u = uniform_matrix(seed, b - a, mdp.horizon, first=a).T.copy()
-            values = _policy_values(rows, rewards, init_cdf, cdf, u)
+            values = _reward_sums(rows, rewards, init_cdf, cdf, u)
             values -= centers
             parts.append(values.max(axis=0))
     sups = np.concatenate(parts)
@@ -318,8 +318,8 @@ def _pair_rows(mdp: MdpSpec, pc: PolicyClass) -> np.ndarray:
     return (np.arange(mdp.n_states) * mdp.n_actions + action_tables(mdp, pc.policies)).ravel()
 
 
-def _policy_values(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
-                   cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _reward_sums(rows: np.ndarray, rewards: np.ndarray, init_cdf: np.ndarray,
+                 cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """(policies, m) summed rewards on the replicates of u, one row of u per stage.
 
     rows is the flat _pair_rows table, over S = init_cdf.size + 1 states.

@@ -9,6 +9,7 @@ engine must reproduce them bit for bit.
 """
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -142,13 +143,13 @@ def test_block_width_keeps_policy_arrays_within_the_budget():
     mdp = random_mdp(np.random.default_rng(5), 7, 3, 3)
     pc = enumerate_policies(7, 3)
     widths = []
-    values = verify._policy_values
+    values = verify._reward_sums
 
     def spy(rows, rewards, init_cdf, cdf, u):
         widths.append(u.shape[1])
         return values(rows, rewards, init_cdf, cdf, u)
 
-    with mock.patch.object(verify, "_policy_values", spy):
+    with mock.patch.object(verify, "_reward_sums", spy):
         empirical_sup_value(mdp, pc, replicates=200, seed=1)
     assert max(widths) * len(pc) <= verify.SUP_BLOCK_ELEMENTS
     assert sum(widths) == 200
@@ -373,7 +374,6 @@ def test_mixing_rows_match_pairwise_loop_with_tau_ties(rng):
     assert len(set(taus)) < len(taus)  # ties
     want = oracles.pairwise_distances(pc, lambda a, b: abs(tau(a) - tau(b)))
     assert np.array_equal(stacked_rows(pc), want)
-    assert [metric.tau(pi) for pi in pc.policies] == taus
 
 
 @settings(max_examples=60)
@@ -417,8 +417,6 @@ def test_class_table_is_bitwise_the_per_policy_coefficients(n_states, n_actions,
                    for pi in policies]
     assert thetas.tobytes() == np.array(want_thetas).tobytes()
     assert taus == [mixing_time(induced_chain(mdp, pi), eps) for pi in policies]
-    with mock.patch.object(rl, "mixing_time", side_effect=AssertionError("not memoised")):
-        assert [mdp.policy_tau(pi, eps) for pi in policies] == taus
 
 
 def test_class_table_at_the_mixing_boundaries():
@@ -459,11 +457,9 @@ def test_class_values_are_bitwise_the_per_policy_induction(n_states, n_actions, 
     mdp = random_mdp(rng, n_states, n_actions, horizon, zeros)
     policies = random_class(rng, mdp, size).policies
     with mock.patch.object(rl, "TABLE_BLOCK_ELEMENTS", budget):
-        mdp.class_table(policies, 0.5)
-    with mock.patch.object(rl, "exact_value", side_effect=AssertionError("not memoised")):
-        values = [mdp.policy_value(pi) for pi in policies]
+        values = mdp.class_values(policies)
     want = [oracles.exact_value_per_stage(mdp, pi) for pi in policies]
-    assert np.array(values).tobytes() == np.array(want).tobytes()
+    assert values.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -491,10 +487,10 @@ def test_class_table_rejects_bad_eps_and_out_of_range_actions(rng):
 @pytest.mark.parametrize("entry", [
     induced_chain,
     exact_value,
-    MdpSpec.policy_value,
+    lambda mdp, pi: mdp.class_values((pi,)),
     lambda mdp, pi: mdp.class_table((pi,), 0.25),
     lambda mdp, pi: empirical_sup_value(mdp, PolicyClass((pi,), HammingMetric()), replicates=10),
-], ids=["induced_chain", "exact_value", "policy_value", "class_table", "empirical_sup_value"])
+], ids=["induced_chain", "exact_value", "class_values", "class_table", "empirical_sup_value"])
 def test_every_per_policy_entry_rejects_malformed_actions(actions, entry):
     # unchecked, a negative action would wrap, a short table broadcast over
     # the states and a fractional action truncate
@@ -508,8 +504,11 @@ def test_every_per_policy_entry_rejects_malformed_actions(actions, entry):
 
 
 def _counted_rl_run(argv, doc, targets):
-    """Run the CLI on doc with every (module, name) of targets wrapped in a call counter."""
+    """Run the CLI on doc with every (module, name) of targets wrapped in a call
+    counter, in every chainconc module that binds the same function."""
     counts = {}
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "chainconc" or n.startswith("chainconc."))]
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -522,8 +521,12 @@ def _counted_rl_run(argv, doc, targets):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         for label, (module, name) in targets.items():
-            stack.enter_context(mock.patch.object(module, name,
-                                                  counted(label, getattr(module, name))))
+            raw = getattr(module, name)
+            wrapper = counted(label, raw)
+            for mod in modules:
+                for key, value in list(vars(mod).items()):
+                    if value is raw:
+                        stack.enter_context(mock.patch.object(mod, key, wrapper))
         code = cli.main(argv + ["--input", path, "--output", os.path.join(tmp, "out.json")])
     return code, counts
 
@@ -536,14 +539,14 @@ def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
     code, counts = _counted_rl_run(
         ["rl-verify", "--metric", "mixing", "--replicates", "500"], doc,
         {"chain": (rl, "induced_chain"), "value": (rl, "exact_value"),
-         "tau": (rl, "mixing_time"), "certify": (cli, "certify")})
+         "tau": (concentration, "mixing_time"), "certify": (concentration, "certify")})
     assert code == 0
     mdp = mdp_from_dict(doc)
     policies = enumerate_policies(3, 3).policies
     thetas = {dobrushin_coefficient(oracles.induced_chain_per_stage(mdp, pi).kernels[0])
               for pi in policies}
     # one chain and certificate per distinct theta, no per-policy mixing time or
-    # value: the class table fills both memos
+    # value: the class table and class values give both
     assert counts == {"chain": len(thetas), "certify": len(thetas)}
     assert len(thetas) < 27
 
@@ -555,8 +558,8 @@ def test_ergodic_rl_bound_computes_one_mixing_time_per_certificate(rng):
            "rewards": rng.uniform(0, 1, (3, 2)).tolist()}
     code, counts = _counted_rl_run(
         ["rl-bound", "--method", "ergodic"], doc,
-        {"tau": (concentration, "mixing_time"), "policy tau": (rl, "mixing_time"),
-         "chain": (rl, "induced_chain"), "certify": (cli, "certify")})
+        {"tau": (concentration, "mixing_time"), "chain": (rl, "induced_chain"),
+         "certify": (concentration, "certify")})
     assert code == 0
     mdp = mdp_from_dict(doc)
     taus = {mixing_time(induced_chain(mdp, pi), 0.25) for pi in enumerate_policies(3, 2).policies}
@@ -564,13 +567,22 @@ def test_ergodic_rl_bound_computes_one_mixing_time_per_certificate(rng):
     assert len(taus) > 1
 
 
-def test_policy_memo_is_per_mdp(rng):
-    mdp = random_mdp(rng, 2, 2, 4)
-    pi = Policy((0, 1))
-    assert mdp.policy_chain(pi) is mdp.policy_chain(pi)
-    assert mdp.policy_value(pi) == exact_value(mdp, pi)
-    for eps in (0.9, 0.3, 0.001):
-        assert mdp.policy_tau(pi, eps) == mixing_time(induced_chain(mdp, pi), eps)
-    assert mdp.policy_tau(pi, 0.9) != mdp.policy_tau(pi, 0.001)
-    other = MdpSpec.build(2, 2, 4, mdp.transitions, mdp.rewards, mdp.initial.probs)
-    assert other.policy_chain(pi) is not mdp.policy_chain(pi)
+def _field_bytes(value):
+    if isinstance(value, Distribution):
+        value = value.probs
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+def test_mdp_spec_holds_only_its_fields(rng):
+    mdp = random_mdp(rng, 3, 2, 4, zeros=True)
+    names = [f.name for f in dataclasses.fields(mdp)]
+    before = {name: _field_bytes(getattr(mdp, name)) for name in names}
+    pc = enumerate_policies(3, 2)
+    pi = pc.policies[3]
+    mdp.class_values(pc.policies)
+    mdp.class_table(pc.policies, 0.25)
+    induced_chain(mdp, pi)
+    exact_value(mdp, pi)
+    empirical_sup_value(mdp, pc, replicates=10)
+    assert sorted(vars(mdp)) == sorted(names)
+    assert {name: _field_bytes(getattr(mdp, name)) for name in names} == before

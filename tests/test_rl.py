@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from chainconc import (
     lipschitz_process_bound,
     maximal_bound,
     mdp_from_dict,
+    mixing_time,
 )
 from chainconc import rl
 from chainconc.rl import greedy_net_radii
@@ -63,6 +65,14 @@ def cluster_policy_class() -> PolicyClass:
 def test_mdp_validation_rejects_bad_transition_rows():
     with pytest.raises(ValidationError, match="transitions"):
         MdpSpec.build(2, 1, 2, [[[0.5, 0.6]], [[1.0, 0.0]]], [[0.5], [0.5]], [0.5, 0.5])
+    # one bad row at state 1, action 1: the message names the state's (A, S) block and the row
+    for row, problem in [([math.nan, 1.0], "non-finite entry nan at row 1, column 0"),
+                         ([0.5, -0.5], "negative entry -0.5 at row 1, column 1"),
+                         ([0.5, 0.6], "row 1 sums to 1.1")]:
+        trans = np.full((2, 2, 2), 0.5)
+        trans[1, 1] = row
+        with pytest.raises(ValidationError, match=re.escape(f"transitions[1]: {problem}")):
+            MdpSpec.build(2, 2, 2, trans, np.full((2, 2), 0.5), [0.5, 0.5])
 
 
 def test_mdp_validation_enforces_reward_caps():
@@ -307,6 +317,19 @@ def test_cover_radii_must_be_finite_and_nonnegative(eps):
         lipschitz_process_bound(1.0, 1.0, pc, [0.5, eps])
 
 
+@pytest.mark.parametrize("bound, values", [
+    (lambda pc, x: covering_number(pc, 0.5, scale=x), (0.0, -1.0, math.nan, math.inf)),
+    (lambda pc, x: lipschitz_process_bound(x, 1.0, pc, [0.5]), (-1.0, math.nan, math.inf)),
+    (lambda pc, x: lipschitz_process_bound(1.0, x, pc, [0.5]), (-1.0, math.nan, math.inf)),
+    (lambda pc, x: maximal_bound(x, len(pc)), (-1.0, math.nan, math.inf)),
+], ids=["cover_scale", "lipschitz_sigma2", "lipschitz_expected_c", "maximal_sigma2"])
+def test_supremum_bounds_reject_bad_numbers(bound, values):
+    pc = enumerate_policies(3, 2)
+    for x in values:
+        with pytest.raises(ValidationError, match="must be finite and"):
+            bound(pc, x)
+
+
 # ---------------------------------------------------------------------------
 # Dudley staircase
 
@@ -406,8 +429,9 @@ def test_mixing_metric_uses_induced_chain_taus(rng):
     metric = MixingTimeMetric(mdp, eps=0.3)
     a, b = Policy((0, 0, 0)), Policy((1, 1, 1))
     row = metric.distance_rows((a, b))
-    assert row(0).tolist() == [0, abs(metric.tau(a) - metric.tau(b))]
-    assert row(1).tolist() == [abs(metric.tau(a) - metric.tau(b)), 0]
+    ta, tb = (mixing_time(induced_chain(mdp, pi), 0.3) or mdp.horizon for pi in (a, b))
+    assert row(0).tolist() == [0, abs(ta - tb)]
+    assert row(1).tolist() == [abs(ta - tb), 0]
 
 
 def test_policy_class_rejects_duplicates():
