@@ -7,7 +7,6 @@ from .chain import (
     ChainSpec,
     Distribution,
     Kernel,
-    Trajectory,
     chain_from_dict,
     conditional_law,
     dobrushin_coefficient,

@@ -99,10 +99,6 @@ class Kernel:
     def shape(self) -> tuple[int, int]:
         return self.rows.shape
 
-    def equals(self, other: "Kernel") -> bool:
-        """Same object, or bitwise-equal rows of the same shape."""
-        return other is self or np.array_equal(self.rows, other.rows)
-
 
 @dataclass(frozen=True)
 class ChainSpec:
@@ -123,16 +119,6 @@ class ChainSpec:
 
     def joint_size(self) -> int:
         return math.prod(self.coord_sizes)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One realization (x_0, ..., x_{n-1}), one coordinate index per position."""
-
-    states: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def validate_chain(spec: ChainSpec) -> ChainSpec:
@@ -165,27 +151,21 @@ def validate_chain(spec: ChainSpec) -> ChainSpec:
 def _validated_run(run: list, first: int, sizes: tuple[int, ...]) -> list[Kernel]:
     """Validate the equal-shape kernels at positions first, first + 1, ... as one stack.
 
-    Each distinct kernel object is checked once, and its repeats share one
-    validated Kernel. Errors come in position order, as checking one kernel
-    at a time would raise them: a kernel's entries before its shape.
+    Errors come in position order, as checking one kernel at a time would
+    raise them: a kernel's entries before its shape.
     """
-    objects = list({id(k): k for k in run}.values())  # in order of first position
-    slot = {id(k): j for j, k in enumerate(objects)}
-    where = [slot[id(k)] for k in run]
-    stack = np.array([k.rows for k in objects], dtype=float)
+    stack = np.array([k.rows for k in run], dtype=float)
     if stack.ndim != 3 or stack[0].size == 0:
         raise ValidationError(f"kernel {first}: expected a nonempty 2-d matrix")
     shape = stack.shape[1:]
     expected = np.array(sizes[first:first + len(run) + 1])
     wrong = np.flatnonzero((expected[:-1] != shape[0]) | (expected[1:] != shape[1]))
     last = int(wrong[0]) if wrong.size else len(run) - 1  # the last position that counts
-    seen = max(where[:last + 1]) + 1
-    rows = _stochastic_stack(stack[:seen], lambda j: f"kernel {first + where.index(j)}")
+    rows = _stochastic_stack(stack[:last + 1], lambda j: f"kernel {first + j}")
     if wrong.size:
         raise ValidationError(f"kernel {first + last} has shape {shape}, "
                               f"expected ({expected[last]}, {expected[last + 1]})")
-    validated = [Kernel(r) for r in rows]
-    return [validated[j] for j in where]
+    return [Kernel(r) for r in rows]
 
 
 def homogeneous_chain(kernel, n: int, initial=None) -> ChainSpec:
@@ -216,9 +196,9 @@ def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     The pairwise half-L1 distances come from one broadcast difference per
     block: a (k, rows, states) stack goes in blocks whose differences fit
     PAIR_BLOCK_ELEMENTS, so no temporary grows with k. Each coefficient is
-    clipped at 1: rows off 1 by rounding can give 1 + 2^-52. A single matrix
-    gives a numpy scalar, clipped by Python's min, since a ufunc call on a
-    scalar costs more than the rest of a small matrix's work.
+    clipped at 1: rows off 1 by rounding can give 1 + 2^-52. A matrix made of
+    some rows of another, each repeated any number of times, has the
+    coefficient of those rows alone bit for bit: a repeated row adds no pair.
     """
     if stack.ndim == 3:
         block = max(1, PAIR_BLOCK_ELEMENTS // (stack.shape[1] ** 2 * stack.shape[2]))
@@ -228,7 +208,7 @@ def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     diffs = stack[..., :, None, :] - stack[..., None, :, :]
     sums = np.add.reduce(np.abs(diffs, out=diffs), axis=-1)
     half = 0.5 * np.maximum.reduce(sums, axis=(-2, -1))
-    return np.minimum(half, 1.0, out=half) if half.ndim else min(half, 1.0)
+    return np.minimum(half, 1.0)
 
 
 def dobrushin_coefficient(k: Kernel) -> float:
@@ -240,21 +220,13 @@ def t_step_products(spec: ChainSpec):
     """For t = 1, ..., n-1, the t-step kernels K_i ... K_{i+t-1} of the starts i < n - t.
 
     Each lag is a list of (m, rows, cols) stacks that hold the products in
-    start order, one stack per run of starts with equal shapes. Lag t extends
+    start order, one stack per run of starts with equal shapes, so lag t
+    holds n - t products whether or not the kernels are equal. Lag t extends
     lag t-1 by one stacked matmul per run, which keeps the bits of each
-    start's own left-to-right product. When every kernel is equal, each lag
-    holds the one product that all starts share.
+    start's own left-to-right product.
     """
-    kernels = spec.kernels
-    if all(k.equals(kernels[0]) for k in kernels[1:]):
-        product = kernels[0].rows if kernels else None
-        for t in range(1, spec.n):
-            if t > 1:
-                product = product @ kernels[0].rows
-            yield [product[None]]
-        return
     runs = [np.array([k.rows for k in run])
-            for _, run in itertools.groupby(kernels, key=lambda k: k.shape)]
+            for _, run in itertools.groupby(spec.kernels, key=lambda k: k.shape)]
     firsts = list(itertools.accumulate(map(len, runs[:-1]), initial=0))  # their first positions
     table = list(zip(firsts, runs))  # (first start, stack of products) pairs
     for t in range(1, spec.n):
@@ -382,10 +354,8 @@ def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
     if t < 0 or i + t >= spec.n:
         raise ValidationError(f"step count {t} from position {i} leaves the horizon (n = {spec.n})")
     if t == 0:
-        return dobrushin_coefficient(Kernel(np.eye(spec.coord_sizes[i])))
-    products = [p for stack in next(itertools.islice(t_step_products(spec), t - 1, None))
-                for p in stack]
-    return dobrushin_coefficient(Kernel(products[min(i, len(products) - 1)]))
+        return float(dobrushin_coefficients(np.eye(spec.coord_sizes[i])))
+    return float(next(itertools.islice(t_step_coefficients(spec), t - 1, None))[i])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import numpy as np
 
 from .chain import (
     ChainSpec,
-    Trajectory,
     forward_law,
     prefix_probability,
     t_step_coefficients,
@@ -158,13 +157,14 @@ def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec) -> list[
     return tables
 
 
-def martingale_differences(f: TabularFunction, spec: ChainSpec, traj: Trajectory) -> np.ndarray:
+def martingale_differences(f: TabularFunction, spec: ChainSpec, traj) -> np.ndarray:
     """Martingale increments of the Doob decomposition of f along a trajectory.
 
-    Entry i is E[f | X_0..X_i] - E[f | X_0..X_{i-1}] evaluated along traj;
-    the increments telescope to f(traj) - E[f].
+    traj is any sequence of n states. Entry i is E[f | X_0..X_i] -
+    E[f | X_0..X_{i-1}] evaluated along traj; the increments telescope to
+    f(traj) - E[f].
     """
-    states = [int(s) for s in traj.states] if isinstance(traj, Trajectory) else [int(s) for s in traj]
+    states = [int(s) for s in traj]
     if len(states) != spec.n:
         raise ValidationError(f"trajectory length {len(states)} does not match chain length {spec.n}")
     if prefix_probability(spec, states) <= 0.0:
@@ -245,8 +245,8 @@ def mixing_time(spec: ChainSpec, eps: float) -> int | None:
     Reads the lag table of t_step_coefficients: the first lag whose largest
     Dobrushin coefficient is at most eps, so the result is bitwise that of
     evaluating t_step_pair_tv at every (i, t). Each lag costs one stacked
-    matmul and one batched coefficient, and a chain of equal kernels has one
-    product per lag.
+    matmul and one batched coefficient per run of equal-shape kernels, over
+    its n - t products.
 
     None means the chain does not mix to level eps within its horizon
     ("no-mix"); callers that need a finite mixing time must treat it as such.
@@ -340,7 +340,6 @@ def build_gamma(spec: ChainSpec, method: str, eps: float | None = None) -> tuple
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "contractive":
         thetas = next(t_step_coefficients(spec), np.empty(0)).tolist()
-        thetas *= spec.n - 1 if len(thetas) == 1 else 1  # one product shared by every step
         return gamma_contractive(thetas), {"thetas": thetas}
     if method == "brute_force":
         return wasserstein_matrix_tv(spec), {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, Distribution, Kernel, dobrushin_coefficient, t_step_products
+from .chain import ChainSpec, Distribution, dobrushin_coefficients, t_step_products
 from .errors import ValidationError
 from .gamma import GammaMatrix
 
@@ -67,19 +67,27 @@ def wasserstein_matrix_tv(spec: ChainSpec) -> GammaMatrix:
     that distance is the TV between rows of K_i ... K_{j-1}: the entry is the
     Dobrushin coefficient of the lag j - i product at i of t_step_products,
     restricted to the rows in the support of X_i's forward marginal.
-    Zero-marginal values never constrain the supremum. O(n^2 S^3) in all.
+    Zero-marginal values never constrain the supremum.
+
+    Each start's support rows are gathered repeated to fill its row count, so
+    every stack of the lag table keeps its shape and gives its coefficients in
+    one batched call, written to the lag's superdiagonal. A repeated row adds
+    no pair, so each is the restricted coefficient bit for bit, and a
+    one-state support gives exactly 0. O(n^2 S^3) in all.
     """
     n = spec.n
     m = np.eye(n)
-    supports, law = [], spec.initial.probs
-    for k in spec.kernels:
-        supports.append(np.flatnonzero(law > 0.0))
+    support_rows = np.zeros((n - 1, max(spec.coord_sizes)), dtype=np.intp)
+    law = spec.initial.probs
+    for i, k in enumerate(spec.kernels):
+        support_rows[i, :law.size] = np.resize(np.flatnonzero(law > 0.0), law.size)
         law = law @ k.rows
     for t, stacks in enumerate(t_step_products(spec), start=1):
-        products = [p for stack in stacks for p in stack]
-        for i, support in enumerate(supports[:n - t]):
-            if support.size > 1:
-                prod = products[min(i, len(products) - 1)]
-                rows = prod if support.size == prod.shape[0] else prod[support]
-                m[i, i + t] = dobrushin_coefficient(Kernel(rows))
+        coefficients, i = [], 0
+        for stack in stacks:
+            rows = support_rows[i:i + len(stack), :stack.shape[1], None]
+            coefficients.append(dobrushin_coefficients(np.take_along_axis(stack, rows, axis=1)))
+            i += len(stack)
+        starts = np.arange(n - t)
+        m[starts, starts + t] = np.concatenate(coefficients)
     return GammaMatrix(m, "brute_force_tv")

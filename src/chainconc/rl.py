@@ -56,16 +56,16 @@ class MdpSpec:
               initial, stage_caps=None) -> "MdpSpec":
         if n_states < 1 or n_actions < 1 or horizon < 1:
             raise ValidationError("S, A and H must all be positive")
-        trans = np.asarray(transitions, dtype=float)
+        trans = np.array(transitions, dtype=float)  # copies: the caller keeps its arrays
         if trans.shape != (n_states, n_actions, n_states):
             raise ValidationError(
                 f"transition tensor has shape {trans.shape}, expected {(n_states, n_actions, n_states)}"
             )
         kernel_rows = _stochastic_stack(trans, lambda s: f"transitions[{s}]")
-        rew = np.asarray(rewards, dtype=float)
+        rew = np.array(rewards, dtype=float)
         if rew.shape != (n_states, n_actions):
             raise ValidationError(f"rewards have shape {rew.shape}, expected {(n_states, n_actions)}")
-        caps = np.ones(horizon) if stage_caps is None else np.asarray(stage_caps, dtype=float)
+        caps = np.ones(horizon) if stage_caps is None else np.array(stage_caps, dtype=float)
         if caps.shape != (horizon,):
             raise ValidationError(f"stage_caps must have length {horizon}")
         if not (np.isfinite(rew).all() and np.isfinite(caps).all()):

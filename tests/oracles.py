@@ -21,7 +21,7 @@ from chainconc import (
     local_oscillation_vector,
     validate_chain,
 )
-from chainconc.chain import trajectories_from_uniforms
+from chainconc.chain import t_step_products, trajectories_from_uniforms
 from chainconc.rng import uniform_matrix
 
 
@@ -156,6 +156,29 @@ def wasserstein_matrix_rows(spec) -> np.ndarray:
                 prod = prod @ spec.kernels[j - 1].rows
                 m[i, j] = dobrushin_coefficient(Kernel(prod))
         law = law @ spec.kernels[i].rows
+    return m
+
+
+def wasserstein_matrix_per_entry(spec) -> np.ndarray:
+    """Exact coupling Gamma, one dobrushin_coefficient call per entry.
+
+    Entry (i, i + t) is the coefficient of the support rows of X_i in the
+    lag-t product at i of t_step_products; a start whose support is one
+    state keeps its 0.
+    """
+    n = spec.n
+    m = np.eye(n)
+    supports, law = [], spec.initial.probs
+    for k in spec.kernels:
+        supports.append(np.flatnonzero(law > 0.0))
+        law = law @ k.rows
+    for t, stacks in enumerate(t_step_products(spec), start=1):
+        products = [p for stack in stacks for p in stack]
+        for i, support in enumerate(supports[:n - t]):
+            if support.size > 1:
+                prod = products[i]
+                rows = prod if support.size == prod.shape[0] else prod[support]
+                m[i, i + t] = dobrushin_coefficient(Kernel(rows))
     return m
 
 

@@ -5,7 +5,9 @@ configure BLAS threads and the import path), and every name must resolve the
 way the tracer resolves it, so renaming or deleting a traced function fails
 here rather than in ``perfbench/run.py --trace 1``. A short traced run of the
 policy workload also checks what the tracer's hooks read from their
-arguments (such as ``pi.key()``).
+arguments (such as ``pi.key()``), and a short certify run checks every
+certificate against the benchmark's own oracles (brute and contractive
+Gamma entries, sigma2 against LAPACK).
 """
 
 import ast
@@ -38,10 +40,18 @@ def test_every_traced_target_resolves():
         assert callable(getattr(owner, "__func__", owner)), path
 
 
-def test_traced_policy_class_run_is_correct(tmp_path):
+def assert_run_is_correct(cwd, workload, trace):
     # the run writes its work and output directories under its cwd
-    run = subprocess.run([sys.executable, str(RUN_PY), "--workload", "policy_class", "--seed", "1",
-                          "--seconds", "1", "--trace", "1"],
-                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    run = subprocess.run([sys.executable, str(RUN_PY), "--workload", workload, "--seed", "1",
+                          "--seconds", "1", "--trace", trace],
+                         cwd=cwd, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
     assert '"correct": true' in run.stdout.splitlines()[-1], run.stdout[-2000:]
+
+
+def test_traced_policy_class_run_is_correct(tmp_path):
+    assert_run_is_correct(tmp_path, "policy_class", "1")
+
+
+def test_certify_sweep_run_is_correct(tmp_path):
+    assert_run_is_correct(tmp_path, "certify_sweep", "0")

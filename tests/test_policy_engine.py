@@ -4,8 +4,8 @@ per-policy and per-kernel code they replaced.
 The reference paths live in oracles.py: the per-policy CRN supremum loop
 (each induced chain validated, sampled and centred on its own), the
 per-policy exact values, the per-position t-step products, thetas and mixing
-time, the one-by-one kernel validation and the pairwise distance loop. The
-engine must reproduce them bit for bit.
+time, the per-entry brute Gamma, the one-by-one kernel validation and the
+pairwise distance loop. The engine must reproduce them bit for bit.
 """
 
 import contextlib
@@ -46,6 +46,7 @@ from chainconc import (
     mdp_from_dict,
     validate_chain,
     verify,
+    wasserstein_matrix_tv,
 )
 from chainconc import chain, cli, concentration, rl
 from chainconc.chain import dobrushin_coefficients, t_step_products
@@ -248,18 +249,31 @@ KINDS = ["homogeneous", "equal-copies", "last-differs", "inhomogeneous", "runs"]
 @example(kind="runs", n=14, size=3, zeros=True, eps=0.01, seed=3)
 def test_lag_table_is_bitwise_the_per_position_products(kind, n, size, zeros, eps, seed):
     spec = _chain(np.random.default_rng(seed), kind, n, size, zeros)
-    shared = all(np.array_equal(k.rows, spec.kernels[0].rows) for k in spec.kernels)
     lags = list(t_step_products(spec))
     want = list(oracles.t_step_products_per_position(spec))
     assert len(lags) == len(want) == spec.n - 1
     for stacks, products in zip(lags, want):
         got = [p for stack in stacks for p in stack]
-        assert len(got) == (1 if shared else len(products))
-        assert [got[min(i, len(got) - 1)].tobytes() for i in range(len(products))] == \
-            [p.tobytes() for p in products]
+        assert len(got) == len(products)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in products]
     thetas = build_gamma(spec, "contractive")[1]["thetas"]
     assert np.array(thetas).tobytes() == np.array(oracles.thetas_per_kernel(spec)).tobytes()
     assert mixing_time(spec, eps) == oracles.mixing_time_per_position(spec, eps)
+
+
+@settings(max_examples=60)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 12), size=st.integers(1, 4),
+       zeros=st.booleans(), dead=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(kind="runs", n=12, size=4, zeros=True, dead=2, seed=5)
+@example(kind="homogeneous", n=6, size=3, zeros=True, dead=1, seed=0)
+def test_brute_gamma_is_bitwise_the_per_entry_coefficients(kind, n, size, zeros, dead, seed):
+    rng = np.random.default_rng(seed)
+    spec = _chain(rng, kind, n, size, zeros)
+    initial = np.array(spec.initial.probs)
+    initial[1:][:dead] = 0.0  # zero-marginal states at coordinate 0; zero kernel entries add more
+    spec = dataclasses.replace(spec, initial=Distribution(initial / initial.sum()))
+    got = wasserstein_matrix_tv(spec).entries
+    assert got.tobytes() == oracles.wasserstein_matrix_per_entry(spec).tobytes()
 
 
 def test_lag_table_at_the_dyadic_mixing_boundary():
@@ -337,8 +351,6 @@ def test_kernel_runs_validate_as_kernels_one_by_one(kind, n, size, faults, seed)
         return
     got = validate_chain(raw).kernels
     assert [k.rows.tobytes() for k in got] == [k.rows.tobytes() for k in want]
-    # repeats of one kernel object share one validated kernel
-    assert len({id(k) for k in got}) == len({id(k) for k in kernels})
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +512,10 @@ def test_every_per_policy_entry_rejects_malformed_actions(actions, entry):
 
 
 # ---------------------------------------------------------------------------
-# one computation per distinct certificate
+# one computation per distinct certificate, one batched coefficient per lag
 
 
-def _counted_rl_run(argv, doc, targets):
+def _counted_cli_run(argv, doc, targets):
     """Run the CLI on doc with every (module, name) of targets wrapped in a call
     counter, in every chainconc module that binds the same function."""
     counts = {}
@@ -536,7 +548,7 @@ def test_rl_verify_builds_each_policy_once_and_certifies_each_gamma_once(rng):
     trans[:, 2] = trans[:, 0]  # actions 0 and 2 coincide: repeated Gammas
     doc = {"S": 3, "A": 3, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
            "rewards": rng.uniform(0, 1, (3, 3)).tolist()}
-    code, counts = _counted_rl_run(
+    code, counts = _counted_cli_run(
         ["rl-verify", "--metric", "mixing", "--replicates", "500"], doc,
         {"chain": (rl, "induced_chain"), "value": (rl, "exact_value"),
          "tau": (concentration, "mixing_time"), "certify": (concentration, "certify")})
@@ -556,7 +568,7 @@ def test_ergodic_rl_bound_computes_one_mixing_time_per_certificate(rng):
     trans[:, 1] = 0.5 * np.eye(3) + 0.5 * trans[:, 1]  # action 1 mixes slowly: several taus
     doc = {"S": 3, "A": 2, "H": 8, "initial": [0.2, 0.3, 0.5], "transitions": trans.tolist(),
            "rewards": rng.uniform(0, 1, (3, 2)).tolist()}
-    code, counts = _counted_rl_run(
+    code, counts = _counted_cli_run(
         ["rl-bound", "--method", "ergodic"], doc,
         {"tau": (concentration, "mixing_time"), "chain": (rl, "induced_chain"),
          "certify": (concentration, "certify")})
@@ -565,6 +577,20 @@ def test_ergodic_rl_bound_computes_one_mixing_time_per_certificate(rng):
     taus = {mixing_time(induced_chain(mdp, pi), 0.25) for pi in enumerate_policies(3, 2).policies}
     assert counts == {"tau": len(taus), "chain": len(taus), "certify": len(taus)}
     assert len(taus) > 1
+
+
+def test_brute_certify_makes_no_per_entry_coefficient_call(rng):
+    sizes = [3, 3, 2, 2, 3, 3, 3]
+    doc = {"coord_sizes": sizes, "initial": [0.5, 0.0, 0.5],
+           "kernels": [rng.dirichlet(np.ones(sizes[i + 1]), size=sizes[i]).tolist()
+                       for i in range(len(sizes) - 1)]}
+    code, counts = _counted_cli_run(
+        ["certify", "--method", "brute"], doc,
+        {"coefficient": (chain, "dobrushin_coefficient"),
+         "coefficients": (chain, "dobrushin_coefficients")})
+    assert code == 0
+    assert "coefficient" not in counts
+    assert counts["coefficients"] >= len(sizes) - 1  # one call per lag and run, at least
 
 
 def _field_bytes(value):
@@ -586,3 +612,20 @@ def test_mdp_spec_holds_only_its_fields(rng):
     empirical_sup_value(mdp, pc, replicates=10)
     assert sorted(vars(mdp)) == sorted(names)
     assert {name: _field_bytes(getattr(mdp, name)) for name in names} == before
+
+
+def test_mdp_spec_keeps_its_values_when_the_inputs_change():
+    t = np.array([[[0.5, 0.5]], [[0.25, 0.75]]])
+    r = np.array([[0.5], [0.25]])
+    caps = np.ones(3)
+    mdp = MdpSpec.build(2, 1, 3, t, r, [0.5, 0.5], stage_caps=caps)
+    pc = enumerate_policies(2, 1)
+    before = (mdp.class_values(pc.policies).tobytes(), mdp.class_table(pc.policies, 0.25),
+              [k.rows.tobytes() for k in induced_chain(mdp, pc.policies[0]).kernels])
+    t[0, 0] = [5.0, -4.0]
+    r[:] = 7.0
+    caps[:] = -1.0
+    after = (mdp.class_values(pc.policies).tobytes(), mdp.class_table(pc.policies, 0.25),
+             [k.rows.tobytes() for k in induced_chain(mdp, pc.policies[0]).kernels])
+    assert after == before
+    assert mdp.stage_caps.tolist() == [1.0, 1.0, 1.0]
