@@ -13,7 +13,6 @@ from .chain import (
     homogeneous_chain,
     marginal,
     prefix_probability,
-    sample_trajectories,
     t_step_pair_tv,
     tv_distance,
     validate_chain,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap, json_int
-from .rng import uniform_matrix
+from .errors import (PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap, json_int,
+                     size_text)
 
 # largest pair-difference temporary, matrices x rows^2 x states entries, of one
 # dobrushin_coefficients block: 512 KB
@@ -169,18 +169,21 @@ def _validated_run(run: list, first: int, sizes: tuple[int, ...]) -> list[Kernel
 
 
 def homogeneous_chain(kernel, n: int, initial=None) -> ChainSpec:
-    """Chain with one kernel repeated n-1 times; uniform initial by default."""
-    k = Kernel.from_array(kernel)
-    if k.shape[0] != k.shape[1]:
-        raise ValidationError(f"homogeneous kernel must be square, got {k.shape}")
+    """Chain with one kernel repeated n-1 times; uniform initial by default.
+
+    The kernel is checked on its own first, so a bad kernel is rejected even
+    at n = 1, but only validate_chain normalizes it and the initial law: the
+    chain is bitwise the one its explicit form gives.
+    """
+    rows = np.asarray(kernel, dtype=float)
+    shape = Kernel.from_array(rows).shape
+    if shape[0] != shape[1]:
+        raise ValidationError(f"homogeneous kernel must be square, got {shape}")
     if n < 1:
         raise ValidationError(f"n = {n} must be >= 1")
-    size = k.shape[0]
-    if initial is None:
-        init = Distribution(np.full(size, 1.0 / size))
-    else:
-        init = Distribution.from_array(initial, where="initial distribution")
-    return validate_chain(ChainSpec((size,) * n, init, (k,) * (n - 1)))
+    size = shape[0]
+    init = np.full(size, 1.0 / size) if initial is None else np.asarray(initial, dtype=float)
+    return validate_chain(ChainSpec((size,) * n, Distribution(init), (Kernel(rows),) * (n - 1)))
 
 
 def tv_distance(p: Distribution, q: Distribution) -> float:
@@ -304,7 +307,8 @@ def _expand_block(spec: ChainSpec, law_at_j: np.ndarray, j: int, cap: int | None
     total = math.prod(spec.coord_sizes[j:])
     limit = enumeration_cap(cap)
     if total > limit:
-        raise EnumerationCapError(f"block of size {total} exceeds enumeration cap {limit}")
+        raise EnumerationCapError(
+            f"block of size {size_text(total)} exceeds enumeration cap {limit}")
     return Distribution(forward_law(spec, law_at_j, j, spec.n))
 
 
@@ -385,16 +389,6 @@ def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray) -> np.ndarray:
         for k in range(cdf_cols.shape[0] - 1):
             states[c + 1] += cdf_cols[k].take(states[c]) <= ut[c + 1]
     return states.T.copy()
-
-
-def sample_trajectories(spec: ChainSpec, seed: int, replicates: int, first: int = 0) -> np.ndarray:
-    """Sample `replicates` trajectories, one row each, deterministically.
-
-    Row r is driven by the counter-based variates for (seed, first + r), one
-    uniform per coordinate, so results are identical however the replicate
-    range is chunked across calls.
-    """
-    return trajectories_from_uniforms(spec, uniform_matrix(seed, replicates, spec.n, first=first))
 
 
 # ---------------------------------------------------------------------------

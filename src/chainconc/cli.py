@@ -41,6 +41,7 @@ from .errors import (
     NoMixError,
     ValidationError,
     json_int,
+    size_text,
 )
 from .rl import (
     HammingMetric,
@@ -227,9 +228,8 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
         if values.ndim != 1:
             raise ValidationError(f"function table must be a flat list, got shape {values.shape}")
         if values.size != spec.joint_size():
-            raise ValidationError(
-                f"function table has {values.size} entries, joint space has {spec.joint_size()}"
-            )
+            raise ValidationError(f"function table has {values.size} entries, "
+                                  f"joint space has {size_text(spec.joint_size())}")
         if not np.isfinite(values).all():
             raise ValidationError("function table must contain only finite values")
         return TabularFunction(values)

@@ -30,7 +30,7 @@ from .chain import (
     t_step_coefficients,
 )
 from .coupling import wasserstein_matrix_tv
-from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap
+from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap, size_text
 from .gamma import GammaMatrix, gamma_contractive, gamma_ergodic, operator_norm
 
 CONVENTIONS = ("exact", "opnorm", "paper")
@@ -92,7 +92,8 @@ class TabularFunction:
         total = spec.joint_size()
         limit = enumeration_cap(cap)
         if total > limit:
-            raise EnumerationCapError(f"joint space of size {total} exceeds enumeration cap {limit}")
+            raise EnumerationCapError(
+                f"joint space of size {size_text(total)} exceeds enumeration cap {limit}")
         vals = np.asarray(fn(list(np.indices(spec.coord_sizes, sparse=True))), dtype=float)
         try:
             vals = np.broadcast_to(vals, spec.coord_sizes)
@@ -102,9 +103,8 @@ class TabularFunction:
 
     def table(self, spec: ChainSpec) -> np.ndarray:
         if self.values.size != spec.joint_size():
-            raise ValidationError(
-                f"table length {self.values.size} does not match joint size {spec.joint_size()}"
-            )
+            raise ValidationError(f"table length {self.values.size} does not match "
+                                  f"joint size {size_text(spec.joint_size())}")
         return self.values.reshape(spec.coord_sizes)
 
     def at(self, spec: ChainSpec, states) -> float:
@@ -115,14 +115,11 @@ def local_oscillation_vector(f: TabularFunction, spec: ChainSpec) -> np.ndarray:
     """Exact local oscillation of f at each coordinate, by exhaustive pair enumeration.
 
     Entry i is the maximum of |f(x) - f(y)| over pairs differing only in
-    coordinate i (discrete metric, so no normalization).
+    coordinate i (discrete metric, so no normalization): the widest max - min
+    spread of the table along axis i, which needs no moved copy of the table.
     """
     table = f.table(spec)
-    osc = np.empty(spec.n)
-    for c in range(spec.n):
-        view = np.moveaxis(table, c, -1).reshape(-1, spec.coord_sizes[c])
-        osc[c] = float((view.max(axis=1) - view.min(axis=1)).max()) if view.size else 0.0
-    return osc
+    return np.array([float((table.max(axis=c) - table.min(axis=c)).max()) for c in range(spec.n)])
 
 
 # ---------------------------------------------------------------------------

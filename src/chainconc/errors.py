@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 # Absolute tolerance for probability vectors: sums within PROB_TOL of 1 are
@@ -39,6 +40,11 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def size_text(size: int) -> str:
+    """A size for a message: in full up to 15 digits, else as 10^log10(size) to 0.1."""
+    return str(size) if size < 10**15 else f"10^{math.log10(size):.1f}"
 
 
 def enumeration_cap(override: int | None = None) -> int:

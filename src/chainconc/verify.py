@@ -6,16 +6,16 @@ bound violated beyond Monte Carlo error is a build-failing event, not a
 warning. All sampling is counter-based (see rng), so results are
 bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
-SAMPLE_BLOCK, so peak memory does not grow with the replicate count. A
-tabulated function is always centered exactly, whatever its size; only a
-callable is centered by the pilot. A sigma2 that is not finite and positive
-is malformed input.
+SAMPLE_BLOCK, so the trajectories held at once do not grow with the replicate
+count; one float of f per replicate is kept (8 MB for the pilot). A table is
+always centered exactly, whatever its size; only a callable is centered by
+the pilot. A sigma2 that is not finite and positive is malformed input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,26 +75,36 @@ def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.nd
     ]
 
 
-def _center(f, spec: ChainSpec, seed: int) -> tuple[float, str]:
-    """Exact centering of a table, else a deterministic pilot for a callable."""
+def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: int,
+                    chunks: int, checked_grid):
+    """Shared front end of the grid estimators: (grid, f - E f samples, center, method).
+
+    Checks the replicates, then sigma2, then calls checked_grid() for the
+    estimator's grid; only then centres f (exactly for a table, else by the
+    pilot) and samples it in replicate order, whatever the chunks.
+    """
+    if replicates < 10**3:
+        raise ValidationError(f"replicates = {replicates} must be at least 1000")
+    if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
+        raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
+    grid = checked_grid()
     if isinstance(f, TabularFunction):
-        return float(conditional_expectation_tables(f, spec)[0]), "enumeration"
-    values = _block_values(f, spec, seed + _PILOT_KEY_OFFSET, 0, PILOT_REPLICATES)
-    return float(np.mean(np.concatenate(values))), f"pilot({PILOT_REPLICATES})"
-
-
-def _sample_values(f, spec: ChainSpec, seed: int, replicates: int, chunks: int) -> np.ndarray:
-    """f along sampled trajectories, in replicate order, chunk-independent."""
-    parts = [v for lo, hi in chunk_ranges(replicates, chunks)
-             for v in _block_values(f, spec, seed, lo, hi)]
-    return np.concatenate(parts) if parts else np.empty(0)
+        center, method = float(conditional_expectation_tables(f, spec)[0]), "enumeration"
+    else:  # the pilot's values are freed before the replicates are sampled
+        center = float(np.mean(np.concatenate(
+            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, 0, PILOT_REPLICATES))))
+        method = f"pilot({PILOT_REPLICATES})"
+    values = np.concatenate([v for lo, hi in chunk_ranges(replicates, chunks)
+                             for v in _block_values(f, spec, seed, lo, hi)])
+    return grid, values - center, center, method
 
 
 @dataclass(frozen=True)
-class TailEstimate:
-    """Empirical two-sided tail frequencies against the certified bound."""
+class GridEstimate:
+    """Empirical values on a grid against their certified bounds. A subclass names
+    its grid GRID: its CSV column, and with "_grid" its to_dict key and attribute."""
 
-    t_grid: np.ndarray
+    grid: np.ndarray
     empirical: np.ndarray
     standard_errors: np.ndarray
     bound: np.ndarray
@@ -103,35 +113,51 @@ class TailEstimate:
     sigma2: float
     center: float
     center_method: str
-    caveats: tuple[str, ...] = ()
 
     def violations(self) -> list[int]:
-        """Grid indices where the empirical tail exceeds bound + 2 SE."""
-        return [
-            int(i)
-            for i in np.flatnonzero(self.empirical > self.bound + 2.0 * self.standard_errors)
-        ]
+        """Grid indices where the empirical value exceeds bound + 2 SE."""
+        over = self.empirical > self.bound + 2.0 * self.standard_errors
+        return [int(i) for i in np.flatnonzero(over)]
 
     def to_dict(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "empirical": self.empirical.tolist(),
-            "standard_errors": self.standard_errors.tolist(),
-            "bound": self.bound.tolist(),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "sigma2": self.sigma2,
-            "center": self.center,
-            "center_method": self.center_method,
-            "violations": self.violations(),
-            "caveats": list(self.caveats),
-        }
+        out = _fields_dict(self)
+        return {f"{self.GRID}_grid": out.pop("grid"), **out, "violations": self.violations()}
 
     def to_csv(self) -> str:
-        lines = ["t,empirical,se,bound"]
-        for t, e, s, b in zip(self.t_grid, self.empirical, self.standard_errors, self.bound):
-            lines.append(f"{t!r},{e!r},{s!r},{b!r}")
+        lines = [f"{self.GRID},empirical,se,bound"]
+        for g, e, s, b in zip(self.grid, self.empirical, self.standard_errors, self.bound):
+            lines.append(f"{g!r},{e!r},{s!r},{b!r}")
         return "\n".join(lines) + "\n"
+
+
+def _fields_dict(estimate) -> dict:
+    """A dataclass's fields by name, with arrays and tuples as lists."""
+    out = {}
+    for item in fields(estimate):
+        value = getattr(estimate, item.name)
+        out[item.name] = value.tolist() if isinstance(value, np.ndarray) else (
+            list(value) if isinstance(value, tuple) else value)
+    return out
+
+
+@dataclass(frozen=True)
+class TailEstimate(GridEstimate):
+    """Empirical two-sided tail frequencies against the certified bound."""
+
+    caveats: tuple[str, ...] = ()
+
+    GRID = "t"
+
+    @property
+    def t_grid(self) -> np.ndarray:
+        return self.grid
+
+
+def _checked_t_grid(t_grid, sigma2: float) -> np.ndarray:
+    grid = np.asarray(default_t_grid(sigma2) if t_grid is None else t_grid, dtype=float)
+    if grid.size == 0 or np.any(grid < 0):
+        raise ValidationError("t grid must be nonempty and nonnegative")
+    return grid
 
 
 def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: int = 10**5,
@@ -142,15 +168,9 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
     table) or a vectorized callable on trajectory matrices (centered by a
     deterministic pilot run). The output records which.
     """
-    if replicates < 10**3:
-        raise ValidationError(f"replicates = {replicates} must be at least 1000")
-    if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
-    grid = np.asarray(default_t_grid(sigma2) if t_grid is None else t_grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0):
-        raise ValidationError("t grid must be nonempty and nonnegative")
-    center, method = _center(f, spec, seed)
-    dev = np.abs(_sample_values(f, spec, seed, replicates, chunks) - center)
+    grid, values, center, method = _centred_sample(
+        f, spec, sigma2, replicates, seed, chunks, lambda: _checked_t_grid(t_grid, sigma2))
+    dev = np.abs(values)
     emp = np.array([float(np.mean(dev >= t)) for t in grid])
     se = np.sqrt(emp * (1.0 - emp) / replicates)
     bound = np.array([2.0 * tail_bound(sigma2, float(t)) for t in grid])
@@ -158,44 +178,14 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
 
 
 @dataclass(frozen=True)
-class MgfEstimate:
+class MgfEstimate(GridEstimate):
     """Empirical moment generating function of f - E f with jackknife errors."""
 
-    lambda_grid: np.ndarray
-    empirical: np.ndarray
-    standard_errors: np.ndarray
-    bound: np.ndarray
-    replicates: int
-    seed: int
-    sigma2: float
-    center: float
-    center_method: str
+    GRID = "lambda"
 
-    def violations(self) -> list[int]:
-        return [
-            int(i)
-            for i in np.flatnonzero(self.empirical > self.bound + 2.0 * self.standard_errors)
-        ]
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_grid": self.lambda_grid.tolist(),
-            "empirical": self.empirical.tolist(),
-            "standard_errors": self.standard_errors.tolist(),
-            "bound": self.bound.tolist(),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "sigma2": self.sigma2,
-            "center": self.center,
-            "center_method": self.center_method,
-            "violations": self.violations(),
-        }
-
-    def to_csv(self) -> str:
-        lines = ["lambda,empirical,se,bound"]
-        for lam, e, s, b in zip(self.lambda_grid, self.empirical, self.standard_errors, self.bound):
-            lines.append(f"{lam!r},{e!r},{s!r},{b!r}")
-        return "\n".join(lines) + "\n"
+    @property
+    def lambda_grid(self) -> np.ndarray:
+        return self.grid
 
 
 def _jackknife_se_of_mean(w: np.ndarray) -> float:
@@ -208,6 +198,14 @@ def _jackknife_se_of_mean(w: np.ndarray) -> float:
     return float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
 
 
+def _checked_lambda_grid(lambda_grid, sigma2: float) -> np.ndarray:
+    grid = np.asarray(default_lambda_grid(sigma2) if lambda_grid is None else lambda_grid,
+                      dtype=float)
+    if grid.size == 0:
+        raise ValidationError("lambda grid must be nonempty")
+    return grid
+
+
 def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
                   replicates: int = 10**5, seed: int = 42, chunks: int = 1) -> MgfEstimate:
     """Estimate E exp(lambda (f - E f)) on a grid against the envelope exp(lambda^2 sigma2 / 2).
@@ -215,21 +213,11 @@ def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
     Grids that could overflow exp at the maximal centered value are rejected
     up front rather than producing infinities.
     """
-    if replicates < 10**3:
-        raise ValidationError(f"replicates = {replicates} must be at least 1000")
-    if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
-        raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
-    grid = np.asarray(default_lambda_grid(sigma2) if lambda_grid is None else lambda_grid,
-                      dtype=float)
-    if grid.size == 0:
-        raise ValidationError("lambda grid must be nonempty")
-    center, method = _center(f, spec, seed)
-    values = _sample_values(f, spec, seed, replicates, chunks) - center
-    if isinstance(f, TabularFunction):
-        max_dev = float(np.max(np.abs(f.values - center)))
-    else:
-        max_dev = float(np.max(np.abs(values))) if values.size else 0.0
-    worst = float(np.max(np.abs(grid))) * max_dev
+    grid, values, center, method = _centred_sample(
+        f, spec, sigma2, replicates, seed, chunks,
+        lambda: _checked_lambda_grid(lambda_grid, sigma2))
+    spread = f.values - center if isinstance(f, TabularFunction) else values
+    worst = float(np.max(np.abs(grid))) * float(np.max(np.abs(spread)))
     if worst > 700.0:
         raise ValidationError(
             f"lambda grid risks overflow: max |lambda| * max |f - E f| = {worst} > 700"
@@ -257,15 +245,7 @@ class SupValueEstimate:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "standard_error": self.standard_error,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "class_size": self.class_size,
-            "caveats": list(self.caveats),
-            "details": self.details,
-        }
+        return _fields_dict(self)
 
 
 def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,

@@ -108,6 +108,19 @@ def bracket_oscillation_bound(spec, f, i) -> float:
     return float(local_oscillation_vector(TabularFunction(full.ravel()), spec)[i])
 
 
+def local_oscillation_moveaxis(f, spec) -> np.ndarray:
+    """Local oscillations by moving each coordinate's axis last and scanning its rows.
+
+    One (joint / size, size) copy of the table per coordinate.
+    """
+    table = f.values.reshape(spec.coord_sizes)
+    osc = np.empty(spec.n)
+    for c in range(spec.n):
+        view = np.moveaxis(table, c, -1).reshape(-1, spec.coord_sizes[c])
+        osc[c] = float((view.max(axis=1) - view.min(axis=1)).max()) if view.size else 0.0
+    return osc
+
+
 def block_law_given_value(spec, i, value, j) -> np.ndarray:
     """Law of (X_j, ...) given X_i = value, by masking the joint law."""
     block_sizes = spec.coord_sizes[j:]

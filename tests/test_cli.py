@@ -247,6 +247,20 @@ def test_infeasible_enumeration_exits_2(tmp_path):
                  "--output", str(tmp_path / "o.json")]) == 2
 
 
+@pytest.mark.parametrize("function, code", [
+    ({"name": "indicator_count", "value": 1}, 2),  # tabulation past the joint-space cap
+    ([0.0, 1.0], 1),  # a flat table of the wrong length
+])
+def test_joint_size_messages_stay_short_at_n_2000(tmp_path, capsys, function, code):
+    # the joint size 2^2000 has 603 digits; a message prints it as 10^602.1
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 2000,
+                                                 "function": function})
+    assert main(["verify", "--input", chain, "--replicates", "1000",
+                 "--output", str(tmp_path / "o.json")]) == code
+    err = capsys.readouterr().err
+    assert "10^602.1" in err and len(err.encode()) < 200
+
+
 def test_brute_certify_has_no_enumeration_cap(tmp_path):
     # 2^40 joint states: far past any enumeration cap, closed form only
     chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 40})

@@ -149,6 +149,20 @@ def test_oscillation_of_weighted_indicator_sum_recovers_weights(rng):
     assert_allclose(local_oscillation_vector(f, spec), c, atol=1e-15)
 
 
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_oscillation_is_bitwise_the_moveaxis_scan(sizes, seed, ties):
+    spec = uniform_chain(sizes)
+    gen = np.random.default_rng(seed)
+    # small integers give ties and zero spreads; scaled normals, rounding in the differences
+    values = (gen.integers(-2, 3, spec.joint_size()).astype(float) if ties
+              else gen.normal(size=spec.joint_size()) * 10.0 ** gen.integers(-20, 20))
+    f = TabularFunction(values)
+    osc = local_oscillation_vector(f, spec)
+    assert osc.dtype == np.float64
+    assert np.array_equal(osc, oracles.local_oscillation_moveaxis(f, spec))
+
+
 # ---------------------------------------------------------------------------
 # conditional expectations
 

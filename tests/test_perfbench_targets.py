@@ -5,9 +5,11 @@ configure BLAS threads and the import path), and every name must resolve the
 way the tracer resolves it, so renaming or deleting a traced function fails
 here rather than in ``perfbench/run.py --trace 1``. A short traced run of the
 policy workload also checks what the tracer's hooks read from their
-arguments (such as ``pi.key()``), and a short certify run checks every
+arguments (such as ``pi.key()``), a short certify run checks every
 certificate against the benchmark's own oracles (brute and contractive
-Gamma entries, sigma2 against LAPACK).
+Gamma entries, sigma2 against LAPACK), and a short tail run checks every
+tail and MGF result the same way (no bound violated, centre at the exact
+mean).
 """
 
 import ast
@@ -55,3 +57,7 @@ def test_traced_policy_class_run_is_correct(tmp_path):
 
 def test_certify_sweep_run_is_correct(tmp_path):
     assert_run_is_correct(tmp_path, "certify_sweep", "0")
+
+
+def test_tail_mc_run_is_correct(tmp_path):
+    assert_run_is_correct(tmp_path, "tail_mc", "0")
