@@ -125,8 +125,8 @@ class GridEstimate:
 
     def to_csv(self) -> str:
         lines = [f"{self.GRID},empirical,se,bound"]
-        for g, e, s, b in zip(self.grid, self.empirical, self.standard_errors, self.bound):
-            lines.append(f"{g!r},{e!r},{s!r},{b!r}")
+        for row in zip(self.grid, self.empirical, self.standard_errors, self.bound):
+            lines.append(",".join(repr(float(x)) for x in row))  # no "np.float64(...)"
         return "\n".join(lines) + "\n"
 
 

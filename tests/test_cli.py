@@ -79,6 +79,22 @@ def test_verify_accepts_good_certificate(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["tail"]["violations"] == []
     assert (tmp_path / "tail.csv").read_text().startswith("t,empirical,se,bound\n")
+    assert_tail_csv_is_the_json(tmp_path / "tail.csv", doc["tail"])
+
+
+def assert_csv_columns_are(path, columns):
+    """Every CSV field is a plain float, bitwise the JSON value in its column."""
+    header, *rows = path.read_text().splitlines()
+    assert len(rows) == len(columns[0])
+    for row, *values in zip(rows, *columns):
+        fields = row.split(",")
+        assert len(fields) == len(values) == len(header.split(","))
+        assert [float(x).hex() for x in fields] == [float(v).hex() for v in values], row
+
+
+def assert_tail_csv_is_the_json(path, tail):
+    assert_csv_columns_are(path, [tail[k] for k in ("t_grid", "empirical", "standard_errors",
+                                                      "bound")])
 
 
 def test_verify_flags_absurd_certificate_with_exit_3(tmp_path):
@@ -385,8 +401,9 @@ def test_demo_runs_end_to_end(tmp_path):
     assert cert["report"]["details"]["thetas"][0] == pytest.approx(0.7, abs=1e-12)
     tail = json.loads((outdir / "demo_tail.json").read_text())
     assert tail["tail"]["violations"] == []
-    assert (outdir / "demo_certificate.csv").exists()
-    assert (outdir / "demo_tail.csv").exists()
+    assert_csv_columns_are(outdir / "demo_certificate.csv",
+                           list(zip(*cert["report"]["tail_curve"])))
+    assert_tail_csv_is_the_json(outdir / "demo_tail.csv", tail["tail"])
     ergodic = json.loads((outdir / "demo_certificate_ergodic.json").read_text())
     assert ergodic["report"]["details"]["tau"] == 4
 

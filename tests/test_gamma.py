@@ -1,8 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import random_chain
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import chainconc.gamma
@@ -10,10 +14,14 @@ import oracles
 from chainconc import (
     ConvergenceError,
     GammaMatrix,
+    LipschitzWeights,
     ValidationError,
+    certify,
     gamma_contractive,
     gamma_ergodic,
+    homogeneous_chain,
     operator_norm,
+    wasserstein_matrix_tv,
 )
 from chainconc.cli import main
 
@@ -134,11 +142,19 @@ def test_operator_norm_matches_svd_oracle(rng):
         assert operator_norm(g) >= 1.0 - 1e-12  # unit diagonal forces norm >= 1
 
 
-def _assert_certified(m):
+def _assert_certified(g):
     """operator_norm is never below the SVD norm and within 1e-12 relative of it."""
-    norm, ref = operator_norm(GammaMatrix(m, "brute_force_tv")), oracles.spectral_norm(m)
+    norm, ref = operator_norm(g), oracles.spectral_norm(g.entries)
     assert norm >= ref
     assert (norm - ref) / ref <= 1e-12
+
+
+def _dense(g):
+    """The same entries without factors: the Gram-matrix path."""
+    return GammaMatrix(g.entries, "brute_force_tv")
+
+
+BOTH_PATHS = (lambda g: g, _dense)  # the factor path (Noda iteration), then the Gram path
 
 
 def test_operator_norm_is_an_upper_bound_on_random_triangular(rng):
@@ -147,7 +163,7 @@ def test_operator_norm_is_an_upper_bound_on_random_triangular(rng):
         m = np.triu(rng.random((n, n)) * rng.choice([1e-3, 1.0, 10.0]))
         m[rng.random((n, n)) < rng.random()] = 0.0  # sparse, often reducible
         np.fill_diagonal(m, 1.0)
-        _assert_certified(m)
+        _assert_certified(GammaMatrix(m, "brute_force_tv"))
 
 
 def _zero_rows_above_diagonal():
@@ -165,24 +181,110 @@ def _zero_rows_above_diagonal():
     _zero_rows_above_diagonal(),
 ], ids=["n1", "identity", "block_diagonal", "zero_rows"])
 def test_operator_norm_is_an_upper_bound_on_reducible_gamma(m):
-    _assert_certified(m)
+    _assert_certified(GammaMatrix(m, "brute_force_tv"))
 
 
 @pytest.mark.parametrize("n_blocks,eps", [(1, 0.3), (2, 0.0), (7, 0.25), (40, 0.9)])
 def test_operator_norm_is_an_upper_bound_on_ergodic_gamma(n_blocks, eps):
-    _assert_certified(gamma_ergodic(n_blocks, eps).entries)
+    for path in BOTH_PATHS:
+        _assert_certified(path(gamma_ergodic(n_blocks, eps)))
 
 
 def test_operator_norm_is_an_upper_bound_on_long_contractive_gamma():
-    # power iteration stopped at 3.333206113577081 here, 4.1e-8 below the norm
-    m = gamma_contractive([0.7] * 999).entries
-    assert operator_norm(GammaMatrix(m, "contractive")) >= 3.333206250053563
-    _assert_certified(m)
-    # a case whose bound from the inverse iteration alone is 3.7e-12 above the
-    # norm: entries of x near 1e-20 need the power step
     rng = np.random.default_rng(9)
     n = int(rng.integers(300, 1001))
-    _assert_certified(gamma_contractive(rng.uniform(0.3, 1.0, n - 1)).entries)
+    thetas = rng.uniform(0.3, 1.0, n - 1)
+    for path in BOTH_PATHS:
+        # power iteration stopped at 3.333206113577081 here, 4.1e-8 below the norm
+        g = path(gamma_contractive([0.7] * 999))
+        assert operator_norm(g) >= 3.333206250053563
+        _assert_certified(g)
+        # a case whose bound from the dense inverse iteration alone is 3.7e-12
+        # above the norm: entries of x near 1e-20 need the power step
+        _assert_certified(path(gamma_contractive(thetas)))
+
+
+SPECIAL_THETAS = [0.0, 1.0, 5e-324, 1e-310, np.finfo(float).tiny, 1e-300, 1e-8]
+
+
+@st.composite
+def theta_lists(draw):
+    """n - 1 thetas for n in 1..400, with exact 0s (a reducible Gamma), 1s and subnormals."""
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(draw(st.sampled_from([0.0, 0.5, 0.9, 0.999])), 1.0, n - 1)
+    if n > 1:
+        for i, value in draw(st.lists(st.tuples(st.integers(0, n - 2), st.sampled_from(
+                SPECIAL_THETAS) | st.floats(0.0, 1.0)), max_size=12)):
+            thetas[i] = value
+    return thetas
+
+
+@given(theta_lists())
+@example(np.zeros(50))
+@example(np.ones(399))
+@example(np.full(120, 5e-324))
+@example(np.array([0.9] * 30 + [0.0] + [0.9] * 30))  # two equal blocks
+@example(np.array([0.5] * 10 + [1e-310] + [0.95] * 60 + [0.0] + [1.0] * 5))
+def test_factor_norm_is_certified_on_any_thetas(thetas):
+    _assert_certified(gamma_contractive(thetas))
+
+
+@given(st.integers(1, 400), st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True))
+@example(1, 0.0)
+@example(400, 0.0)
+@example(300, 0.999)
+def test_factor_norm_is_certified_on_any_ergodic_gamma(n_blocks, eps):
+    _assert_certified(gamma_ergodic(n_blocks, eps))
+
+
+def test_factors_are_the_bidiagonal_pair_of_gamma(rng):
+    for g in (gamma_contractive(rng.random(9)), gamma_ergodic(10, 0.3), gamma_ergodic(10, 0.0)):
+        a, b = g.factors
+        big_a, big_b = np.eye(10) + np.diag(a, 1), np.eye(10) + np.diag(b, 1)
+        assert_allclose(big_a @ np.linalg.inv(big_b), g.entries, rtol=1e-14, atol=1e-15)
+
+
+def test_wrong_factors_only_loosen_the_bound():
+    g = gamma_contractive([0.7] * 99)
+    for wrong in ((np.zeros(99), np.zeros(99)), (np.full(99, math.nan), -g.factors[1]),
+                  (g.factors[1], g.factors[0])):
+        assert operator_norm(GammaMatrix(g.entries, "contractive", wrong)) >= operator_norm(_dense(g))
+    with pytest.raises(ValidationError):
+        GammaMatrix(g.entries, "contractive", (np.zeros(98), np.zeros(98)))
+
+
+@pytest.mark.parametrize("method", ["contractive", "ergodic"])
+def test_certify_needs_no_lapack(monkeypatch, method):
+    def fail(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    spec = homogeneous_chain([[0.9, 0.1], [0.2, 0.8]], 300)
+    report = certify(spec, LipschitzWeights(np.ones(300)), method, eps=0.25)
+    monkeypatch.undo()
+    assert report.sigma2_opnorm >= 0.25 * oracles.spectral_norm(report.gamma.entries) ** 2 * \
+        float(report.effective_weights @ report.effective_weights)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_operator_norm_rejects_non_finite_entries(bad):
+    m = np.array([[1.0, bad], [0.0, 1.0]])
+    for g in (GammaMatrix(m, "brute_force_tv"), GammaMatrix(m, "contractive", ([0.0], [-0.5]))):
+        with pytest.raises(ValidationError, match="finite"):
+            operator_norm(g)
+
+
+def test_factor_norm_allocates_no_gram():
+    g = gamma_contractive(np.random.default_rng(3).uniform(0.3, 1.0, 1999))
+    tracemalloc.start()
+    try:
+        operator_norm(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the 2000 x 2000 Gram matrix alone is 32 MB
 
 
 def test_lapack_failure_raises_convergence_error(monkeypatch, tmp_path):
@@ -191,7 +293,19 @@ def test_lapack_failure_raises_convergence_error(monkeypatch, tmp_path):
 
     monkeypatch.setattr(chainconc.gamma.np.linalg, "eigvalsh", fail)
     with pytest.raises(ConvergenceError):
-        operator_norm(gamma_contractive([0.5, 0.5]))
+        operator_norm(GammaMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), "brute_force_tv"))
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"kernel": [[0.9, 0.1], [0.2, 0.8]], "n": 4}))
-    assert main(["certify", "--input", str(chain), "--output", str(tmp_path / "o.json")]) == 1
+    assert main(["certify", "--input", str(chain), "--method", "brute",
+                 "--output", str(tmp_path / "o.json")]) == 1
+
+
+def test_to_dict_keeps_the_bytes_of_tolist(rng):
+    spec = random_chain(rng, n=6)
+    hand = np.array([[1.0, 0.5, 0.25], [-0.0, 1.0, 0.5], [0.0, -0.0, 1.0]])
+    for g in (gamma_contractive(rng.random(30)), gamma_ergodic(12, 0.4), wasserstein_matrix_tv(spec),
+              GammaMatrix(hand, "brute_force_tv"), GammaMatrix(np.eye(0), "brute_force_tv")):
+        want = {"shape": list(g.entries.shape), "provenance": g.provenance,
+                "entries": g.entries.tolist()}
+        assert json.dumps(g.to_dict()) == json.dumps(want)
+    assert json.dumps(GammaMatrix(hand, "brute_force_tv").to_dict()).count("-0.0") == 2

@@ -29,11 +29,11 @@ from chainconc.cli import main
 
 GOLDEN = {
     "demo/demo_certificate.json":
-        "7ca7020188ea9dee607af2ecf8f4e970cec6f70e2d4a7c0bae838d9c665466b5",
+        "30b657be63993c9ce6ffa822f3325c9051393dbb3840725da79f2fc97bf1a15b",
     "demo/demo_certificate_ergodic.json":
         "96234003766eb369192bdf15e0f2393c687620030edc2e05c48017fd68250593",
     "demo/demo_tail.json":
-        "19d33b8586a2032e7adee3c875792d7552febd8d11a9cf435c8384d2984fc690",
+        "de1ea794dcaf92e209515720625f02a47d1e5593d358d42159230eb05011cff1",
     "verify/tail.json":
         "81de390676b978b7996ed2dc5fffbf3ee22685af650cbf8455fa604dea3e2f6e",
     "rl-verify/rl_verify.json":
@@ -43,7 +43,7 @@ GOLDEN = {
     "empirical_mgf":
         "d8e4a604a0a89ee317eb52cf075bd306e73e49b7eedcaada120ce4f661811a20",
     "certify/contractive":
-        "02a589b1b93c6bda844e677bef5afc1fe869697c0ef3d90ea6808d96237bbed2",
+        "d0197dac31c7d539a4fa113f16e73f9fe6aba97a90565468262ba34d14b309c5",
     "certify/ergodic":
         "02ad5cc74159e7e82dd97f273d81e8f325a750abc26ae3c55a2462b7e2daebcd",
     "certify/brute":
@@ -65,7 +65,7 @@ GOLDEN = {
     "rl-bound/hamming":
         "ceab90491616445647f1e844447e3a9dc9694ff452ee04586333040c5a8b0469",
     "rl-bound/mixing":
-        "b35c22f3555f2b7fa93bbe1e49d76516b1611354d13ef0266fc8f1356b2e5a73",
+        "c63d372edf5b11c366b8660cc175a94de892126c7deb9ac1697053c0d4ddb8c6",
     "rl-bound/brute":
         "693271107b3eb7111612ebbb2037217a5366ce4cbc3337f2698de10adf6ff99a",
     "rl-bound/exact":
