@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (PROB_TOL, EnumerationCapError, ValidationError, enumeration_cap, json_int,
                      size_text)
 
-# largest pair-difference temporary, matrices x rows^2 x states entries, of one
-# dobrushin_coefficients block: 512 KB
+# largest pair-difference temporaries, matrices x rows (rows - 1) x states
+# entries (two of half that size), of one dobrushin_coefficients block: 512 KB
 PAIR_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -196,21 +196,26 @@ def tv_distance(p: Distribution, q: Distribution) -> float:
 def dobrushin_coefficients(stack: np.ndarray) -> np.ndarray:
     """Max TV distance between any two rows of each matrix in a (..., rows, states) stack.
 
-    The pairwise half-L1 distances come from one broadcast difference per
-    block: a (k, rows, states) stack goes in blocks whose differences fit
-    PAIR_BLOCK_ELEMENTS, so no temporary grows with k. Each coefficient is
-    clipped at 1: rows off 1 by rounding can give 1 + 2^-52. A matrix made of
-    some rows of another, each repeated any number of times, has the
-    coefficient of those rows alone bit for bit: a repeated row adds no pair.
+    The half-L1 distances come from one gathered difference per block over
+    the row pairs i < j only: |a - b| is |b - a| bit for bit and a row's
+    distance to itself is 0, which the maximum starts from. A (k, rows,
+    states) stack goes in blocks whose differences fit PAIR_BLOCK_ELEMENTS,
+    so no temporary grows with k. Each coefficient is clipped at 1: rows off
+    1 by rounding can give 1 + 2^-52. A matrix made of some rows of another,
+    each repeated any number of times, has the coefficient of those rows
+    alone bit for bit: a repeated row adds no pair.
     """
+    rows, states = stack.shape[-2:]
     if stack.ndim == 3:
-        block = max(1, PAIR_BLOCK_ELEMENTS // (stack.shape[1] ** 2 * stack.shape[2]))
+        block = max(1, PAIR_BLOCK_ELEMENTS // max(1, rows * (rows - 1) * states))
         if len(stack) > block:
             return np.concatenate([dobrushin_coefficients(stack[lo:lo + block])
                                    for lo in range(0, len(stack), block)])
-    diffs = stack[..., :, None, :] - stack[..., None, :, :]
+    first, second = np.nonzero(np.less.outer(np.arange(rows), np.arange(rows)))
+    diffs = stack[..., first, :]
+    diffs -= stack[..., second, :]
     sums = np.add.reduce(np.abs(diffs, out=diffs), axis=-1)
-    half = 0.5 * np.maximum.reduce(sums, axis=(-2, -1))
+    half = 0.5 * np.maximum.reduce(sums, axis=-1, initial=0.0)
     return np.minimum(half, 1.0)
 
 

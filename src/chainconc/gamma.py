@@ -38,7 +38,10 @@ class GammaMatrix:
             raise ValidationError("gamma matrix entries must be nonnegative")
         if not np.all(np.abs(np.diagonal(m) - 1.0) <= 1e-12):
             raise ValidationError("gamma matrix must have unit diagonal")
-        if np.any(np.tril(m, -1) != 0):
+        # in blocks of rows, each holding about 2^16 entries: np.tril(m, -1)
+        # would copy the whole matrix
+        rows = max(1, (1 << 16) // max(1, m.shape[1]))
+        if any(np.any(np.tril(m[lo:lo + rows], lo - 1) != 0) for lo in range(0, len(m), rows)):
             raise ValidationError("gamma matrix must be upper triangular")
         object.__setattr__(self, "entries", m)
         if self.factors is not None:
@@ -73,12 +76,15 @@ def gamma_contractive(thetas) -> GammaMatrix:
     m = np.zeros((th.size + 1, th.size + 1))
     # row i of the block right of the diagonal is 1, ..., 1, theta_i, theta_{i+1},
     # ...: the leading ones are exact, so its cumulative product is bitwise
-    # np.cumprod(th[i:])
-    upper, below = m[:-1, 1:], np.tri(th.size, k=-1, dtype=bool)
+    # np.cumprod(th[i:]). The ones are set and cleared row by row: a mask of
+    # the triangle would cost an n x n temporary
+    upper = m[:-1, 1:]
     upper[:] = th
-    upper[below] = 1.0
+    for i in range(1, th.size):
+        upper[i, :i] = 1.0
     np.cumprod(upper, axis=1, out=upper)
-    upper[below] = 0.0
+    for i in range(1, th.size):
+        upper[i, :i] = 0.0
     m.flat[::th.size + 2] = 1.0
     return GammaMatrix(m, "contractive", (np.zeros(th.size), -th))  # A = I, B = I - N_theta
 

@@ -7,14 +7,19 @@ warning. All sampling is counter-based (see rng), so results are
 bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
 SAMPLE_BLOCK, so the trajectories held at once do not grow with the replicate
-count; one float of f per replicate is kept (8 MB for the pilot). A table is
+count; one float of f per replicate is kept (8 MB for the pilot). Every
+Monte Carlo loop takes its blocks from rng.uniform_blocks, whose one worker
+thread draws the next block while this thread samples the current one; the
+sampler, f and the statistics all run on the calling thread. A table is
 always centered exactly, whatever its size; only a callable is centered by
-the pilot. A sigma2 that is not finite and positive is malformed input.
+the pilot. A sigma2 that is not finite and positive, or a seed outside
+[0, 2^64), is malformed input.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -23,14 +28,15 @@ from .chain import ChainSpec, strides_for, trajectories_from_uniforms
 from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
 from .rl import MdpSpec, PolicyClass, action_tables
-from .rng import chunk_ranges, uniform_matrix
+from .rng import chunk_ranges, uniform_blocks
 
 PILOT_REPLICATES = 10**6
-# pilot centering draws from a disjoint Philox key space so it never collides
-# with verification replicates of the same seed
+# seeds lie in [0, 2^64), and pilot centering draws from the disjoint Philox
+# key space above it, so it never collides with the replicates of any seed
 _PILOT_KEY_OFFSET = 1 << 64
 # replicates drawn and sampled at once: bounds the working set of every
-# Monte Carlo loop (about 3 MB of uniforms per block at n = 24)
+# Monte Carlo loop. A stream holds two blocks of uniforms, the one being
+# sampled and the one being drawn: about 3 MB each at n = 24
 SAMPLE_BLOCK = 1 << 14
 # largest (policies x replicates) array, and (state-action x replicates)
 # next-state table, of an empirical_sup_value block: 512 KB each. Small blocks
@@ -60,31 +66,37 @@ def _function_values(f, spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     return np.asarray(f(states), dtype=float)
 
 
-def _blocks(lo: int, hi: int, size: int):
-    """Consecutive ranges covering [lo, hi), each at most size long."""
-    for start in range(lo, hi, size):
-        yield start, min(start + size, hi)
+def _blocks(ranges, size: int) -> list[tuple[int, int]]:
+    """Consecutive ranges of at most size replicates, covering each of ranges in turn."""
+    return [(start, min(start + size, hi)) for lo, hi in ranges for start in range(lo, hi, size)]
 
 
-def _block_values(f, spec: ChainSpec, seed: int, lo: int, hi: int) -> list[np.ndarray]:
-    """f along the trajectories of replicates [lo, hi), one array per block."""
-    return [
-        _function_values(f, spec, trajectories_from_uniforms(
-            spec, uniform_matrix(seed, b - a, spec.n, first=a)))
-        for a, b in _blocks(lo, hi, SAMPLE_BLOCK)
-    ]
+def _block_values(f, spec: ChainSpec, seed: int, ranges) -> list[np.ndarray]:
+    """f along the trajectories of the replicates of ranges, one array per block.
+
+    The stream is closed on the way out, so its draw thread ends with this
+    call even when f raises.
+    """
+    with closing(uniform_blocks(seed, spec.n, _blocks(ranges, SAMPLE_BLOCK))) as blocks:
+        return [_function_values(f, spec, trajectories_from_uniforms(spec, u)) for u in blocks]
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise ValidationError(f"seed = {seed} must lie in [0, 2^64)")
 
 
 def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: int,
                     chunks: int, checked_grid):
     """Shared front end of the grid estimators: (grid, f - E f samples, center, method).
 
-    Checks the replicates, then sigma2, then calls checked_grid() for the
-    estimator's grid; only then centres f (exactly for a table, else by the
-    pilot) and samples it in replicate order, whatever the chunks.
+    Checks the replicates, the seed, then sigma2, then calls checked_grid()
+    for the estimator's grid; only then centres f (exactly for a table, else
+    by the pilot) and samples it in replicate order, whatever the chunks.
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
+    _check_seed(seed)
     if not 0 < sigma2 < math.inf:  # NaN fails both comparisons
         raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
     grid = checked_grid()
@@ -92,10 +104,9 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
         center, method = float(conditional_expectation_tables(f, spec)[0]), "enumeration"
     else:  # the pilot's values are freed before the replicates are sampled
         center = float(np.mean(np.concatenate(
-            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, 0, PILOT_REPLICATES))))
+            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, [(0, PILOT_REPLICATES)]))))
         method = f"pilot({PILOT_REPLICATES})"
-    values = np.concatenate([v for lo, hi in chunk_ranges(replicates, chunks)
-                             for v in _block_values(f, spec, seed, lo, hi)])
+    values = np.concatenate(_block_values(f, spec, seed, chunk_ranges(replicates, chunks)))
     return grid, values - center, center, method
 
 
@@ -272,6 +283,7 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
         raise EnumerationCapError(f"policy class of size {len(pc)} exceeds cap {cap}")
     if replicates < 2:
         raise ValidationError(f"replicates = {replicates} must be at least 2")
+    _check_seed(seed)
     rows = _pair_rows(mdp, pc)
     centers = mdp.class_values(pc.policies)[:, None]
     rewards = mdp.rewards.ravel()
@@ -280,10 +292,10 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     init_cdf = np.cumsum(mdp.chain_initial.probs)[:-1]
     width = max(1, min(SAMPLE_BLOCK, SUP_BLOCK_ELEMENTS // max(len(pc), cdf.shape[1])))
     parts = []
-    for lo, hi in chunk_ranges(replicates, chunks):
-        for a, b in _blocks(lo, hi, width):
-            u = uniform_matrix(seed, b - a, mdp.horizon, first=a).T.copy()
-            values = _reward_sums(rows, rewards, init_cdf, cdf, u)
+    ranges = _blocks(chunk_ranges(replicates, chunks), width)
+    with closing(uniform_blocks(seed, mdp.horizon, ranges)) as blocks:
+        for u in blocks:
+            values = _reward_sums(rows, rewards, init_cdf, cdf, u.T.copy())
             values -= centers
             parts.append(values.max(axis=0))
     sups = np.concatenate(parts)

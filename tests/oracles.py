@@ -55,6 +55,29 @@ def forward_law_row_gather(spec, law, start, stop) -> np.ndarray:
     return law
 
 
+def contractive_gamma_entries_masked(thetas) -> np.ndarray:
+    """Contractive Gamma by one batched cumulative product: each row right of the
+    diagonal is thetas with its leading entries set to 1 through a strict
+    lower-triangle mask, then multiplied out, then masked back to 0."""
+    th = np.asarray(thetas, dtype=float)
+    m = np.zeros((th.size + 1, th.size + 1))
+    upper, below = m[:-1, 1:], np.tri(th.size, k=-1, dtype=bool)
+    upper[:] = th
+    upper[below] = 1.0
+    np.cumprod(upper, axis=1, out=upper)
+    upper[below] = 0.0
+    m.flat[::th.size + 2] = 1.0
+    return m
+
+
+def dobrushin_coefficients_all_pairs(stack) -> np.ndarray:
+    """Max TV distance over all ordered row pairs, the diagonal included, of each
+    matrix in a (..., rows, states) stack: one full broadcast difference."""
+    diffs = stack[..., :, None, :] - stack[..., None, :, :]
+    sums = np.add.reduce(np.abs(diffs, out=diffs), axis=-1)
+    return np.minimum(0.5 * np.maximum.reduce(sums, axis=(-2, -1)), 1.0)
+
+
 def ergodic_gamma_entries(n_blocks, eps) -> np.ndarray:
     """Block Gamma by a double loop: 1 on the diagonal, eps ** (j - i - 1) right of it."""
     m = np.eye(n_blocks)

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -35,7 +37,7 @@ from chainconc.chain import (
     trajectories_from_uniforms,
 )
 from chainconc.concentration import build_gamma
-from chainconc.rng import uniform_matrix
+from chainconc.rng import uniform_blocks, uniform_matrix
 from conftest import random_chain
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -206,6 +208,31 @@ def test_batched_dobrushin_is_the_pairwise_loop_per_matrix(rng):
     assert [dobrushin_coefficient(Kernel(m)) for m in stack] == want
     assert want[4] == 1.0 and want[5] == 0.0
     assert dobrushin_coefficients(stack[:0]).shape == (0,)
+
+
+@given(seed=st.integers(0, 2**32 - 1), matrices=st.integers(0, 4), rows=st.integers(1, 12),
+       states=st.integers(1, 12), zeros=st.booleans(), split=st.booleans(),
+       rounded=st.booleans())
+@example(seed=0, matrices=3, rows=12, states=12, zeros=True, split=True, rounded=True)
+@example(seed=1, matrices=2, rows=1, states=9, zeros=False, split=False, rounded=False)
+def test_dobrushin_upper_pairs_are_bitwise_all_pairs(seed, matrices, rows, states, zeros,
+                                                     split, rounded):
+    rng = np.random.default_rng(seed)
+    stack = rng.random((matrices, rows, states))
+    if zeros:
+        stack[rng.random(stack.shape) < 0.3] = 0.0
+    if split:  # rows on disjoint halves of the states: distance 1, or 1 + 2^-52 by rounding
+        stack[:, ::2, states // 2:] = 0.0
+        stack[:, 1::2, :states // 2] = 0.0
+    total = stack.sum(axis=-1, keepdims=True)
+    stack /= np.where(total > 0, total, 1.0)
+    if rounded and matrices and rows >= 2 and states >= 4:  # clipped at 1
+        stack[0, :2] = 0.0
+        stack[0, :2, :4] = Kernel.from_array(ROUNDED_ROWS).rows[[0, 3]]
+    want = oracles.dobrushin_coefficients_all_pairs(stack)
+    assert dobrushin_coefficients(stack).tobytes() == want.tobytes()
+    if matrices:
+        assert dobrushin_coefficients(stack[0]).tobytes() == want[0].tobytes()
 
 
 def test_dobrushin_bounds_and_zero_iff_equal_rows(rng):
@@ -438,6 +465,58 @@ def test_uniform_matrix_rows_are_chunk_independent():
     for r in range(9):
         assert np.array_equal(uniform_matrix(11, 1, 7, first=r)[0], whole[r])
     assert uniform_matrix(11, 0, 7).shape == (0, 7)
+
+
+@pytest.mark.parametrize("n_vars", [1, 3, 5, 24])
+def test_uniform_blocks_are_bitwise_uniform_matrix(n_vars):
+    big = 2**50 + 3  # a Philox counter offset far past any benchmark's replicates
+    ranges = [(0, 100), (100, 200), (200, 237), (237, 237), (5, 9), (big, big + 64),
+              (big + 64, big + 65), (3, 3)]
+    blocks = list(map(np.copy, uniform_blocks(9, n_vars, ranges)))
+    assert len(blocks) == len(ranges)
+    for (a, b), block in zip(ranges, blocks):
+        want = uniform_matrix(9, b - a, n_vars, first=a)
+        assert block.shape == want.shape == (b - a, n_vars)
+        assert block.tobytes() == want.tobytes()
+    assert list(uniform_blocks(9, n_vars, [])) == []
+    empty = list(uniform_blocks(9, n_vars, [(4, 4), (0, 0)]))
+    assert [b.shape for b in empty] == [(0, n_vars)] * 2
+
+
+def test_uniform_blocks_hold_under_thread_switching():
+    # four streams at once, switching threads every microsecond: a block written
+    # by its worker while the caller holds it would differ from its one-shot draw
+    ranges = [(37 * k, 37 * k + 37) for k in range(80)]
+    want = [uniform_matrix(5, 37, 9, first=a).tobytes() for a, _ in ranges]
+    bad = []
+
+    def consume():
+        for block, ref in zip(uniform_blocks(5, 9, ranges), want):
+            np.sort(block, axis=None)  # hold the block for a while
+            if block.tobytes() != ref:
+                bad.append(block)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=consume) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_uniform_blocks_reuse_two_buffers():
+    # a block is valid until the next is requested: the draw after next overwrites it
+    stream = uniform_blocks(4, 6, [(0, 50), (50, 100), (100, 150)])
+    first, second, third = next(stream), next(stream), next(stream)
+    assert np.shares_memory(first, third) and not np.shares_memory(second, third)
+    assert third.tobytes() == uniform_matrix(4, 50, 6, first=100).tobytes()
+    stream.close()
 
 
 _LAST_UNIFORM = float(np.nextafter(1.0, 0.0))

@@ -438,6 +438,19 @@ def test_non_positive_cap_exits_1(tmp_path, monkeypatch, command, cap):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "demo", "rl-verify"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_its_range_exits_1(tmp_path, capsys, command, seed):
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
+                                                 "function": {"name": "indicator_count"}})
+    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
+    argv = {"verify": ["verify", "--input", chain, "--replicates", "1000"],
+            "demo": ["demo", "--replicates", "1000"],
+            "rl-verify": ["rl-verify", "--input", mdp, "--replicates", "100"]}[command]
+    assert exit_code(argv + ["--seed", seed, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: seed = {seed} must lie in [0, 2^64)")
+
+
 def test_supplied_table_is_centred_exactly_above_the_cap(tmp_path, monkeypatch):
     # the cap bounds what is tabulated; a supplied table is already in memory.
     # Values in [0, 1] keep f 1-Lipschitz for the default unit weights

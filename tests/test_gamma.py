@@ -63,6 +63,27 @@ def test_contractive_is_bitwise_the_running_product(rng, n):
     assert np.array_equal(gamma_contractive(thetas).entries, expected)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 64, 257, 1500])
+def test_contractive_is_bitwise_the_masked_batch_product(rng, n):
+    thetas = rng.random(n)
+    thetas[rng.random(n) < 0.1] = 0.0
+    thetas[rng.random(n) < 0.1] = 1.0
+    want = oracles.contractive_gamma_entries_masked(thetas)
+    assert gamma_contractive(thetas).entries.tobytes() == want.tobytes()
+
+
+def test_contractive_peak_memory_is_about_its_result():
+    # the strict-lower mask and a whole-matrix np.tril check took the peak to 68.7 MB
+    thetas = np.random.default_rng(4).uniform(0.3, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        g = gamma_contractive(thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.15 * g.entries.nbytes
+
+
 def test_contractive_rejects_out_of_range_theta():
     with pytest.raises(ValidationError):
         gamma_contractive([0.5, 1.2])
@@ -103,6 +124,9 @@ def test_ergodic_rejects_bad_inputs():
 def test_gamma_matrix_invariants_enforced():
     with pytest.raises(ValidationError):
         GammaMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]), "contractive")  # not triangular
+    with pytest.raises(ValidationError, match="upper triangular"):
+        GammaMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [math.nan, 0.0, 1.0]]),
+                    "contractive")
     with pytest.raises(ValidationError):
         GammaMatrix(np.array([[2.0, 0.0], [0.0, 1.0]]), "contractive")  # bad diagonal
     with pytest.raises(ValidationError):

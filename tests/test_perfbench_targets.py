@@ -7,9 +7,9 @@ here rather than in ``perfbench/run.py --trace 1``. A short traced run of the
 policy workload also checks what the tracer's hooks read from their
 arguments (such as ``pi.key()``), a short certify run checks every
 certificate against the benchmark's own oracles (brute and contractive
-Gamma entries, sigma2 against LAPACK), and a short tail run checks every
-tail and MGF result the same way (no bound violated, centre at the exact
-mean).
+Gamma entries, sigma2 against LAPACK), and a short traced tail run checks
+every tail and MGF result the same way (no bound violated, centre at the
+exact mean).
 """
 
 import ast
@@ -60,4 +60,5 @@ def test_certify_sweep_run_is_correct(tmp_path):
 
 
 def test_tail_mc_run_is_correct(tmp_path):
-    assert_run_is_correct(tmp_path, "tail_mc", "0")
+    # traced, so that the draw thread also runs under the tracer's wrappers
+    assert_run_is_correct(tmp_path, "tail_mc", "1")

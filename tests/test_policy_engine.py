@@ -132,7 +132,11 @@ def test_uniforms_on_cdf_breakpoints_step_as_the_chain_sampler_does():
         r = np.arange(first, first + replicates)[:, None]
         return ((r // 8 ** np.arange(n_vars)) % 8) / 8.0
 
-    with mock.patch.object(verify, "uniform_matrix", grid_uniforms), \
+    def grid_blocks(seed, n_vars, ranges):
+        for a, b in ranges:
+            yield grid_uniforms(seed, b - a, n_vars, first=a)
+
+    with mock.patch.object(verify, "uniform_blocks", grid_blocks), \
             mock.patch.object(oracles, "uniform_matrix", grid_uniforms):
         est = empirical_sup_value(mdp, pc, replicates=8**4, chunks=3)
         assert (est.estimate, est.standard_error) == oracles.sup_value_per_policy(

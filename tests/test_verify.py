@@ -1,6 +1,11 @@
+import importlib
+import inspect
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from chainconc import verify
 from chainconc.rl import HammingMetric, PolicyClass
 from chainconc.verify import _jackknife_se_of_mean
 from conftest import random_chain
+from test_perfbench_targets import traced_targets
 from test_rl import random_mdp
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -153,6 +159,25 @@ def test_block_boundaries_do_not_change_results(rng, monkeypatch):
     assert run() == whole
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_estimators_reject_a_seed_outside_its_range(rng, seed):
+    # 2^64 and above would reuse the pilot key space: seed + 2^64 is a pilot key
+    spec = fair_product_chain(3)
+    for estimator in (empirical_tail, empirical_mgf):
+        with pytest.raises(ValidationError, match=r"seed = .* must lie in \[0, 2\^64\)"):
+            estimator(spec, hamming_weight(spec), 1.0, replicates=1000, seed=seed)
+    with pytest.raises(ValidationError, match="seed"):
+        empirical_sup_value(random_mdp(rng), enumerate_policies(3, 2), replicates=10, seed=seed)
+
+
+def test_largest_seed_is_accepted(rng):
+    spec = fair_product_chain(3)
+    assert empirical_tail(spec, hamming_weight(spec), 1.0, replicates=1000,
+                          seed=2**64 - 1).seed == 2**64 - 1
+    assert empirical_sup_value(random_mdp(rng), enumerate_policies(3, 2), replicates=10,
+                               seed=2**64 - 1).replicates == 10
+
+
 def test_callable_function_uses_pilot_centering():
     spec = fair_product_chain(4)
 
@@ -278,3 +303,91 @@ def test_sup_value_respects_policy_cap(rng):
 
     with pytest.raises(EnumerationCapError):
         empirical_sup_value(mdp, pc, replicates=2000, seed=1, cap=4)
+
+
+# ---------------------------------------------------------------------------
+# the draw thread: only Philox fills run off the calling thread
+
+
+def _spy_threads(monkeypatch, paths) -> dict:
+    """Wrap each chainconc function of paths wherever it is bound, as the traced
+    benchmark does; returns {path: ids of the threads it ran on}."""
+    seen = defaultdict(set)
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "chainconc" or n.startswith("chainconc."))]
+    for path in paths:
+        module, *rest = path.split(".")
+        owner = importlib.import_module(f"chainconc.{module}")
+        for part in rest[:-1]:
+            owner = getattr(owner, part)
+        raw = inspect.getattr_static(owner, rest[-1])
+        fn = raw.__func__ if isinstance(raw, classmethod) else raw
+
+        def spy(*args, _fn=fn, _path=path, **kwargs):
+            seen[_path].add(threading.get_ident())
+            return _fn(*args, **kwargs)
+
+        if isinstance(raw, classmethod):
+            monkeypatch.setattr(owner, rest[-1], classmethod(spy))
+            continue
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is raw:
+                    monkeypatch.setattr(mod, key, spy)
+    return seen
+
+
+def test_sampling_and_f_run_on_the_calling_thread(rng, monkeypatch):
+    # small blocks and pilot so that every stream runs many blocks ahead
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 300)
+    monkeypatch.setattr(verify, "PILOT_REPLICATES", 5000)
+    seen = _spy_threads(monkeypatch, traced_targets() + ("rng._fill",))
+    spec = random_chain(rng, n=5)
+
+    def f(states):
+        seen["f"].add(threading.get_ident())
+        return states.sum(axis=1).astype(float)
+
+    table = TabularFunction.from_vectorized(spec, lambda grids: sum(g for g in grids))
+    verify.empirical_tail(spec, f, 2.0, replicates=2000, seed=3, chunks=3)
+    verify.empirical_mgf(spec, f, 2.0, replicates=2000, seed=4)
+    verify.empirical_mgf(spec, table, 2.0, replicates=2000, seed=4)
+    verify.empirical_sup_value(random_mdp(rng), enumerate_policies(3, 2), replicates=1000,
+                               seed=5, chunks=2)
+    here = threading.get_ident()
+    drawn_on = seen.pop("rng._fill")
+    assert drawn_on and here not in drawn_on  # the spies see other threads
+    assert {"f", "chain.trajectories_from_uniforms", "verify.empirical_tail",
+            "verify.empirical_mgf", "verify.empirical_sup_value"} <= set(seen)
+    assert {path: ids for path, ids in seen.items() if ids != {here}} == {}
+
+
+def test_no_draw_thread_outlives_a_call(rng, monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 300)
+    monkeypatch.setattr(verify, "PILOT_REPLICATES", 5000)
+    spec = random_chain(rng, n=4)
+    calls = 0
+
+    def flaky(states):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("f failed mid-stream")
+        return states.sum(axis=1).astype(float)
+
+    before = threading.active_count()
+    empirical_tail(spec, lambda s: s.sum(axis=1).astype(float), 2.0, replicates=1000, seed=1)
+    empirical_sup_value(random_mdp(rng), enumerate_policies(3, 2), replicates=1000, seed=1)
+    assert threading.active_count() == before
+    for estimator in (empirical_tail, empirical_mgf):
+        calls = 0
+        try:
+            estimator(spec, flaky, 2.0, replicates=1000, seed=2)
+        except RuntimeError as exc:  # its traceback holds the frames of the stream
+            assert "mid-stream" in str(exc)
+            assert threading.active_count() == before
+        else:
+            pytest.fail("f raised nothing")
+    with pytest.raises(ValueError):  # a draw that fails on the worker fails the caller
+        list(verify.uniform_blocks(-1, 3, [(0, 5), (5, 10)]))
+    assert threading.active_count() == before
