@@ -1,6 +1,7 @@
 """Command-line front end: file-based, reproducible certificate and verification runs.
 
-Exit codes: 0 success, 1 malformed input, 2 infeasible computation
+Exit codes: 0 success, 1 malformed input (an input that cannot be read or an
+output that cannot be written included), 2 infeasible computation
 (an enumeration or policy-class cap exceeded, or a method that needs a mixing
 time when the chain has none), 3 verification failure (an empirical quantity
 exceeded its certified bound beyond Monte Carlo error). Code 3 is the highest-severity
@@ -23,6 +24,7 @@ from . import __version__
 from .chain import ChainSpec, Distribution, chain_from_dict, tv_distance
 from .concentration import (
     CONVENTION_CAVEAT,
+    CONVENTIONS,
     LipschitzWeights,
     TabularFunction,
     build_gamma,
@@ -36,7 +38,6 @@ from .coupling import goldstein_coupling
 from .errors import (
     DEFAULT_POLICY_CAP,
     ChainconcError,
-    ConvergenceError,
     EnumerationCapError,
     NoMixError,
     ValidationError,
@@ -187,24 +188,29 @@ def _dump_rows(rows, fh, newline: str) -> None:
     fh.write(newline + "]")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write_report(path: str, doc: dict, csv: str | None = None) -> None:
+    """Write doc as JSON to path and, if given, csv to the sibling path ending in .csv."""
+    sibling = os.path.splitext(path)[0] + ".csv"
+    if csv is not None and sibling == path:
+        raise ValidationError(f"output {path} would be overwritten by its own CSV; "
+                              "name the report with another extension")
+    try:
+        _write_json(path, doc)
+        if csv is not None:
+            with open(sibling, "w", encoding="utf-8") as fh:
+                fh.write(csv)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
 
 
 def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"input file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _csv_path(path: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base + ".csv"
 
 
 def _load_weights(doc: dict, spec: ChainSpec) -> LipschitzWeights:
@@ -256,9 +262,8 @@ def _cmd_certify(args) -> int:
     spec = chain_from_dict(doc)
     weights = _load_weights(doc, spec)
     report = certify(spec, weights, args.method, eps=args.eps, convention=args.convention)
-    out = {"meta": _meta(args), "report": report.to_dict()}
-    _write_json(args.output, out)
-    _write_text(_csv_path(args.output), report.tail_curve_csv())
+    _write_report(args.output, {"meta": _meta(args), "report": report.to_dict()},
+                  report.tail_curve_csv())
     print(f"certified sigma2_{report.convention} = {report.sigma2_selected!r} "
           f"(method {report.method}); wrote {args.output}")
     return EXIT_OK
@@ -294,10 +299,7 @@ def _cmd_verify(args) -> int:
         sigma2 = certify(spec, weights, args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected
     est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed)
-    out = {"meta": _meta(args), "convention": args.convention,
-           "caveats": [CONVENTION_CAVEAT], "tail": est.to_dict()}
-    _write_json(args.output, out)
-    _write_text(_csv_path(args.output), est.to_csv())
+    _write_tail(args.output, args, est)
     bad = est.violations()
     if bad:
         worst = max(bad, key=lambda i: est.empirical[i] - est.bound[i])
@@ -309,6 +311,12 @@ def _cmd_verify(args) -> int:
     print(f"verified: no tail violation at any of {est.t_grid.size} grid points; "
           f"wrote {args.output}")
     return EXIT_OK
+
+
+def _write_tail(path: str, args, est) -> None:
+    """The tail report of verify and demo, and its CSV."""
+    _write_report(path, {"meta": _meta(args), "convention": args.convention,
+                         "caveats": [CONVENTION_CAVEAT], "tail": est.to_dict()}, est.to_csv())
 
 
 def _cmd_coupling(args) -> int:
@@ -332,7 +340,7 @@ def _cmd_coupling(args) -> int:
                 np.abs(table.col_marginal() - q.probs).max())
         ),
     }
-    _write_json(args.output, out)
+    _write_report(args.output, out)
     print(f"coupling off-diagonal mass {table.off_diagonal_mass()!r} vs TV {tv!r}; "
           f"wrote {args.output}")
     return EXIT_OK
@@ -342,7 +350,7 @@ def _cmd_mix(args) -> int:
     spec = chain_from_dict(_read_json(args.input))
     tau = mixing_time(spec, args.eps)
     out = {"meta": _meta(args), "eps": args.eps, "tau": tau, "no_mix": tau is None}
-    _write_json(args.output, out)
+    _write_report(args.output, out)
     print("no-mix" if tau is None else f"tau({args.eps}) = {tau}")
     return EXIT_OK
 
@@ -361,7 +369,7 @@ def _cmd_gamma(args) -> int:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed gamma document: {exc}") from exc
     out = {"meta": _meta(args), "gamma": g.to_dict()}
-    _write_json(args.output, out)
+    _write_report(args.output, out)
     print(f"gamma ({g.provenance}) of size {g.n}; wrote {args.output}")
     return EXIT_OK
 
@@ -443,7 +451,7 @@ def _rl_report(args, mdp):
 def _cmd_rl_bound(args) -> int:
     mdp = mdp_from_dict(_read_json(args.input))
     out, _ = _rl_report(args, mdp)
-    _write_json(args.output, out)
+    _write_report(args.output, out)
     b = out["bounds"]
     print(f"|Pi| = {b['class_size']}, sigma2_max = {b['sigma2_max']!r}, "
           f"maximal = {b['maximal']!r}, dudley = {b['dudley']!r}; wrote {args.output}")
@@ -456,7 +464,7 @@ def _cmd_rl_verify(args) -> int:
     est = empirical_sup_value(mdp, pc, replicates=args.replicates, seed=args.seed,
                               cap=_policy_cap(args))
     out["empirical_sup"] = est.to_dict()
-    _write_json(args.output, out)
+    _write_report(args.output, out)
     bound = out["bounds"]["maximal"]
     slack = bound + 2.0 * est.standard_error - est.estimate
     if slack < 0:
@@ -470,30 +478,31 @@ def _cmd_rl_verify(args) -> int:
 
 def _cmd_demo(args) -> int:
     """End-to-end worked example on the two-state demo chain."""
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot make report directory {args.output}: "
+                              f"{exc.strerror}") from exc
     demo_doc = {"kernel": [[0.9, 0.1], [0.2, 0.8]], "n": 20, "initial": [0.5, 0.5]}
     spec = chain_from_dict(demo_doc)
     weights = LipschitzWeights.ones(spec.n)
     cap = args.cap if args.cap is not None else 2**21  # joint size 2^20 needs headroom
 
     cert = certify(spec, weights, "contractive", convention=args.convention)
-    cert_path = os.path.join(args.output, "demo_certificate.json")
-    _write_json(cert_path, {"meta": _meta(args), "chain": demo_doc, "report": cert.to_dict()})
-    _write_text(_csv_path(cert_path), cert.tail_curve_csv())
+    _write_report(os.path.join(args.output, "demo_certificate.json"),
+                  {"meta": _meta(args), "chain": demo_doc, "report": cert.to_dict()},
+                  cert.tail_curve_csv())
 
     ergodic = certify(spec, weights, "ergodic", eps=0.25, convention=args.convention)
-    _write_json(os.path.join(args.output, "demo_certificate_ergodic.json"),
-                {"meta": _meta(args), "report": ergodic.to_dict()})
+    _write_report(os.path.join(args.output, "demo_certificate_ergodic.json"),
+                  {"meta": _meta(args), "report": ergodic.to_dict()})
 
     f = TabularFunction.from_vectorized(
         spec, lambda grids: sum((g == 1).astype(float) for g in grids), cap=cap
     )
     est = empirical_tail(spec, f, cert.sigma2_selected, replicates=args.replicates,
                          seed=args.seed)
-    tail_path = os.path.join(args.output, "demo_tail.json")
-    _write_json(tail_path, {"meta": _meta(args), "convention": args.convention,
-                            "caveats": [CONVENTION_CAVEAT], "tail": est.to_dict()})
-    _write_text(_csv_path(tail_path), est.to_csv())
+    _write_tail(os.path.join(args.output, "demo_tail.json"), args, est)
 
     tau = mixing_time(spec, 0.25)
     print(f"demo chain: n = {spec.n}, theta = 0.7, tau(0.25) = {tau}")
@@ -510,9 +519,6 @@ def _cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-POLICY_CAP_HELP = f"cap on the policy-class size A^S (default {DEFAULT_POLICY_CAP})"
-
-
 def _positive_int(text: str) -> int:
     """argparse type of every --cap: a cap below 1 admits nothing and is malformed."""
     try:
@@ -524,12 +530,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, *, seeded: bool = False,
-                out_default: str | None = None) -> None:
-    p.add_argument("--output", default=out_default, help="output report path")
-    if seeded:
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--replicates", type=int, default=10**5)
+def _parent(flag: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares flag, for the subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,72 +543,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chainconc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("certify", help="chain + weights -> concentration certificate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
-    p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
-    p.add_argument("--eps", type=float, default=None, help="mixing level for the ergodic method")
-    _add_common(p, out_default="certificate.json")
-    p.set_defaults(func=_cmd_certify)
+    def command(name, help, handler, default_output, *parents):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.add_argument("--output", default=default_output, help="output report path")
+        p.set_defaults(func=handler)
+        return p
 
-    p = sub.add_parser("verify", help="chain + function + certificate -> empirical tail check")
-    p.add_argument("--input", required=True)
+    inputs = _parent("--input", required=True)
+    method = _parent("--method", choices=["contractive", "ergodic", "brute"],
+                     default="contractive")
+    convention = _parent("--convention", choices=CONVENTIONS, default="opnorm")
+    eps = _parent("--eps", type=float, default=None, help="mixing level for the ergodic method")
+    seeded = _parent("--seed", type=int, default=42)
+    seeded.add_argument("--replicates", type=int, default=10**5)
+    rl = _parent("--metric", choices=["hamming", "mixing"], default="hamming")
+    rl.add_argument("--eps", type=float, default=0.25)
+    rl.add_argument("--scale", type=float, default=1.0, help="policy-metric scale for Dudley")
+    rl.add_argument("--cap", type=_positive_int, default=None,
+                    help=f"cap on the policy-class size A^S (default {DEFAULT_POLICY_CAP})")
+
+    command("certify", "chain + weights -> concentration certificate", _cmd_certify,
+            "certificate.json", inputs, method, convention, eps)
+    p = command("verify", "chain + function + certificate -> empirical tail check", _cmd_verify,
+                "tail.json", inputs, method, convention, eps, seeded)
     p.add_argument("--certificate", default=None, help="certify output to check against")
-    p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
-    p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
-    p.add_argument("--eps", type=float, default=None)
     p.add_argument("--cap", type=_positive_int, default=None,
                    help="joint-space cap for the function table (default CHAINCONC_CAP or 10^6)")
-    _add_common(p, seeded=True, out_default="tail.json")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("coupling", help="two distributions -> maximal coupling + TV check")
-    p.add_argument("--input", required=True)
-    _add_common(p, out_default="coupling.json")
-    p.set_defaults(func=_cmd_coupling)
-
-    p = sub.add_parser("mix", help="chain + eps -> mixing time")
-    p.add_argument("--input", required=True)
+    command("coupling", "two distributions -> maximal coupling + TV check", _cmd_coupling,
+            "coupling.json", inputs)
+    p = command("mix", "chain + eps -> mixing time", _cmd_mix, "mix.json", inputs)
     p.add_argument("--eps", type=float, required=True)
-    _add_common(p, out_default="mix.json")
-    p.set_defaults(func=_cmd_mix)
-
-    p = sub.add_parser("gamma", help="method + parameters -> Gamma matrix")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
-    p.add_argument("--eps", type=float, default=None)
-    _add_common(p, out_default="gamma.json")
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("rl-bound", help="MDP -> per-policy certificates + sup bounds")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
-    p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
-    p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--scale", type=float, default=1.0, help="policy-metric scale for Dudley")
-    p.add_argument("--cap", type=_positive_int, default=None, help=POLICY_CAP_HELP)
-    _add_common(p, out_default="rl_bounds.json")
-    p.set_defaults(func=_cmd_rl_bound)
-
-    p = sub.add_parser("rl-verify", help="MDP -> empirical E sup vs certified bounds")
-    p.add_argument("--input", required=True)
-    p.add_argument("--method", choices=["contractive", "ergodic", "brute"], default="contractive")
-    p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
-    p.add_argument("--metric", choices=["hamming", "mixing"], default="hamming")
-    p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--cap", type=_positive_int, default=None, help=POLICY_CAP_HELP)
-    _add_common(p, seeded=True, out_default="rl_verify.json")
-    p.set_defaults(func=_cmd_rl_verify)
-
-    p = sub.add_parser("demo", help="built-in two-state worked example, end to end")
-    p.add_argument("--convention", choices=["exact", "opnorm", "paper"], default="opnorm")
+    command("gamma", "method + parameters -> Gamma matrix", _cmd_gamma, "gamma.json",
+            inputs, method, eps)
+    command("rl-bound", "MDP -> per-policy certificates + sup bounds", _cmd_rl_bound,
+            "rl_bounds.json", inputs, method, convention, rl)
+    command("rl-verify", "MDP -> empirical E sup vs certified bounds", _cmd_rl_verify,
+            "rl_verify.json", inputs, method, convention, rl, seeded)
+    p = command("demo", "built-in two-state worked example, end to end", _cmd_demo,
+                "chainconc-demo", convention, seeded)
     p.add_argument("--cap", type=_positive_int, default=None,
                    help="joint-space cap for tabulating the demo function (default 2^21)")
-    _add_common(p, seeded=True, out_default="chainconc-demo")
-    p.set_defaults(func=_cmd_demo)
-
     return parser
 
 
@@ -618,7 +597,7 @@ def main(argv=None) -> int:
     except (EnumerationCapError, NoMixError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValidationError, ConvergenceError, ChainconcError) as exc:
+    except ChainconcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -166,8 +166,8 @@ class TailEstimate(GridEstimate):
 
 def _checked_t_grid(t_grid, sigma2: float) -> np.ndarray:
     grid = np.asarray(default_t_grid(sigma2) if t_grid is None else t_grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0):
-        raise ValidationError("t grid must be nonempty and nonnegative")
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid >= 0)):
+        raise ValidationError("t grid must be nonempty, finite and nonnegative")
     return grid
 
 
@@ -212,8 +212,8 @@ def _jackknife_se_of_mean(w: np.ndarray) -> float:
 def _checked_lambda_grid(lambda_grid, sigma2: float) -> np.ndarray:
     grid = np.asarray(default_lambda_grid(sigma2) if lambda_grid is None else lambda_grid,
                       dtype=float)
-    if grid.size == 0:
-        raise ValidationError("lambda grid must be nonempty")
+    if grid.size == 0 or not np.isfinite(grid).all():
+        raise ValidationError("lambda grid must be nonempty and finite")
     return grid
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -220,7 +221,7 @@ def test_verify_against_a_certificate_does_not_scan_the_table(tmp_path, monkeypa
                  "--replicates", "1000", "--output", str(tmp_path / "tail.json")]) == 0
 
 
-def test_malformed_input_exits_1(tmp_path):
+def test_malformed_input_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["certify", "--input", str(bad), "--output", str(tmp_path / "o.json")]) == 1
@@ -231,6 +232,132 @@ def test_malformed_input_exits_1(tmp_path):
                          {"coord_sizes": [2, 2], "initial": [0.5, 0.5],
                           "kernels": [[[1.0, 0.5], [0.5, 0.5]]]})
     assert main(["certify", "--input", bad_row, "--output", str(tmp_path / "o.json")]) == 1
+    capsys.readouterr()
+    # a directory, a file that is not UTF-8 or JSON nested too deep to parse as
+    # input, an output in a missing directory, and a demo directory that is a file
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
+                                                 "function": {"name": "indicator_count"}})
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"kernel": "\xe9"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
+    argvs = [
+        ["mix", "--input", str(tmp_path), "--eps", "0.2", "--output", str(tmp_path / "o.json")],
+        ["verify", "--input", chain, "--certificate", str(tmp_path),
+         "--output", str(tmp_path / "o.json")],
+        ["certify", "--input", str(latin1), "--output", str(tmp_path / "o.json")],
+        ["certify", "--input", str(deep), "--output", str(tmp_path / "o.json")],
+        ["certify", "--input", chain, "--output", str(tmp_path / "missing" / "cert.json")],
+        ["mix", "--input", chain, "--eps", "0.2", "--output", str(tmp_path / "no" / "mix.json")],
+        ["demo", "--output", chain, "--replicates", "1000"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not (tmp_path / "o.json").exists()
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_an_output_that_is_its_own_csv_sibling_exits_1(tmp_path, capsys, command):
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
+                                                 "function": {"name": "indicator_count"}})
+    out = tmp_path / "report.csv"
+    assert main([command, "--input", chain, "--replicates", "1000", "--output", str(out)]
+                if command == "verify" else [command, "--input", chain, "--output", str(out)]) == 1
+    assert "its own CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_HELP = ("help", ("-h", "--help"), "==SUPPRESS==", None, False, None)
+_INPUT = ("input", ("--input",), None, None, True, None)
+_METHOD = ("method", ("--method",), "contractive", ("contractive", "ergodic", "brute"), False,
+           None)
+_CONVENTION = ("convention", ("--convention",), "opnorm", ("exact", "opnorm", "paper"), False,
+               None)
+_CAP = ("cap", ("--cap",), None, None, False, "_positive_int")
+_SEED = ("seed", ("--seed",), 42, None, False, "int")
+_REPLICATES = ("replicates", ("--replicates",), 100000, None, False, "int")
+_RL = [("eps", ("--eps",), 0.25, None, False, "float"),
+       ("metric", ("--metric",), "hamming", ("hamming", "mixing"), False, None),
+       ("scale", ("--scale",), 1.0, None, False, "float")]
+
+
+def _output(default):
+    return ("output", ("--output",), default, None, False, None)
+
+
+FLAG_TABLE = {
+    "certify": [_CONVENTION, ("eps", ("--eps",), None, None, False, "float"), _HELP, _INPUT,
+                _METHOD, _output("certificate.json")],
+    "coupling": [_HELP, _INPUT, _output("coupling.json")],
+    "demo": [_CAP, _CONVENTION, _HELP, _output("chainconc-demo"), _REPLICATES, _SEED],
+    "gamma": [("eps", ("--eps",), None, None, False, "float"), _HELP, _INPUT, _METHOD,
+              _output("gamma.json")],
+    "mix": [("eps", ("--eps",), None, None, True, "float"), _HELP, _INPUT, _output("mix.json")],
+    "rl-bound": [_CAP, _CONVENTION, _RL[0], _HELP, _INPUT, _METHOD, _RL[1],
+                 _output("rl_bounds.json"), _RL[2]],
+    "rl-verify": [_CAP, _CONVENTION, _RL[0], _HELP, _INPUT, _METHOD, _RL[1],
+                  _output("rl_verify.json"), _REPLICATES, _RL[2], _SEED],
+    "verify": [_CAP, ("certificate", ("--certificate",), None, None, False, None), _CONVENTION,
+               ("eps", ("--eps",), None, None, False, "float"), _HELP, _INPUT, _METHOD,
+               _output("tail.json"), _REPLICATES, _SEED],
+}
+
+
+def test_every_subcommand_keeps_its_flag_table():
+    parser = cli.build_parser()
+    assert sorted((a.dest, tuple(a.option_strings), a.default, a.required)
+                  for a in parser._actions) == [
+        ("command", (), None, True), ("help", ("-h", "--help"), "==SUPPRESS==", False),
+        ("version", ("--version",), "==SUPPRESS==", False)]
+    (sub,) = [a for a in parser._actions if a.dest == "command"]
+    table = {name: sorted((a.dest, tuple(a.option_strings), a.default,
+                           None if a.choices is None else tuple(a.choices), a.required,
+                           None if a.type is None else a.type.__name__) for a in p._actions)
+             for name, p in sub.choices.items()}
+    assert table == FLAG_TABLE
+
+
+META_CONFIGS = [
+    (["certify", "--input", "c.json", "--method", "brute", "--convention", "exact"],
+     {"command": "certify", "convention": "exact", "input": "c.json", "method": "brute_force",
+      "output": "certificate.json"}),
+    (["verify", "--input", "c.json", "--certificate", "cert.json", "--eps", "0.3", "--seed", "7",
+      "--cap", "50"],
+     {"cap": 50, "certificate": "cert.json", "command": "verify", "convention": "opnorm",
+      "eps": 0.3, "input": "c.json", "method": "contractive", "output": "tail.json",
+      "replicates": 100000, "seed": 7}),
+    (["coupling", "--input", "pq.json"],
+     {"command": "coupling", "input": "pq.json", "output": "coupling.json"}),
+    (["mix", "--input", "c.json", "--eps", "0.25"],
+     {"command": "mix", "eps": 0.25, "input": "c.json", "output": "mix.json"}),
+    (["gamma", "--input", "c.json", "--method", "ergodic", "--eps", "0.2", "--output", "g.json"],
+     {"command": "gamma", "eps": 0.2, "input": "c.json", "method": "ergodic",
+      "output": "g.json"}),
+    (["rl-bound", "--input", "m.json", "--metric", "mixing", "--scale", "2.5"],
+     {"command": "rl-bound", "convention": "opnorm", "eps": 0.25, "input": "m.json",
+      "method": "contractive", "metric": "mixing", "output": "rl_bounds.json", "scale": 2.5}),
+    (["rl-verify", "--input", "m.json", "--method", "brute", "--replicates", "3000"],
+     {"command": "rl-verify", "convention": "opnorm", "eps": 0.25, "input": "m.json",
+      "method": "brute_force", "metric": "hamming", "output": "rl_verify.json",
+      "replicates": 3000, "scale": 1.0, "seed": 42}),
+    (["demo", "--output", "d", "--cap", "64", "--convention", "paper"],
+     {"cap": 64, "command": "demo", "convention": "paper", "output": "d", "replicates": 100000,
+      "seed": 42}),
+]
+
+
+def test_meta_config_of_every_subcommand(monkeypatch):
+    seen = []
+    for name in ("certify", "verify", "coupling", "mix", "gamma", "rl_bound", "rl_verify",
+                 "demo"):
+        monkeypatch.setattr(cli, f"_cmd_{name}", lambda args: seen.append(cli._meta(args)) or 0)
+    for argv, _ in META_CONFIGS:
+        assert main(argv) == 0
+    assert seen == [{"tool": "chainconc", "version": chainconc.__version__, "config": config}
+                    for _, config in META_CONFIGS]
 
 
 def test_nan_kernel_mix_exits_1(tmp_path):
@@ -856,3 +983,17 @@ def test_rounded_rows_certify_with_thetas_and_entries_of_at_most_one(tmp_path):
     for gamma in (docs["contractive"]["report"]["gamma"], docs["brute"]["report"]["gamma"],
                   docs["gamma"]["gamma"]):
         assert max(max(r) for r in gamma["entries"]) == 1.0
+
+
+def test_readme_tour_runs_and_its_stated_values_hold():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Quick tour\n\n```python\n(.*?)```", readme, re.S)
+    # each line that ends in a number comment states that expression's value
+    stated = re.findall(r"^(cc\.\S.*?)\s+# ([0-9.]+)$", block, re.M)
+    assert stated == [("cc.mixing_time(spec, 0.25)", "4"),
+                      ("cc.dobrushin_coefficient(spec.kernels[0])", "0.7")]
+    script = block + "".join(f"\nprint(repr({expr}))" for expr, _ in stated)
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    assert run.stdout.split() == [value for _, value in stated]

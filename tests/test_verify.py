@@ -113,8 +113,17 @@ def test_tail_rejects_bad_inputs():
     f = hamming_weight(spec)
     with pytest.raises(ValidationError, match="replicates"):
         empirical_tail(spec, f, 1.0, replicates=10)
-    with pytest.raises(ValidationError, match="grid"):
-        empirical_tail(spec, f, 1.0, t_grid=[-1.0], replicates=2000)
+    for t in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="grid"):
+            empirical_tail(spec, f, 1.0, t_grid=[t, 1.0], replicates=2000)
+
+
+def test_mgf_rejects_bad_grids():
+    spec = fair_product_chain(4)
+    f = hamming_weight(spec)
+    for grid in ([], [math.nan], [0.1, math.inf], [-math.inf, 0.1]):
+        with pytest.raises(ValidationError, match="grid"):
+            empirical_mgf(spec, f, 1.0, lambda_grid=grid, replicates=2000)
 
 
 def _traced_peak_mb(fn) -> float:
