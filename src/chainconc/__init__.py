@@ -35,7 +35,6 @@ from .concentration import (
 from .coupling import CouplingTable, goldstein_coupling, wasserstein_matrix_tv
 from .errors import (
     ChainconcError,
-    ConvergenceError,
     EnumerationCapError,
     NoMixError,
     ValidationError,

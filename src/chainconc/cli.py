@@ -188,16 +188,16 @@ def _dump_rows(rows, fh, newline: str) -> None:
     fh.write(newline + "]")
 
 
+def _csv_sibling(path: str) -> str:
+    return os.path.splitext(path)[0] + ".csv"
+
+
 def _write_report(path: str, doc: dict, csv: str | None = None) -> None:
     """Write doc as JSON to path and, if given, csv to the sibling path ending in .csv."""
-    sibling = os.path.splitext(path)[0] + ".csv"
-    if csv is not None and sibling == path:
-        raise ValidationError(f"output {path} would be overwritten by its own CSV; "
-                              "name the report with another extension")
     try:
         _write_json(path, doc)
         if csv is not None:
-            with open(sibling, "w", encoding="utf-8") as fh:
+            with open(_csv_sibling(path), "w", encoding="utf-8") as fh:
                 fh.write(csv)
     except OSError as exc:
         raise ValidationError(f"cannot write {exc.filename or path}: {exc.strerror}") from exc
@@ -274,18 +274,7 @@ def _cmd_verify(args) -> int:
     spec = chain_from_dict(doc)
     f = _load_function(doc, spec, args.cap)
     if args.certificate:
-        cert = _read_json(args.certificate)
-        report = cert.get("report", cert) if isinstance(cert, dict) else None
-        key = f"sigma2_{args.convention}"
-        if not isinstance(report, dict) or key not in report:
-            raise ValidationError(f"certificate has no {key} field")
-        value = report[key]
-        if type(value) not in (int, float):  # a bool or a numeric string is no sigma2
-            raise ValidationError(f"certificate {key} must be a number, got {value!r}")
-        try:
-            sigma2 = float(value)
-        except OverflowError as exc:
-            raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
+        sigma2 = _certificate_sigma2(args.certificate, spec, args.convention)
     else:
         # a certificate for weights the function exceeds, the default unit
         # weights included, bounds nothing
@@ -311,6 +300,47 @@ def _cmd_verify(args) -> int:
     print(f"verified: no tail violation at any of {est.t_grid.size} grid points; "
           f"wrote {args.output}")
     return EXIT_OK
+
+
+def _certificate_sigma2(path: str, spec: ChainSpec, convention: str) -> float:
+    """The sigma2 of a certificate, checked against the chain it is used on.
+
+    A certificate that holds weights must hold one per coordinate of spec. One
+    that also names its method must be, bit for bit, what certify gives for
+    spec, those weights and its eps. A bare sigma2 is a direct claim about the
+    function, which only the tail check can falsify.
+    """
+    cert = _read_json(path)
+    report = cert.get("report", cert) if isinstance(cert, dict) else None
+    key = f"sigma2_{convention}"
+    if not isinstance(report, dict) or key not in report:
+        raise ValidationError(f"certificate has no {key} field")
+    value = report[key]
+    if type(value) not in (int, float):  # a bool or a numeric string is no sigma2
+        raise ValidationError(f"certificate {key} must be a number, got {value!r}")
+    try:
+        sigma2 = float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
+    if "weights" not in report:
+        return sigma2
+    try:
+        weights = _load_weights(report, spec)
+    except ValidationError as exc:
+        raise ValidationError(f"certificate {exc}") from exc
+    if "method" in report:
+        details = report.get("details", {})
+        eps = details.get("eps") if isinstance(details, dict) else None
+        if eps is not None and type(eps) not in (int, float):
+            raise ValidationError(f"certificate eps must be a number, got {eps!r}")
+        try:
+            rebuilt = certify(spec, weights, report["method"], eps=eps, convention=convention)
+        except NoMixError as exc:
+            raise ValidationError(f"certificate was built for another chain: {exc}") from exc
+        if getattr(rebuilt, key).hex() != sigma2.hex():
+            raise ValidationError(f"certificate was built for another chain: its {key} is "
+                                  f"{sigma2!r}, this chain's is {getattr(rebuilt, key)!r}")
+    return sigma2
 
 
 def _write_tail(path: str, args, est) -> None:
@@ -593,6 +623,11 @@ def main(argv=None) -> int:
     if getattr(args, "method", None) == "brute":
         args.method = "brute_force"
     try:
+        # certify and verify write a CSV beside the report: refuse a report
+        # that the CSV would overwrite before any work is done
+        if args.command in ("certify", "verify") and _csv_sibling(args.output) == args.output:
+            raise ValidationError(f"output {args.output} would be overwritten by its own CSV; "
+                                  "name the report with another extension")
         return args.func(args)
     except (EnumerationCapError, NoMixError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

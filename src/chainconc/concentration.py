@@ -13,9 +13,10 @@ rather than silently picking one:
 Always sigma2_exact <= sigma2_opnorm = sigma2_paper / 4. ||Gamma|| is a
 certified upper bound, never an approximation from below: the Collatz-Wielandt
 bound on the largest eigenvalue of Gamma^T Gamma at a near-Perron vector, plus
-a rounding guard (gamma.operator_norm). Contractive and ergodic Gammas find
-that vector from their bidiagonal factors, with no Gram matrix or LAPACK;
-brute-force Gammas from the Gram matrix, with LAPACK.
+a rounding guard (gamma.operator_norm). Every Gamma finds that vector by Noda
+iteration: contractive and ergodic Gammas solve with their bidiagonal factors,
+with no Gram matrix or LAPACK; brute-force Gammas with a blocked Cholesky
+factorization of the shifted Gram matrix.
 """
 
 from __future__ import annotations

@@ -31,10 +31,6 @@ class NoMixError(ChainconcError):
     """The chain admits no mixing time within its horizon."""
 
 
-class ConvergenceError(ChainconcError):
-    """A numerical routine failed to converge (for example a LAPACK eigensolver)."""
-
-
 def json_int(value, what: str) -> int:
     """value itself if it is a JSON integer; a bool, float or string raises ValidationError."""
     if type(value) is not int:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 
 PROVENANCES = ("contractive", "ergodic", "brute_force_tv")
 
@@ -149,22 +150,21 @@ def _shifted_solve(a: list, b: list, sigma: float, x: list) -> list | None:
 # its limit; the iteration stops there
 _NODA_TOL = 2.0**-30
 _NODA_STEPS = 30
+_POWER_STEPS = 64  # before Noda iteration on a dense Gram matrix
 
 
-def _noda_vector(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """Near-Perron vector of Gamma^T Gamma from the factors of Gamma, by Noda iteration.
+def _noda_vector(solve, x: list, sigma: float) -> list:
+    """Near-Perron vector of S = Gamma^T Gamma by Noda iteration.
 
-    Starting from x = 1 and a sigma above ||Gamma||^2, each step sets
-    y = (sigma I - Gamma^T Gamma)^-1 x, then sigma to the Collatz-Wielandt bound
-    at y, which is sigma - min_i x_i / y_i because Gamma^T Gamma y = sigma y - x
-    (Noda 1971). The iteration stops when sigma stalls, or keeps the last x
-    when rounding makes a pivot or an entry of y nonpositive.
+    From a positive x and a sigma above ||Gamma||^2, each step sets
+    y = solve(sigma, x) = (sigma I - S)^-1 x, then sigma to the Collatz-Wielandt
+    bound at y, sigma - min_i x_i / y_i, since S y = sigma y - x (Noda 1971). It
+    stops when sigma stalls, or keeps the last x when solve returns None or an
+    entry of y is not positive.
     """
-    a, b = a.tolist(), b.tolist()
-    x = [1.0] * (len(a) + 1)
     tiny = np.finfo(float).tiny
     for _ in range(_NODA_STEPS):
-        y = _shifted_solve(a, b, sigma, x)
+        y = solve(sigma, x)
         if y is None:
             break
         top = max(y)
@@ -177,65 +177,52 @@ def _noda_vector(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
         if sigma - bound <= sigma * _NODA_TOL:
             break
         sigma = bound
-    return np.array(x)
+    return x
 
 
 # OpenBLAS splits an LU or Cholesky factorization across threads from an order
-# of about 100 up, and the split changes the rounding with the thread count.
-# Factorizations below this order run on one thread.
+# of about 100 up, and the split changes the rounding with the thread count;
+# factorizations below this order run on one thread
 _BLOCK = 64
 
 
-def _cholesky_in_place(a: np.ndarray) -> None:
-    """Overwrite the lower triangle of a symmetric positive definite a with its Cholesky factor."""
-    n = a.shape[0]
-    for k in range(0, n, _BLOCK):
-        e = min(k + _BLOCK, n)
-        a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
-        if e < n:
+def _gram(m: np.ndarray) -> np.ndarray:
+    """S = m^T m for an upper-triangular m, one block column of its lower
+    triangle at a time, mirrored above. numpy's m.T @ m is one SYRK, whose
+    rounding changes with the BLAS thread count."""
+    n = m.shape[0]
+    s = np.empty((n, n))
+    for j in range(0, n, _BLOCK):
+        e = min(j + _BLOCK, n)
+        s[j:, j:e] = m[:e, j:].T @ m[:e, j:e]
+        s[j:e, e:] = s[e:, j:e].T
+    return s
+
+
+def _dense_solve(s: np.ndarray, sigma: float, x: list) -> list | None:
+    """(sigma I - s)^-1 x by a blocked Cholesky factorization of sigma I - s, or
+    None if it fails: then sigma is not above the spectrum as far as rounding can tell."""
+    n = s.shape[0]
+    a = np.negative(s)  # its lower triangle becomes the factor L
+    a.flat[:: n + 1] += sigma
+    starts = range(0, n, _BLOCK)
+    try:
+        for k in starts:
+            e = k + _BLOCK
+            a[k:e, k:e] = np.linalg.cholesky(a[k:e, k:e])
             a[e:, k:e] = np.linalg.solve(a[k:e, k:e], a[e:, k:e].T).T
             for j in range(e, n, _BLOCK):  # lower triangle, one block column at a time
                 a[j:, j:j + _BLOCK] -= a[j:, k:e] @ a[j:j + _BLOCK, k:e].T
-
-
-def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve low low^T y = b for the factor left by _cholesky_in_place, block by block."""
-    y = b.copy()
-    starts = range(0, b.size, _BLOCK)
-    for k in starts:
+    except np.linalg.LinAlgError:
+        return None
+    y = np.array(x)
+    for k in starts:  # L z = x, then L^T y = z
         e = k + _BLOCK
-        y[k:e] = np.linalg.solve(low[k:e, k:e], y[k:e] - low[k:e, :k] @ y[:k])
+        y[k:e] = np.linalg.solve(a[k:e, k:e], y[k:e] - a[k:e, :k] @ y[:k])
     for k in reversed(starts):
         e = k + _BLOCK
-        y[k:e] = np.linalg.solve(low[k:e, k:e].T, y[k:e] - low[e:, k:e].T @ y[e:])
-    return y
-
-
-def _gram_vector(m: np.ndarray) -> np.ndarray:
-    """Near-Perron vector of S = m^T m from the dense Gram matrix.
-
-    Two steps of inverse iteration, shifted just above LAPACK's largest
-    eigenvalue of S (eigvalsh, no eigenvectors). The shift is rounded up to
-    2^22 ulps and the shifted matrix is factored in blocks of order 64, so
-    that the thread count of a threaded BLAS does not reach x through LAPACK;
-    only S itself can differ in its last bits. A LAPACK failure raises
-    ConvergenceError.
-    """
-    n = m.shape[0]
-    a = m.T @ m
-    try:
-        lam = float(np.linalg.eigvalsh(a)[-1])
-        grid = math.ulp(lam) * 2**22
-        a *= -1.0  # a = sigma I - S, positive definite
-        a.flat[:: n + 1] += math.ceil(lam * (1.0 + 1e-10) / grid) * grid
-        _cholesky_in_place(a)
-        x = np.ones(n)
-        for _ in range(2):
-            x = np.abs(_cholesky_solve(a, x))
-            x /= x.max()
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK failed on the {n}x{n} Gram matrix: {exc}") from exc
-    return x
+        y[k:e] = np.linalg.solve(a[k:e, k:e].T, y[k:e] - a[e:, k:e].T @ y[e:])
+    return y.tolist()
 
 
 def operator_norm(g: GammaMatrix) -> float:
@@ -248,11 +235,11 @@ def operator_norm(g: GammaMatrix) -> float:
     Gamma^T (Gamma x) (sums of at most n nonnegative terms, each off by about
     n eps / 2 relative at most), and of the last product and square root.
 
-    x approximates the Perron vector of S, and then takes one power step. A
-    Gamma with factors (contractive and ergodic) finds x by Noda iteration on
-    them, one tridiagonal solve a step in pure Python, with no n x n array
-    besides Gamma: no BLAS thread count can reach it. Any other Gamma (brute
-    force) forms S and finds x with LAPACK (_gram_vector).
+    x is the near-Perron vector of Noda iteration, after one power step. A
+    Gamma with factors (contractive, ergodic) solves with them in pure Python
+    from x = 1 and sigma = ||Gamma||_1 ||Gamma||_inf. Any other (brute force)
+    forms S (_gram) and solves by blocked Cholesky, from the Collatz-Wielandt
+    bound after a few power steps on S. No BLAS thread count reaches x.
     """
     m = g.entries
     n = m.shape[0]
@@ -260,14 +247,26 @@ def operator_norm(g: GammaMatrix) -> float:
         return 0.0
     if not math.isfinite(m.max()):  # the max of an array holding a NaN is NaN
         raise ValidationError("gamma matrix entries must be finite")
+    tiny = np.finfo(float).tiny
+    x = np.ones(n)
     if g.factors is None:
-        x = _gram_vector(m)
+        # each Noda step is a dense factorization: 2-3 steps from the bound
+        # after the power steps, 6-7 from ||Gamma||_1 ||Gamma||_inf
+        s = _gram(m)
+        for _ in range(_POWER_STEPS):
+            x = s @ x
+            np.maximum(x / x.max(), tiny, out=x)
+        solve, sigma = functools.partial(_dense_solve, s), float((s @ x / x).max())
     else:
+        solve = functools.partial(_shifted_solve, *(f.tolist() for f in g.factors))
         # ||Gamma||_1 ||Gamma||_inf >= ||Gamma||^2 starts the shifts above the spectrum
-        x = _noda_vector(*g.factors, float(m.sum(axis=0).max() * m.sum(axis=1).max()))
+        sigma = float(m.sum(axis=0).max() * m.sum(axis=1).max())
+    x = np.array(_noda_vector(solve, x.tolist(), sigma))
     # one power step never raises the bound, and lifts the entries that the
     # inverse iteration left near rounding level
     x = m.T @ (m @ x)
-    np.maximum(x / x.max(), np.finfo(float).tiny, out=x)
+    np.maximum(x / x.max(), tiny, out=x)
     bound = float((m.T @ (m @ x) / x).max())
+    if not bound < math.inf:  # S x overflowed: inf, or NaN through inf / inf
+        return math.inf
     return math.sqrt(bound * (1.0 + 2 * (n + 1) * np.finfo(float).eps))

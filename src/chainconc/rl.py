@@ -34,8 +34,8 @@ class MdpSpec:
     rewards[s, a] must lie in [0, min(stage_caps)]; stage_caps (default all 1)
     are the per-stage reward bounds that become Lipschitz weights.
 
-    The spec is a plain validated value and holds no cache: build derives the
-    normalised kernel rows and chain initial law once, and every per-policy
+    The spec is a plain validated value and holds no cache: build normalises
+    the kernel rows and the initial law once, and every per-policy
     quantity comes from the batched class_values and class_table. Each reader
     recomputes them: the mixing-time metric makes its own table pass, and the
     CRN supremum its own value pass.
@@ -49,7 +49,6 @@ class MdpSpec:
     initial: Distribution
     stage_caps: np.ndarray  # (H,)
     kernel_rows: np.ndarray  # (S, A, S), each row normalised as Kernel.from_array does
-    chain_initial: Distribution  # initial, normalised as validate_chain does for an induced chain
 
     @classmethod
     def build(cls, n_states: int, n_actions: int, horizon: int, transitions, rewards,
@@ -79,8 +78,7 @@ class MdpSpec:
         init = Distribution.from_array(initial, where="mdp initial distribution")
         if len(init) != n_states:
             raise ValidationError(f"initial distribution has length {len(init)}, expected {n_states}")
-        chain_initial = Distribution.from_array(init.probs, where="initial distribution")
-        return cls(n_states, n_actions, horizon, trans, rew, init, caps, kernel_rows, chain_initial)
+        return cls(n_states, n_actions, horizon, trans, rew, init, caps, kernel_rows)
 
     def _blocks(self, policies):
         """(offset, (p, S) action array) per block of policies whose pair
@@ -216,12 +214,12 @@ def induced_chain(mdp: MdpSpec, pi: Policy) -> ChainSpec:
     """The state chain under a policy: kernel rows P(. | s, pi(s)), one kernel
     repeated over the horizon.
 
-    Rows come from the MDP's normalised tensor (kernel_rows), which its build
-    validated.
+    Rows come from the MDP's normalised tensor (kernel_rows) and the initial
+    law is the MDP's, both normalised once by its build.
     """
     acts = action_tables(mdp, (pi,))[0]
     kernel = Kernel(mdp.kernel_rows[np.arange(mdp.n_states), acts])
-    return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.chain_initial,
+    return ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial,
                      (kernel,) * (mdp.horizon - 1))
 
 

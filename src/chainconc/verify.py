@@ -289,7 +289,7 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     rewards = mdp.rewards.ravel()
     # cdf[k, row] is breakpoint k of state-action row s * A + a's next-state CDF
     cdf = np.cumsum(mdp.kernel_rows, axis=2).reshape(-1, mdp.n_states)[:, :-1].T.copy()
-    init_cdf = np.cumsum(mdp.chain_initial.probs)[:-1]
+    init_cdf = np.cumsum(mdp.initial.probs)[:-1]
     width = max(1, min(SAMPLE_BLOCK, SUP_BLOCK_ELEMENTS // max(len(pc), cdf.shape[1])))
     parts = []
     ranges = _blocks(chunk_ranges(replicates, chunks), width)

@@ -277,12 +277,14 @@ def mixing_time_per_position(spec, eps):
 
 
 def induced_chain_per_stage(mdp, pi):
-    """The induced chain as validate_chain builds it: one raw kernel per stage,
-    each normalised on its own."""
+    """The induced chain with kernels as validate_chain builds them: one raw
+    kernel per stage, each normalised on its own. The initial law is the MDP's,
+    normalised once by its build, not a second time."""
     states, acts = np.arange(mdp.n_states), np.asarray(pi.actions)
     kernels = tuple(Kernel(mdp.transitions[states, acts, :])
                     for _ in range(mdp.horizon - 1))
-    return validate_chain(ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial, kernels))
+    chain = validate_chain(ChainSpec((mdp.n_states,) * mdp.horizon, mdp.initial, kernels))
+    return ChainSpec(chain.coord_sizes, mdp.initial, chain.kernels)
 
 
 def exact_value_per_stage(mdp, pi) -> float:

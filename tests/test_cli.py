@@ -260,14 +260,65 @@ def test_malformed_input_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["certify", "verify"])
-def test_an_output_that_is_its_own_csv_sibling_exits_1(tmp_path, capsys, command):
+def test_an_output_that_is_its_own_csv_sibling_exits_1(tmp_path, capsys, monkeypatch, command):
     chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
                                                  "function": {"name": "indicator_count"}})
     out = tmp_path / "report.csv"
+    # refused before any work: no chain is read, certified or sampled
+    for name in ("chain_from_dict", "certify", "empirical_tail"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} called"))
     assert main([command, "--input", chain, "--replicates", "1000", "--output", str(out)]
                 if command == "verify" else [command, "--input", chain, "--output", str(out)]) == 1
     assert "its own CSV" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _demo_verify(tmp_path, cert_doc, *flags):
+    """verify of indicator_count on the demo kernel at n = 12 against cert_doc."""
+    chain = write_json(tmp_path / "demo12.json", {"kernel": TWO_STATE, "n": 12,
+                                                  "function": {"name": "indicator_count"}})
+    cert = write_json(tmp_path / "cert_doc.json", cert_doc)
+    return main(["verify", "--input", chain, "--certificate", cert, "--replicates", "2000",
+                 *flags, "--output", str(tmp_path / "tail.json")])
+
+
+def _certificate(tmp_path, chain_doc, *flags):
+    path = tmp_path / "made_cert.json"
+    assert main(["certify", "--input", write_json(tmp_path / "made.json", chain_doc), *flags,
+                 "--output", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_verify_rejects_a_certificate_of_another_chain(tmp_path, capsys):
+    # an unrelated n = 3 chain, whose sigma2 is far above the demo chain's
+    other = _certificate(tmp_path, {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 3,
+                                    "weights": [30.0] * 3})
+    assert _demo_verify(tmp_path, other) == 1
+    assert "certificate weights length 3 does not match chain length 12" in \
+        capsys.readouterr().err
+    # the same length, another kernel
+    other = _certificate(tmp_path, {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 12})
+    assert _demo_verify(tmp_path, other) == 1
+    assert "certificate was built for another chain" in capsys.readouterr().err
+    # this chain's own certificate, with its sigma2 raised by one ulp
+    own = _certificate(tmp_path, {"kernel": TWO_STATE, "n": 12})
+    own["report"]["sigma2_opnorm"] = math.nextafter(own["report"]["sigma2_opnorm"], math.inf)
+    assert _demo_verify(tmp_path, own) == 1
+    assert "certificate was built for another chain" in capsys.readouterr().err
+    # an ergodic certificate at a level that the demo chain does not reach in 12 steps
+    other = _certificate(tmp_path, {"kernel": [[0.5, 0.5], [0.5, 0.5]], "n": 12},
+                         "--method", "ergodic", "--eps", "1e-6")
+    assert _demo_verify(tmp_path, other) == 1
+    assert "certificate was built for another chain: chain does not mix" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--method", "ergodic", "--eps", "0.25"],
+                                   ["--method", "brute", "--convention", "exact"]])
+def test_verify_accepts_the_chains_own_certificate(tmp_path, flags):
+    """Rebuilt from the chain, its weights and its eps, the certificate matches bitwise."""
+    own = _certificate(tmp_path, {"kernel": TWO_STATE, "n": 12}, *flags)
+    assert _demo_verify(tmp_path, own, "--convention", own["report"]["convention"]) == 0
 
 
 _HELP = ("help", ("-h", "--help"), "==SUPPRESS==", None, False, None)
@@ -697,22 +748,33 @@ def test_write_json_streams_matrices_as_json_dump_would(first, second):
 def test_certify_report_is_independent_of_blas_threads(tmp_path):
     chain = write_json(tmp_path / "chain.json",
                        {"kernel": TWO_STATE, "n": 200, "weights": np.linspace(0.5, 2, 200).tolist()})
+    rng = np.random.default_rng(12)
+    brute = write_json(tmp_path / "brute.json", {
+        "coord_sizes": [4] * 200, "initial": [0.25] * 4,
+        "kernels": [rng.dirichlet(np.ones(4), size=4).tolist() for _ in range(199)]})
     out = tmp_path / "cert.json"
     # LAPACK's largest eigenvalue of this Gamma's Gram matrix (n = 595) itself
-    # changes with the thread count
-    norm_595 = ("import numpy as np; from chainconc import gamma_contractive, operator_norm; "
+    # changes with the thread count, and so does numpy's m.T @ m of the dense
+    # triangle, which _gram replaces
+    norm_595 = ("import hashlib; import numpy as np; from chainconc.gamma import _gram; "
+                "from chainconc import gamma_contractive, operator_norm; "
                 "rng = np.random.default_rng(9); n = int(rng.integers(300, 1001)); "
-                "print(operator_norm(gamma_contractive(rng.uniform(0.3, 1.0, n - 1))).hex())")
+                "print(operator_norm(gamma_contractive(rng.uniform(0.3, 1.0, n - 1))).hex()); "
+                "m = np.triu(np.random.default_rng(1).random((1500, 1500))); "
+                "print(hashlib.sha256(_gram(m).tobytes()).hexdigest())")
     env = {**os.environ, "PYTHONPATH": str(Path(chainconc.__file__).resolve().parents[1])}
     results = []
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads
-        subprocess.run([sys.executable, "-m", "chainconc.cli", "certify", "--input", chain,
-                        "--method", "contractive", "--output", str(out)],
-                       env=env, check=True, capture_output=True, timeout=120)
+        reports = []
+        for doc, method in ((chain, "contractive"), (brute, "brute")):
+            subprocess.run([sys.executable, "-m", "chainconc.cli", "certify", "--input", doc,
+                            "--method", method, "--output", str(out)],
+                           env=env, check=True, capture_output=True, timeout=120)
+            reports.append(out.read_bytes())
         norm = subprocess.run([sys.executable, "-c", norm_595], env=env, check=True,
                               capture_output=True, text=True, timeout=120).stdout
-        results.append((out.read_bytes(), norm))
+        results.append((reports, norm))
     assert results[0] == results[1]
 
 
@@ -790,6 +852,13 @@ def test_rl_rejects_non_finite_or_non_positive_scale(tmp_path, command, scale):
     (["rl-bound"], dict(_small_mdp(), H=True)),
     (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": 2.5}),
     (["gamma", "--method", "ergodic", "--eps", "0.3"], {"n_blocks": True}),
+    # a certificate bound to its chain: weights per coordinate, a method certify knows
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": 1.0, "weights": [1.0]}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": 1.0, "weights": ["a", 1, 1]}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": 1.0, "weights": [1.0] * 3,
+                                              "method": "mystery"}}),
+    (["verify", "--certificate"], {"report": {"sigma2_opnorm": 1.0, "weights": [1.0] * 3,
+                                              "method": "ergodic", "details": {"eps": "0.25"}}}),
 ])
 def test_malformed_documents_exit_1(tmp_path, command, doc):
     path = write_json(tmp_path / "doc.json", doc)

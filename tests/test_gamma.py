@@ -12,8 +12,10 @@ from numpy.testing import assert_allclose
 import chainconc.gamma
 import oracles
 from chainconc import (
-    ConvergenceError,
+    ChainSpec,
+    Distribution,
     GammaMatrix,
+    Kernel,
     LipschitzWeights,
     ValidationError,
     certify,
@@ -21,6 +23,7 @@ from chainconc import (
     gamma_ergodic,
     homogeneous_chain,
     operator_norm,
+    validate_chain,
     wasserstein_matrix_tv,
 )
 from chainconc.cli import main
@@ -174,11 +177,11 @@ def _assert_certified(g):
 
 
 def _dense(g):
-    """The same entries without factors: the Gram-matrix path."""
+    """The same entries without factors: Noda iteration on the Gram matrix."""
     return GammaMatrix(g.entries, "brute_force_tv")
 
 
-BOTH_PATHS = (lambda g: g, _dense)  # the factor path (Noda iteration), then the Gram path
+BOTH_PATHS = (lambda g: g, _dense)  # Noda iteration on the factors, then on the Gram matrix
 
 
 def test_operator_norm_is_an_upper_bound_on_random_triangular(rng):
@@ -262,6 +265,30 @@ def test_factor_norm_is_certified_on_any_ergodic_gamma(n_blocks, eps):
     _assert_certified(gamma_ergodic(n_blocks, eps))
 
 
+@st.composite
+def brute_gammas(draw):
+    """wasserstein_matrix_tv of a chain of n in 1..40 coordinates of 1-5 states,
+    where about a third of the states are reached by no row: zero marginals."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(count, size):
+        p = rng.exponential(size=(count, size)) ** draw(st.sampled_from([1.0, 4.0]))
+        dead = rng.random(size) < 0.3
+        dead[rng.integers(size)] = False
+        p[:, dead] = 0.0
+        return p / p.sum(axis=1, keepdims=True)
+
+    kernels = tuple(Kernel(rows(a, b)) for a, b in zip(sizes, sizes[1:]))
+    spec = validate_chain(ChainSpec(tuple(sizes), Distribution(rows(1, sizes[0])[0]), kernels))
+    return wasserstein_matrix_tv(spec)
+
+
+@given(brute_gammas())
+def test_dense_norm_is_certified_on_any_brute_gamma(g):
+    _assert_certified(g)
+
+
 def test_factors_are_the_bidiagonal_pair_of_gamma(rng):
     for g in (gamma_contractive(rng.random(9)), gamma_ergodic(10, 0.3), gamma_ergodic(10, 0.0)):
         a, b = g.factors
@@ -278,13 +305,16 @@ def test_wrong_factors_only_loosen_the_bound():
         GammaMatrix(g.entries, "contractive", (np.zeros(98), np.zeros(98)))
 
 
-@pytest.mark.parametrize("method", ["contractive", "ergodic"])
+@pytest.mark.parametrize("method", ["contractive", "ergodic", "brute_force"])
 def test_certify_needs_no_lapack(monkeypatch, method):
+    """Factored Gammas call no LAPACK routine; a brute-force one factors its
+    Gram matrix but needs no eigensolver."""
     def fail(*args, **kwargs):
         raise AssertionError("LAPACK called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    if method != "brute_force":
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
     spec = homogeneous_chain([[0.9, 0.1], [0.2, 0.8]], 300)
     report = certify(spec, LipschitzWeights(np.ones(300)), method, eps=0.25)
     monkeypatch.undo()
@@ -300,6 +330,13 @@ def test_operator_norm_rejects_non_finite_entries(bad):
             operator_norm(g)
 
 
+def test_operator_norm_of_a_gamma_whose_gram_overflows_is_infinite():
+    m = np.array([[1.0, 1e200], [0.0, 1.0]])
+    with np.errstate(all="ignore"):
+        for factors in (None, ([1e200], [0.0])):
+            assert operator_norm(GammaMatrix(m, "brute_force_tv", factors)) == math.inf
+
+
 def test_factor_norm_allocates_no_gram():
     g = gamma_contractive(np.random.default_rng(3).uniform(0.3, 1.0, 1999))
     tracemalloc.start()
@@ -311,17 +348,22 @@ def test_factor_norm_allocates_no_gram():
     assert peak < 2**20  # the 2000 x 2000 Gram matrix alone is 32 MB
 
 
-def test_lapack_failure_raises_convergence_error(monkeypatch, tmp_path):
+def test_cholesky_failure_keeps_a_certified_bound(monkeypatch, tmp_path):
+    """A factorization that fails stops Noda iteration at its last x; the
+    Collatz-Wielandt bound at any positive x is still an upper bound."""
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(chainconc.gamma.np.linalg, "eigvalsh", fail)
-    with pytest.raises(ConvergenceError):
-        operator_norm(GammaMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), "brute_force_tv"))
+    monkeypatch.setattr(chainconc.gamma.np.linalg, "cholesky", fail)
+    rng = np.random.default_rng(11)
+    spec = random_chain(rng, n=40)
+    for g in (GammaMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]), "brute_force_tv"),
+              wasserstein_matrix_tv(spec), _dense(gamma_contractive(rng.random(99)))):
+        assert operator_norm(g) >= oracles.spectral_norm(g.entries)
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"kernel": [[0.9, 0.1], [0.2, 0.8]], "n": 4}))
     assert main(["certify", "--input", str(chain), "--method", "brute",
-                 "--output", str(tmp_path / "o.json")]) == 1
+                 "--output", str(tmp_path / "o.json")]) == 0
 
 
 def test_to_dict_keeps_the_bytes_of_tolist(rng):

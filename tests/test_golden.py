@@ -47,7 +47,7 @@ GOLDEN = {
     "certify/ergodic":
         "02ad5cc74159e7e82dd97f273d81e8f325a750abc26ae3c55a2462b7e2daebcd",
     "certify/brute":
-        "60a1e50f3dab4e8da54973ba2f508b8b91fe1c52b9d5790c7b7dac863a94b82b",
+        "565651750d00e8755875d088bd15398ba8903bd27389858005859e354877825f",
     "gamma/contractive":
         "1031e09c5a17ef444e33f527165c2700477b7c0f33364d55dcfd3b071ab58c4a",
     "gamma/ergodic":
@@ -67,7 +67,7 @@ GOLDEN = {
     "rl-bound/mixing":
         "c63d372edf5b11c366b8660cc175a94de892126c7deb9ac1697053c0d4ddb8c6",
     "rl-bound/brute":
-        "693271107b3eb7111612ebbb2037217a5366ce4cbc3337f2698de10adf6ff99a",
+        "5cc5090bb12da476bfa54a4ea61565f9281ef1bbfeabe1b62d63eef78a1fe94a",
     "rl-bound/exact":
         "9fb7f1dd30c32b5ee91b72ea83b26da46d1e79ad86a01a29bb2301eabb81371f",
     "rl-bound/paper":

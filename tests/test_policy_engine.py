@@ -182,11 +182,20 @@ def test_induced_chains_and_values_match_per_stage_construction(n_states, n_acti
     for pi in random_class(rng, mdp, 4).policies:
         new, old = induced_chain(mdp, pi), oracles.induced_chain_per_stage(mdp, pi)
         assert new.coord_sizes == old.coord_sizes
-        assert new.initial.probs.tobytes() == old.initial.probs.tobytes()
+        assert new.initial.probs.tobytes() == old.initial.probs.tobytes() \
+            == mdp.initial.probs.tobytes()
         assert [k.rows.tobytes() for k in new.kernels] == [k.rows.tobytes() for k in old.kernels]
         assert exact_value(mdp, pi) == oracles.exact_value_per_stage(mdp, pi)
         gamma, details = build_gamma(new, "contractive")
         assert details["thetas"] == [dobrushin_coefficient(k) for k in old.kernels]
+
+
+def test_induced_chain_keeps_the_mdp_initial_law():
+    # a law that a second normalisation moves in its last bits
+    initial = [0.5419933099788927, 0.3221525203573636, 0.13585416966374378]
+    mdp = MdpSpec.build(3, 1, 4, np.full((3, 1, 3), 1 / 3), np.zeros((3, 1)), initial)
+    chain = induced_chain(mdp, Policy((0, 0, 0)))
+    assert chain.initial.probs.tobytes() == mdp.initial.probs.tobytes()
 
 
 def test_stationary_policy_repeats_one_kernel(rng):
