@@ -11,7 +11,6 @@ outcome: it means the theory the certificate encodes was falsified.
 from __future__ import annotations
 
 import argparse
-import array
 import functools
 import itertools
 import json
@@ -80,8 +79,9 @@ def _meta(args: argparse.Namespace) -> dict:
     return {"tool": "chainconc", "version": __version__, "config": config}
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode  # the C encoder: no indent
-_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True).encode
+# the C encoder (no indent) and the stdlib's indenting one; both write an ndarray as its tolist()
+_ENCODE = json.JSONEncoder(sort_keys=True, default=np.ndarray.tolist).encode
+_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist).encode
 _NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the stdlib path
 _FLOAT = {float}
 
@@ -112,21 +112,23 @@ def _is_row(obj) -> bool:
 
 
 def _streamed(obj) -> bool:
-    """A numeric list, a list that holds one, or a dict with string keys that holds one
-    among its values, directly or in a streamed value: _dump writes its items one at a
-    time, where one stdlib call writes any other container."""
+    """An ndarray, a numeric list, a list that holds one, or a dict with string keys
+    that holds one among its values, directly or in a streamed value: _dump writes its
+    items one at a time, where one stdlib call writes any other container."""
     if type(obj) is dict:
         return any(map(_streamed, obj.values())) and all(isinstance(k, str) for k in obj)
-    return type(obj) in (list, tuple) and (_is_row(obj) or any(map(_is_row, obj)))
+    return type(obj) is np.ndarray or (
+        type(obj) in (list, tuple) and (_is_row(obj) or any(map(_is_row, obj))))
 
 
 def _write_json(path: str, doc: dict) -> None:
-    """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True), plus a newline.
+    """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True,
+    default=np.ndarray.tolist), plus a newline: an ndarray is written as its tolist().
 
     The stdlib indents in pure Python, one token at a time. Here each numeric
-    list is formatted at C level (_items), the rows of a matrix one at a time
-    (_dump_rows), and the containers that lead to them key by key; every other
-    container takes one stdlib call.
+    list is formatted at C level (_items), the rows of a matrix or of a 2-D
+    float array one at a time (_dump_rows), and the containers that lead to
+    them key by key; every other container takes one stdlib call.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _dump(doc, fh, "\n")
@@ -136,7 +138,12 @@ def _write_json(path: str, doc: dict) -> None:
 def _dump(obj, fh, newline: str) -> None:
     """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
     inner = newline + "  "
-    if _is_row(obj):
+    if type(obj) is np.ndarray:
+        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+            _dump_rows(obj, fh, newline)
+        else:  # a 1-D array is one numeric list, any other array its nested lists
+            _dump(obj.tolist(), fh, newline)
+    elif _is_row(obj):
         fh.write("[" + inner + _items(obj, inner) + newline + "]")
     elif not _streamed(obj):
         # an escaped string never holds a raw line break, so re-indenting is safe
@@ -154,24 +161,25 @@ def _dump(obj, fh, newline: str) -> None:
 
 
 def _dump_rows(rows, fh, newline: str) -> None:
-    """Write a list that holds numeric lists, streaming one row at a time.
+    """Write a list that holds numeric lists, or a nonempty 2-D float array, one row at a time.
 
-    A row of floats writes its leading +0.0 entries as one repeated string and
-    formats only its tail. The first such tail is kept with its item strings:
-    a later tail that is bitwise a prefix of it, as in a Toeplitz Gamma whose
-    rows shift right by one, is a slice of that text, so it is formatted once.
+    A row of the array writes its leading +0.0 entries as one repeated string
+    and formats only its tail, from the tail's tolist(). The first such tail
+    is kept with its item strings: a later tail that is bitwise a prefix of
+    it, as in a Toeplitz Gamma whose rows shift right by one, is a slice of
+    that text, so it is formatted once. A row of a list takes _dump.
     """
     inner = newline + "  "
     sep = "," + inner + "  "
     first = text = ends = None  # bytes, text and item end offsets of the first float tail
     lead = "[" + inner
     for row in rows:
-        if type(row) not in (list, tuple) or set(map(type, row)) != _FLOAT:
-            fh.write(lead)
+        fh.write(lead)
+        lead = "," + inner
+        if type(rows) is not np.ndarray:
             _dump(row, fh, inner)
-            lead = "," + inner
             continue
-        bits = array.array("d", row).tobytes()
+        bits = row.tobytes()
         zeros = (len(bits) - len(bits.lstrip(b"\0"))) // 8  # a nonzero double has a nonzero byte
         tail = bits[8 * zeros:]
         if first is not None and tail and first.startswith(tail):
@@ -179,12 +187,11 @@ def _dump_rows(rows, fh, newline: str) -> None:
                 ends = list(itertools.accumulate(len(item) + len(sep) for item in text.split(sep)))
             body = text[:ends[len(tail) // 8 - 1] - len(sep)]
         else:
-            body = _items(row[zeros:], inner + "  ") if tail else ""
+            body = _items(row[zeros:].tolist(), inner + "  ") if tail else ""
             if first is None and tail:
                 first, text = tail, body
         prefix = ("0.0" + sep) * zeros  # "0.0" is repr(+0.0)
-        fh.write(f"{lead}[{inner}  {prefix + body if body else prefix[:-len(sep)]}{inner}]")
-        lead = "," + inner
+        fh.write(f"[{inner}  {prefix + body if body else prefix[:-len(sep)]}{inner}]")
     fh.write(newline + "]")
 
 
@@ -262,7 +269,7 @@ def _cmd_certify(args) -> int:
     spec = chain_from_dict(doc)
     weights = _load_weights(doc, spec)
     report = certify(spec, weights, args.method, eps=args.eps, convention=args.convention)
-    _write_report(args.output, {"meta": _meta(args), "report": report.to_dict()},
+    _write_report(args.output, {"meta": _meta(args), "report": report.document()},
                   report.tail_curve_csv())
     print(f"certified sigma2_{report.convention} = {report.sigma2_selected!r} "
           f"(method {report.method}); wrote {args.output}")
@@ -398,7 +405,7 @@ def _cmd_gamma(args) -> int:
             g, _ = build_gamma(chain_from_dict(doc), args.method, args.eps)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed gamma document: {exc}") from exc
-    out = {"meta": _meta(args), "gamma": g.to_dict()}
+    out = {"meta": _meta(args), "gamma": g.document()}
     _write_report(args.output, out)
     print(f"gamma ({g.provenance}) of size {g.n}; wrote {args.output}")
     return EXIT_OK
@@ -520,12 +527,12 @@ def _cmd_demo(args) -> int:
 
     cert = certify(spec, weights, "contractive", convention=args.convention)
     _write_report(os.path.join(args.output, "demo_certificate.json"),
-                  {"meta": _meta(args), "chain": demo_doc, "report": cert.to_dict()},
+                  {"meta": _meta(args), "chain": demo_doc, "report": cert.document()},
                   cert.tail_curve_csv())
 
     ergodic = certify(spec, weights, "ergodic", eps=0.25, convention=args.convention)
     _write_report(os.path.join(args.output, "demo_certificate_ergodic.json"),
-                  {"meta": _meta(args), "report": ergodic.to_dict()})
+                  {"meta": _meta(args), "report": ergodic.document()})
 
     f = TabularFunction.from_vectorized(
         spec, lambda grids: sum((g == 1).astype(float) for g in grids), cap=cap

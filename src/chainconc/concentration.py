@@ -33,7 +33,8 @@ from .chain import (
     t_step_coefficients,
 )
 from .coupling import wasserstein_matrix_tv
-from .errors import EnumerationCapError, NoMixError, ValidationError, enumeration_cap, size_text
+from .errors import (EnumerationCapError, NoMixError, ValidationError, enumeration_cap, json_native,
+                     size_text)
 from .gamma import GammaMatrix, gamma_contractive, gamma_ergodic, operator_norm
 
 CONVENTIONS = ("exact", "opnorm", "paper")
@@ -305,13 +306,14 @@ class ConcentrationReport:
     details: dict = field(default_factory=dict)
     caveats: tuple[str, ...] = (CONVENTION_CAVEAT,)
 
-    def to_dict(self) -> dict:
+    def document(self) -> dict:
+        """The report of this certificate, its arrays left in place."""
         return {
             "method": self.method,
             "convention": self.convention,
-            "gamma": self.gamma.to_dict(),
-            "weights": self.weights.tolist(),
-            "effective_weights": self.effective_weights.tolist(),
+            "gamma": self.gamma.document(),
+            "weights": self.weights,
+            "effective_weights": self.effective_weights,
             "sigma2_exact": self.sigma2_exact,
             "sigma2_opnorm": self.sigma2_opnorm,
             "sigma2_paper": self.sigma2_paper,
@@ -320,6 +322,9 @@ class ConcentrationReport:
             "details": self.details,
             "caveats": list(self.caveats),
         }
+
+    def to_dict(self) -> dict:
+        return json_native(self.document())
 
     def tail_curve_csv(self) -> str:
         lines = ["t,bound"]

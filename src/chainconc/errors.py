@@ -1,9 +1,11 @@
-"""Exception types and global numeric configuration."""
+"""Exception types, global numeric configuration and JSON helpers."""
 
 from __future__ import annotations
 
 import math
 import os
+
+import numpy as np
 
 # Absolute tolerance for probability vectors: sums within PROB_TOL of 1 are
 # renormalized, anything worse is rejected.
@@ -36,6 +38,18 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_native(doc):
+    """doc with every ndarray, at any depth of dicts, lists and tuples, as its
+    tolist() and every tuple as a list: json.dumps writes the same bytes of it."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: json_native(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [json_native(value) for value in doc]
+    return doc
 
 
 def size_text(size: int) -> str:

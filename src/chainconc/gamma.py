@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_native
 
 PROVENANCES = ("contractive", "ergodic", "brute_force_tv")
 
@@ -56,13 +56,13 @@ class GammaMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
+    def document(self) -> dict:
+        """The report of this Gamma, its entries left as the array."""
+        return {"shape": list(self.entries.shape), "provenance": self.provenance,
+                "entries": self.entries}
+
     def to_dict(self) -> dict:
-        # the zeros below the diagonal share one +0.0 object, where tolist makes
-        # a float object for each. A row holding a -0.0 there keeps its own
-        # floats, and so its bytes.
-        rows = [row.tolist() if np.signbit(row[:i]).any() else [0.0] * i + row[i:].tolist()
-                for i, row in enumerate(self.entries)]
-        return {"shape": list(self.entries.shape), "provenance": self.provenance, "entries": rows}
+        return json_native(self.document())
 
 
 def gamma_contractive(thetas) -> GammaMatrix:

@@ -12,8 +12,9 @@ Monte Carlo loop takes its blocks from rng.uniform_blocks, whose one worker
 thread draws the next block while this thread samples the current one; the
 sampler, f and the statistics all run on the calling thread. A table is
 always centered exactly, whatever its size; only a callable is centered by
-the pilot. A sigma2 that is not finite and positive, or a seed outside
-[0, 2^64), is malformed input.
+the pilot. A sigma2 that is not finite and positive, a seed outside
+[0, 2^64), or an f that does not give one finite value per trajectory is
+malformed input.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .chain import ChainSpec, strides_for, trajectories_from_uniforms
 from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
-from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError
+from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_native
 from .rl import MdpSpec, PolicyClass, action_tables
 from .rng import chunk_ranges, uniform_blocks
 
@@ -59,11 +60,21 @@ def default_lambda_grid(sigma2: float) -> np.ndarray:
 
 
 def _function_values(f, spec: ChainSpec, states: np.ndarray) -> np.ndarray:
-    """Evaluate f on a matrix of trajectories (one per row)."""
+    """Evaluate f on a matrix of trajectories (one per row): one finite value per row,
+    else ValidationError."""
     if isinstance(f, TabularFunction):
-        strides = np.asarray(strides_for(spec.coord_sizes))
-        return f.values[states @ strides]
-    return np.asarray(f(states), dtype=float)
+        values = f.values[states @ np.asarray(strides_for(spec.coord_sizes))]
+    else:
+        try:
+            values = np.asarray(f(states), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"function values must be numbers: {exc}") from exc
+    if values.shape != states.shape[:1]:
+        raise ValidationError(f"function returned shape {values.shape} on {len(states)} "
+                              "trajectories; it must return one value per trajectory")
+    if not np.isfinite(values).all():
+        raise ValidationError("function returned a value that is not finite")
+    return values
 
 
 def _blocks(ranges, size: int) -> list[tuple[int, int]]:
@@ -71,14 +82,21 @@ def _blocks(ranges, size: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, hi)) for lo, hi in ranges for start in range(lo, hi, size)]
 
 
-def _block_values(f, spec: ChainSpec, seed: int, ranges) -> list[np.ndarray]:
-    """f along the trajectories of the replicates of ranges, one array per block.
+def _block_values(f, spec: ChainSpec, seed: int, ranges) -> np.ndarray:
+    """f along the trajectories of the replicates of ranges, in replicate order,
+    written block by block into one array.
 
     The stream is closed on the way out, so its draw thread ends with this
     call even when f raises.
     """
-    with closing(uniform_blocks(seed, spec.n, _blocks(ranges, SAMPLE_BLOCK))) as blocks:
-        return [_function_values(f, spec, trajectories_from_uniforms(spec, u)) for u in blocks]
+    blocks = _blocks(ranges, SAMPLE_BLOCK)
+    out = np.empty(sum(hi - lo for lo, hi in blocks))
+    at = 0
+    with closing(uniform_blocks(seed, spec.n, blocks)) as stream:
+        for u in stream:
+            out[at:at + len(u)] = _function_values(f, spec, trajectories_from_uniforms(spec, u))
+            at += len(u)
+    return out
 
 
 def _check_seed(seed: int) -> None:
@@ -103,10 +121,10 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
     if isinstance(f, TabularFunction):
         center, method = float(conditional_expectation_tables(f, spec)[0]), "enumeration"
     else:  # the pilot's values are freed before the replicates are sampled
-        center = float(np.mean(np.concatenate(
-            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, [(0, PILOT_REPLICATES)]))))
+        center = float(np.mean(
+            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, [(0, PILOT_REPLICATES)])))
         method = f"pilot({PILOT_REPLICATES})"
-    values = np.concatenate(_block_values(f, spec, seed, chunk_ranges(replicates, chunks)))
+    values = _block_values(f, spec, seed, chunk_ranges(replicates, chunks))
     return grid, values - center, center, method
 
 
@@ -143,12 +161,7 @@ class GridEstimate:
 
 def _fields_dict(estimate) -> dict:
     """A dataclass's fields by name, with arrays and tuples as lists."""
-    out = {}
-    for item in fields(estimate):
-        value = getattr(estimate, item.name)
-        out[item.name] = value.tolist() if isinstance(value, np.ndarray) else (
-            list(value) if isinstance(value, tuple) else value)
-    return out
+    return json_native({item.name: getattr(estimate, item.name) for item in fields(estimate)})
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -678,40 +679,24 @@ def test_same_seed_gives_identical_reports(tmp_path):
     assert outs[0] == outs[1]
 
 
-NUMBERS = st.one_of(st.integers(), st.floats(), st.booleans(), st.floats().map(np.float64))
-SCALARS = st.one_of(st.none(), st.text(), NUMBERS,
-                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324]))
-DOCS = st.recursive(SCALARS, lambda inner: st.one_of(
-    st.lists(NUMBERS, max_size=6),
-    st.lists(inner, max_size=4),
-    st.lists(inner, max_size=4).map(tuple),
-    st.dictionaries(st.text(), inner, max_size=4),
-    st.dictionaries(st.integers(), inner, max_size=3),
-), max_leaves=30)
+def json_dump_bytes(doc) -> bytes:
+    """What _write_json must write of doc: an ndarray as its tolist()."""
+    return (json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n").encode()
 
 
-@given(DOCS)
-@example({"\u00e9\n\"\\\x00\u2028": [-0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf],
-          "": {}, "empty": [], "t": (None, True, 1, 2.5, np.float64(0.1)),
-          "nested": [[1.0, False], [], [{}], {"k": ()}]})
-def test_write_json_is_byte_identical_to_json_dump(doc):
-    with tempfile.TemporaryDirectory() as d:
-        path = Path(d) / "r.json"
-        cli._write_json(str(path), doc)
-        got = path.read_bytes()
-    assert got == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
-
-
-ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, math.nan, math.inf,
+                                                   -math.inf]))
 ODD_ENTRIES = st.sampled_from([0.0, -0.0, 0, 1, False, True, math.nan, -math.inf, 1e-300])
 
 
 @st.composite
-def matrices(draw):
+def matrices(draw, arrays=None):
     """Toeplitz, upper-triangular, dense or ragged rows, with a few entries swapped
-    for -0.0, ints, bools, NaN or infinities."""
+    for -0.0, ints, bools, NaN or infinities; as lists, tuples or an n x m float
+    array (0 x m, n x 0 and 1 x 1 among them). arrays=True draws arrays only."""
     n, m = draw(st.integers(0, 7)), draw(st.integers(0, 7))
-    kind = draw(st.sampled_from(["toeplitz", "upper", "dense", "ragged"]))
+    kinds = ["toeplitz", "upper", "dense"] + ([] if arrays else ["ragged"])
+    kind = draw(st.sampled_from(kinds))
     first = draw(st.lists(ENTRIES, min_size=m, max_size=m))
     if kind == "toeplitz":  # each row the previous one shifted right by one
         rows = [[0.0] * min(i, m) + first[:max(m - i, 0)] for i in range(n)]
@@ -727,22 +712,73 @@ def matrices(draw):
             i = draw(st.integers(0, len(rows) - 1))
             if rows[i]:
                 rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(ODD_ENTRIES)
+    if arrays or (kind != "ragged" and draw(st.booleans())):
+        return np.array(rows, dtype=float).reshape(n, m)
     return [tuple(r) for r in rows] if draw(st.booleans()) else rows
+
+
+NUMBERS = st.one_of(st.integers(), st.floats(), st.booleans(), st.floats().map(np.float64))
+SCALARS = st.one_of(st.none(), st.text(), NUMBERS,
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324]))
+FLOAT_ARRAYS = st.one_of(st.lists(ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float)),
+                         matrices(arrays=True))
+DOCS = st.recursive(st.one_of(SCALARS, FLOAT_ARRAYS), lambda inner: st.one_of(
+    st.lists(NUMBERS, max_size=6),
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.integers(), inner, max_size=3),
+), max_leaves=30)
+
+
+@given(DOCS)
+@example({"\u00e9\n\"\\\x00\u2028": [-0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf],
+          "": {}, "empty": [], "t": (None, True, 1, 2.5, np.float64(0.1)),
+          "nested": [[1.0, False], [], [{}], {"k": ()}]})
+@example({"g": np.array([[1.0, 0.5, -0.0], [0.0, 1.0, 5e-324], [0.0, 0.0, 1e-300]]),
+          "w": np.array([math.nan, math.inf, -math.inf]), "e": np.zeros((0, 3)),
+          "k": np.zeros((2, 0)), "one": np.ones((1, 1)), "d": {1: np.eye(2)}, "l": [np.eye(1)]})
+def test_write_json_is_byte_identical_to_json_dump(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "r.json"
+        cli._write_json(str(path), doc)
+        got = path.read_bytes()
+    assert got == json_dump_bytes(doc)
 
 
 @given(matrices(), matrices())
 @example([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]], [[7.0]])
 @example([[1.0, 0.5], [-0.0, 1.0], [0.0, 0.0]], [[], [0.0, 0], [0, 0.0]])
 @example([[0.0, 1.0, math.nan], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], [[1.0, True], [0.0, 1.0]])
+@example(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]]), np.zeros((3, 0)))
+@example(np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 1.0]]), np.array([[math.inf, 5e-324]]))
 def test_write_json_streams_matrices_as_json_dump_would(first, second):
     doc = {"report": {"gamma": {"entries": first, "shape": [len(first), 0]},
-                      "weights": first[0] if first else [], "nested": [second, [first]]},
+                      "weights": first[0] if len(first) else [], "nested": [second, [first]]},
            "rows": second, "z": [{"m": second}, 3]}
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "r.json"
         cli._write_json(str(path), doc)
         got = path.read_bytes()
-    assert got == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert got == json_dump_bytes(doc)
+
+
+def test_certify_peak_memory_is_about_its_gamma(tmp_path):
+    # the report's Gamma as nested lists took the peak to 3.7 times the Gamma's bytes
+    n = 1000
+    kernels = np.random.default_rng(21).dirichlet(np.ones(2), size=(n - 1, 2))
+    chain = write_json(tmp_path / "chain.json", {"coord_sizes": [2] * n, "initial": [0.5, 0.5],
+                                                 "kernels": kernels.tolist()})
+    out = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        assert main(["certify", "--input", chain, "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gamma = json.loads(out.read_text())["report"]["gamma"]["entries"]
+    assert gamma[0][1] != gamma[1][2]  # inhomogeneous: every row's tail is formatted
+    assert peak < 1.5 * n * n * 8
 
 
 def test_certify_report_is_independent_of_blas_threads(tmp_path):

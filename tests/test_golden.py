@@ -288,7 +288,8 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
     def checked_write(path, doc):
         write(path, doc)
         with open(path, "rb") as fh:
-            assert fh.read() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), path
+            want = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+            assert fh.read() == want.encode(), path
         written.append(path)
 
     monkeypatch.setattr(cli, "_write_json", checked_write)

@@ -198,6 +198,24 @@ def test_callable_function_uses_pilot_centering():
     assert est.center == pytest.approx(2.0, abs=0.01)  # E[Binomial(4, 1/2)] = 2
 
 
+BAD_CALLABLES = {
+    "one value short": lambda s: s.sum(axis=1)[:-1].astype(float),
+    "the state matrix": lambda s: s.astype(float),
+    "NaN": lambda s: np.full(len(s), math.nan),
+    "an infinity": lambda s: np.where(s[:, 0] == 1, math.inf, 1.0),
+    "a scalar": lambda s: 1.0,
+    "strings": lambda s: np.array(["a"] * len(s)),
+}
+
+
+@pytest.mark.parametrize("estimator", [empirical_tail, empirical_mgf])
+@pytest.mark.parametrize("name", list(BAD_CALLABLES))
+def test_a_callable_must_give_one_finite_value_per_trajectory(estimator, name):
+    spec = fair_product_chain(6)
+    with pytest.raises(ValidationError, match="function"):
+        estimator(spec, BAD_CALLABLES[name], 1.0, replicates=2000, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # empirical MGF
 
