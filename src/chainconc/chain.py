@@ -82,7 +82,7 @@ def _stochastic_stack(stack: np.ndarray, name) -> np.ndarray:
     return stack / sums[:, :, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kernel:
     """Row-stochastic matrix: rows[s] is the distribution of the next state given s."""
 

@@ -39,7 +39,9 @@ from .errors import (
     ChainconcError,
     EnumerationCapError,
     NoMixError,
+    RowStream,
     ValidationError,
+    json_default,
     json_int,
     size_text,
 )
@@ -79,9 +81,10 @@ def _meta(args: argparse.Namespace) -> dict:
     return {"tool": "chainconc", "version": __version__, "config": config}
 
 
-# the C encoder (no indent) and the stdlib's indenting one; both write an ndarray as its tolist()
-_ENCODE = json.JSONEncoder(sort_keys=True, default=np.ndarray.tolist).encode
-_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, default=np.ndarray.tolist).encode
+# the C encoder (no indent) and the stdlib's indenting one; both write an ndarray
+# or a RowStream as its tolist()
+_ENCODE = json.JSONEncoder(sort_keys=True, default=json_default).encode
+_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, default=json_default).encode
 _NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the stdlib path
 _FLOAT = {float}
 
@@ -112,23 +115,26 @@ def _is_row(obj) -> bool:
 
 
 def _streamed(obj) -> bool:
-    """An ndarray, a numeric list, a list that holds one, or a dict with string keys
-    that holds one among its values, directly or in a streamed value: _dump writes its
-    items one at a time, where one stdlib call writes any other container."""
+    """An ndarray, a RowStream, a numeric list, a list that holds one, or a dict
+    with string keys that holds one among its values, directly or in a streamed
+    value: _dump writes its items one at a time, where one stdlib call writes
+    any other container."""
     if type(obj) is dict:
         return any(map(_streamed, obj.values())) and all(isinstance(k, str) for k in obj)
-    return type(obj) is np.ndarray or (
+    return type(obj) in (np.ndarray, RowStream) or (
         type(obj) in (list, tuple) and (_is_row(obj) or any(map(_is_row, obj))))
 
 
 def _write_json(path: str, doc: dict) -> None:
     """Write doc byte for byte as json.dump(doc, fh, indent=2, sort_keys=True,
-    default=np.ndarray.tolist), plus a newline: an ndarray is written as its tolist().
+    default=json_default), plus a newline: an ndarray or a RowStream is written
+    as its tolist().
 
     The stdlib indents in pure Python, one token at a time. Here each numeric
-    list is formatted at C level (_items), the rows of a matrix or of a 2-D
-    float array one at a time (_dump_rows), and the containers that lead to
-    them key by key; every other container takes one stdlib call.
+    list is formatted at C level (_items), the rows of a matrix, of a 2-D
+    float array or of a RowStream one at a time (_dump_rows), and the
+    containers that lead to them key by key; every other container takes one
+    stdlib call.
     """
     with open(path, "w", encoding="utf-8") as fh:
         _dump(doc, fh, "\n")
@@ -139,10 +145,12 @@ def _dump(obj, fh, newline: str) -> None:
     """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
     inner = newline + "  "
     if type(obj) is np.ndarray:
-        if obj.ndim == 2 and obj.size and obj.dtype == np.float64:
+        if obj.ndim == 2 and obj.dtype == np.float64:
             _dump_rows(obj, fh, newline)
         else:  # a 1-D array is one numeric list, any other array its nested lists
             _dump(obj.tolist(), fh, newline)
+    elif type(obj) is RowStream:
+        _dump_rows(obj, fh, newline)
     elif _is_row(obj):
         fh.write("[" + inner + _items(obj, inner) + newline + "]")
     elif not _streamed(obj):
@@ -161,13 +169,14 @@ def _dump(obj, fh, newline: str) -> None:
 
 
 def _dump_rows(rows, fh, newline: str) -> None:
-    """Write a list that holds numeric lists, or a nonempty 2-D float array, one row at a time.
+    """Write a list that holds numeric lists, a 2-D float array or a RowStream,
+    one row at a time.
 
-    A row of the array writes its leading +0.0 entries as one repeated string
-    and formats only its tail, from the tail's tolist(). The first such tail
-    is kept with its item strings: a later tail that is bitwise a prefix of
-    it, as in a Toeplitz Gamma whose rows shift right by one, is a slice of
-    that text, so it is formatted once. A row of a list takes _dump.
+    A float row writes its leading +0.0 entries as one repeated string and
+    formats only its tail, from the tail's tolist(). The first such tail is
+    kept with its item strings: a later tail that is bitwise a prefix of it,
+    as in a Toeplitz Gamma whose rows shift right by one, is a slice of that
+    text, so it is formatted once. A row of a list takes _dump.
     """
     inner = newline + "  "
     sep = "," + inner + "  "
@@ -176,8 +185,11 @@ def _dump_rows(rows, fh, newline: str) -> None:
     for row in rows:
         fh.write(lead)
         lead = "," + inner
-        if type(rows) is not np.ndarray:
+        if type(rows) in (list, tuple):
             _dump(row, fh, inner)
+            continue
+        if not row.size:
+            fh.write("[]")
             continue
         bits = row.tobytes()
         zeros = (len(bits) - len(bits.lstrip(b"\0"))) // 8  # a nonzero double has a nonzero byte
@@ -192,7 +204,7 @@ def _dump_rows(rows, fh, newline: str) -> None:
                 first, text = tail, body
         prefix = ("0.0" + sep) * zeros  # "0.0" is repr(+0.0)
         fh.write(f"[{inner}  {prefix + body if body else prefix[:-len(sep)]}{inner}]")
-    fh.write(newline + "]")
+    fh.write("[]" if lead == "[" + inner else newline + "]")  # no rows
 
 
 def _csv_sibling(path: str) -> str:

@@ -16,7 +16,10 @@ bound on the largest eigenvalue of Gamma^T Gamma at a near-Perron vector, plus
 a rounding guard (gamma.operator_norm). Every Gamma finds that vector by Noda
 iteration: contractive and ergodic Gammas solve with their bidiagonal factors,
 with no Gram matrix or LAPACK; brute-force Gammas with a blocked Cholesky
-factorization of the shifted Gram matrix.
+factorization of the shifted Gram matrix. Contractive and ergodic Gammas are
+stored in factored form, O(n) numbers, and take Gamma c and Gamma^T z by O(n)
+recurrences, so their sigma2 takes no BLAS call; squared norms are summed by
+math.fsum.
 """
 
 from __future__ import annotations
@@ -150,12 +153,25 @@ def conditional_expectation_tables(f: TabularFunction, spec: ChainSpec) -> list[
     T_n is f itself. Zero-probability prefixes carry the natural
     kernel-product extension.
     """
-    tables = [None] * (spec.n + 1)
-    tables[spec.n] = f.table(spec).astype(float)
+    return list(_backward_tables(f, spec))[::-1]
+
+
+def _backward_tables(f: TabularFunction, spec: ChainSpec):
+    """T_n, ..., T_0 of conditional_expectation_tables, each from the one before;
+    T_n is f's own table when that is float."""
+    table = np.asarray(f.table(spec), dtype=float)
+    yield table
     for m in range(spec.n - 1, 0, -1):
-        tables[m] = np.einsum("...uv,uv->...u", tables[m + 1], spec.kernels[m - 1].rows)
-    tables[0] = np.asarray(tables[1] @ spec.initial.probs)
-    return tables
+        table = np.einsum("...uv,uv->...u", table, spec.kernels[m - 1].rows)
+        yield table
+    yield np.asarray(table @ spec.initial.probs)
+
+
+def expectation(f: TabularFunction, spec: ChainSpec) -> float:
+    """Exact E[f]: T_0 of conditional_expectation_tables, holding two tables at a time."""
+    for table in _backward_tables(f, spec):
+        pass
+    return float(table)
 
 
 def martingale_differences(f: TabularFunction, spec: ChainSpec, traj) -> np.ndarray:
@@ -267,10 +283,14 @@ def variance_proxy(g: GammaMatrix, c: LipschitzWeights, convention: str) -> floa
     if g.n != len(c):
         raise ValidationError(f"gamma is {g.n}x{g.n} but weights have length {len(c)}")
     if convention == "exact":
-        prop = g.entries @ c.c
-        return 0.25 * float(prop @ prop)
-    paper = operator_norm(g) ** 2 * float(c.c @ c.c)
+        return 0.25 * _squared_norm(g.matvec(c.c))
+    paper = operator_norm(g) ** 2 * _squared_norm(c.c)
     return paper if convention == "paper" else 0.25 * paper
+
+
+def _squared_norm(v: np.ndarray) -> float:
+    """||v||^2, its sum correctly rounded (math.fsum), so in no BLAS's order."""
+    return math.fsum(x * x for x in v.tolist())
 
 
 def tail_bound(sigma2: float, t: float) -> float:

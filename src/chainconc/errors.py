@@ -40,10 +40,33 @@ def json_int(value, what: str) -> int:
     return value
 
 
+class RowStream:
+    """A 2-D float array given by a function that yields its rows, 1-D float
+    arrays built as they are read. The report writer writes it row by row, and
+    json_native and json_default turn it into the array's tolist()."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        return iter(self.rows())
+
+    def tolist(self) -> list:
+        return [row.tolist() for row in self.rows()]
+
+
+def json_default(obj):
+    """The default of a JSON encoder: an ndarray or a RowStream as its tolist()."""
+    if isinstance(obj, (np.ndarray, RowStream)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def json_native(doc):
-    """doc with every ndarray, at any depth of dicts, lists and tuples, as its
-    tolist() and every tuple as a list: json.dumps writes the same bytes of it."""
-    if isinstance(doc, np.ndarray):
+    """doc with every ndarray and RowStream, at any depth of dicts, lists and
+    tuples, as its tolist() and every tuple as a list: json.dumps writes the
+    same bytes of it."""
+    if isinstance(doc, (np.ndarray, RowStream)):
         return doc.tolist()
     if isinstance(doc, dict):
         return {key: json_native(value) for key, value in doc.items()}

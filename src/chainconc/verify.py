@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .chain import ChainSpec, strides_for, trajectories_from_uniforms
-from .concentration import TabularFunction, conditional_expectation_tables, default_t_grid, tail_bound
+from .concentration import TabularFunction, default_t_grid, expectation, tail_bound
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_native
 from .rl import MdpSpec, PolicyClass, action_tables
 from .rng import chunk_ranges, uniform_blocks
@@ -119,7 +119,7 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
         raise ValidationError(f"sigma2 = {sigma2} must be finite and positive")
     grid = checked_grid()
     if isinstance(f, TabularFunction):
-        center, method = float(conditional_expectation_tables(f, spec)[0]), "enumeration"
+        center, method = expectation(f, spec), "enumeration"
     else:  # the pilot's values are freed before the replicates are sampled
         center = float(np.mean(
             _block_values(f, spec, seed + _PILOT_KEY_OFFSET, [(0, PILOT_REPLICATES)])))

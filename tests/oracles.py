@@ -8,6 +8,7 @@ eigensolvers, covers by exhaustive subset search.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from chainconc import (
     validate_chain,
 )
 from chainconc.chain import t_step_products, trajectories_from_uniforms
+from chainconc.gamma import ContractiveGamma, ErgodicGamma
 from chainconc.rng import uniform_matrix
 
 
@@ -68,6 +70,66 @@ def contractive_gamma_entries_masked(thetas) -> np.ndarray:
     upper[below] = 0.0
     m.flat[::th.size + 2] = 1.0
     return m
+
+
+def contractive_gamma_entries(thetas) -> np.ndarray:
+    """Contractive Gamma as gamma_contractive built it densely: the block right
+    of the diagonal is thetas in every row, its strict lower triangle set to 1
+    row by row, multiplied out in one cumulative product along the rows, and
+    set back to 0."""
+    th = np.asarray(thetas, dtype=float)
+    m = np.zeros((th.size + 1, th.size + 1))
+    upper = m[:-1, 1:]
+    upper[:] = th
+    for i in range(1, th.size):
+        upper[i, :i] = 1.0
+    np.cumprod(upper, axis=1, out=upper)
+    for i in range(1, th.size):
+        upper[i, :i] = 0.0
+    m.flat[::th.size + 2] = 1.0
+    return m
+
+
+def ergodic_gamma_entries_windows(n_blocks, eps) -> np.ndarray:
+    """Ergodic Gamma as gamma_ergodic built it densely: the reversed sliding
+    windows of (0, ..., 0, 1 | 1, eps, eps^2, ...), copied."""
+    diagonals = [0.0] * (n_blocks - 1) + [1.0] + [eps ** k for k in range(n_blocks - 1)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.array(diagonals), n_blocks)
+    return windows[::-1].copy()
+
+
+def exact_gamma(g) -> list[list[Fraction]]:
+    """Gamma in exact rationals: the products of a contractive Gamma's thetas,
+    the powers of an ergodic Gamma's eps, any other Gamma's stored entries."""
+    n = g.n
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(1)
+        for j in range(i + 1, n):
+            if isinstance(g, ContractiveGamma):
+                m[i][j] = m[i][j - 1] * Fraction(g.thetas[j - 1])
+            elif isinstance(g, ErgodicGamma):
+                m[i][j] = Fraction(g.eps) ** (j - i - 1)
+            else:
+                m[i][j] = Fraction(g.entries[i, j])
+    return m
+
+
+def exact_matvec(m, x) -> list[Fraction]:
+    """m x in exact rationals."""
+    x = [Fraction(v) for v in x]
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in m]
+
+
+def exact_rmatvec(m, z) -> list[Fraction]:
+    """m^T z in exact rationals."""
+    return exact_matvec([list(col) for col in zip(*m)], z)
+
+
+def exact_collatz_wielandt(m, x) -> Fraction:
+    """max_i (m^T m x)_i / x_i in exact rationals: an upper bound on ||m||^2 for x > 0."""
+    sx = exact_rmatvec(m, exact_matvec(m, x))
+    return max(s / Fraction(v) for s, v in zip(sx, x))
 
 
 def dobrushin_coefficients_all_pairs(stack) -> np.ndarray:

@@ -17,6 +17,7 @@ import chainconc
 import oracles
 from chainconc import TabularFunction, chain_from_dict, cli
 from chainconc.cli import main
+from chainconc.errors import RowStream, json_default
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
 
@@ -680,8 +681,13 @@ def test_same_seed_gives_identical_reports(tmp_path):
 
 
 def json_dump_bytes(doc) -> bytes:
-    """What _write_json must write of doc: an ndarray as its tolist()."""
-    return (json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n").encode()
+    """What _write_json must write of doc: an ndarray or a RowStream as its tolist()."""
+    return (json.dumps(doc, indent=2, sort_keys=True, default=json_default) + "\n").encode()
+
+
+def row_stream(array: np.ndarray) -> RowStream:
+    """The rows of a 2-D array as a RowStream, as a Gamma report hands them to the writer."""
+    return RowStream(lambda: iter(array))
 
 
 ENTRIES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, math.nan, math.inf,
@@ -721,7 +727,7 @@ NUMBERS = st.one_of(st.integers(), st.floats(), st.booleans(), st.floats().map(n
 SCALARS = st.one_of(st.none(), st.text(), NUMBERS,
                     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-05, 5e-324]))
 FLOAT_ARRAYS = st.one_of(st.lists(ENTRIES, max_size=6).map(lambda v: np.array(v, dtype=float)),
-                         matrices(arrays=True))
+                         matrices(arrays=True), matrices(arrays=True).map(row_stream))
 DOCS = st.recursive(st.one_of(SCALARS, FLOAT_ARRAYS), lambda inner: st.one_of(
     st.lists(NUMBERS, max_size=6),
     st.lists(inner, max_size=4),
@@ -738,6 +744,9 @@ DOCS = st.recursive(st.one_of(SCALARS, FLOAT_ARRAYS), lambda inner: st.one_of(
 @example({"g": np.array([[1.0, 0.5, -0.0], [0.0, 1.0, 5e-324], [0.0, 0.0, 1e-300]]),
           "w": np.array([math.nan, math.inf, -math.inf]), "e": np.zeros((0, 3)),
           "k": np.zeros((2, 0)), "one": np.ones((1, 1)), "d": {1: np.eye(2)}, "l": [np.eye(1)]})
+@example({"g": row_stream(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
+          "e": row_stream(np.zeros((0, 3))), "k": row_stream(np.zeros((2, 0))),
+          "d": {1: row_stream(np.eye(2))}, "l": [row_stream(np.array([[-0.0, math.nan]]))]})
 def test_write_json_is_byte_identical_to_json_dump(doc):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "r.json"
@@ -779,6 +788,65 @@ def test_certify_peak_memory_is_about_its_gamma(tmp_path):
     gamma = json.loads(out.read_text())["report"]["gamma"]["entries"]
     assert gamma[0][1] != gamma[1][2]  # inhomogeneous: every row's tail is formatted
     assert peak < 1.5 * n * n * 8
+
+
+def test_factored_certify_peak_memory_is_linear(tmp_path):
+    # the dense Gamma alone is 32 MB, and the certify peak was 35.7 MB with it
+    n = 2000
+    kernels = np.random.default_rng(21).dirichlet(np.ones(2), size=(n - 1, 2))
+    chain = write_json(tmp_path / "chain.json", {"coord_sizes": [2] * n, "initial": [0.5, 0.5],
+                                                 "kernels": kernels.tolist()})
+    del kernels
+    out = tmp_path / "cert.json"
+    tracemalloc.start()
+    try:
+        assert main(["certify", "--input", chain, "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    gamma = json.loads(out.read_text())["report"]["gamma"]
+    assert gamma["shape"] == [n, n] and gamma["entries"][0][1] != gamma["entries"][1][2]
+    assert peak < 2 * 2**20
+
+
+def _has_avx2() -> bool:
+    try:
+        return " avx2" in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+def test_factored_certify_is_independent_of_the_blas_kernel(tmp_path):
+    """Contractive and ergodic certificates call no BLAS routine on the way to
+    a reported number: OpenBLAS's Prescott kernel (SSE3) and, on a CPU with
+    AVX2, its Haswell kernel write the bytes of the default one."""
+    rng = np.random.default_rng(12)
+    random_s4 = write_json(tmp_path / "s4.json", {
+        "coord_sizes": [4] * 300, "initial": [0.25] * 4,
+        "kernels": [rng.dirichlet(np.ones(4), size=4).tolist() for _ in range(299)]})
+    argvs = [["--input", random_s4, "--method", "contractive"],
+             ["--input", random_s4, "--method", "ergodic", "--eps", "0.25"]]
+    for n in (60, 300):
+        demo = write_json(tmp_path / f"demo{n}.json", {
+            "kernel": TWO_STATE, "n": n, "weights": np.linspace(0.5, 2, n).tolist()})
+        argvs += [["--input", demo, "--method", "contractive"],
+                  ["--input", demo, "--method", "ergodic", "--eps", "0.25"]]
+    argvs = [["certify", *argv, "--output", str(tmp_path / f"cert{k}.json")]
+             for k, argv in enumerate(argvs)]
+    run = ("import json, sys; from chainconc.cli import main; "
+           "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(chainconc.__file__).resolve().parents[1])
+    reports = {}
+    for core in ["default", "Prescott"] + (["Haswell"] if _has_avx2() else []):
+        if core != "default":
+            env["OPENBLAS_CORETYPE"] = core
+        subprocess.run([sys.executable, "-c", run, json.dumps(argvs)], env=env, check=True,
+                       capture_output=True, timeout=300)
+        reports[core] = [(tmp_path / f"cert{k}{ext}").read_bytes()
+                         for k in range(len(argvs)) for ext in (".json", ".csv")]
+    for core, got in reports.items():
+        assert got == reports["default"], core
 
 
 def test_certify_report_is_independent_of_blas_threads(tmp_path):

@@ -32,6 +32,7 @@ from chainconc import (
     variance_proxy,
     wasserstein_matrix_tv,
 )
+from chainconc.concentration import expectation
 from conftest import random_chain
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -478,3 +479,18 @@ def test_report_serialization_roundtrip():
     csv = report.tail_curve_csv()
     assert csv.startswith("t,bound\n")
     assert len(csv.strip().splitlines()) == 11
+
+
+def test_expectation_is_t0_holding_two_tables_at_a_time():
+    """The exact center is T_0 of the backward recursion, bit for bit, and keeps
+    only the running table: no copy of f's table and no list of all of them."""
+    spec = homogeneous_chain([[0.9, 0.1], [0.2, 0.8]], 16)
+    f = TabularFunction.from_vectorized(spec, lambda grids: sum(g * (k + 1.0) for k, g in enumerate(grids)))
+    tracemalloc.start()
+    try:
+        center = expectation(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert center == float(conditional_expectation_tables(f, spec)[0])
+    assert peak < 0.8 * f.values.nbytes  # T_15 and T_14 are half and a quarter of it

@@ -1,11 +1,12 @@
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import random_chain
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -71,20 +72,27 @@ def test_contractive_is_bitwise_the_masked_batch_product(rng, n):
     thetas = rng.random(n)
     thetas[rng.random(n) < 0.1] = 0.0
     thetas[rng.random(n) < 0.1] = 1.0
+    thetas[rng.random(n) < 0.1] = 1.0 - 2.0**-52
     want = oracles.contractive_gamma_entries_masked(thetas)
-    assert gamma_contractive(thetas).entries.tobytes() == want.tobytes()
+    g = gamma_contractive(thetas)
+    assert g.entries.tobytes() == want.tobytes()
+    # the rows a report writes, against the dense row-by-row construction
+    for row, dense in zip(g.rows(), oracles.contractive_gamma_entries(thetas), strict=True):
+        assert row.dtype == np.float64 and row.tobytes() == dense.tobytes()
 
 
 def test_contractive_peak_memory_is_about_its_result():
-    # the strict-lower mask and a whole-matrix np.tril check took the peak to 68.7 MB
+    # the strict-lower mask and a whole-matrix np.tril check took the peak to
+    # 68.7 MB; the dense result alone is 32 MB, and the factored one holds
+    # its thetas and two factors
     thetas = np.random.default_rng(4).uniform(0.3, 1.0, 2000)
     tracemalloc.start()
     try:
-        g = gamma_contractive(thetas)
+        gamma_contractive(thetas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.15 * g.entries.nbytes
+    assert peak < 4 * thetas.nbytes
 
 
 def test_contractive_rejects_out_of_range_theta():
@@ -112,9 +120,15 @@ def test_ergodic_eps_zero_is_banded():
 
 def test_ergodic_is_bitwise_the_double_loop(rng):
     cases = [(n, float(rng.random())) for n in range(1, 301)] + [(n, 0.0) for n in (1, 2, 7, 300)]
+    cases += [(n, eps) for n in (1, 2, 7, 300) for eps in (1.0 - 2.0**-52, 1e-160)]
     for n_blocks, eps in cases:
         expected = oracles.ergodic_gamma_entries(n_blocks, eps)
-        assert gamma_ergodic(n_blocks, eps).entries.tobytes() == expected.tobytes()
+        g = gamma_ergodic(n_blocks, eps)
+        assert g.entries.tobytes() == expected.tobytes()
+        # the rows a report writes, against the dense sliding-window construction
+        windows = oracles.ergodic_gamma_entries_windows(n_blocks, eps)
+        for row, dense in zip(g.rows(), windows, strict=True):
+            assert row.dtype == np.float64 and row.tobytes() == dense.tobytes()
 
 
 def test_ergodic_rejects_bad_inputs():
@@ -375,3 +389,64 @@ def test_to_dict_keeps_the_bytes_of_tolist(rng):
                 "entries": g.entries.tolist()}
         assert json.dumps(g.to_dict()) == json.dumps(want)
     assert json.dumps(GammaMatrix(hand, "brute_force_tv").to_dict()).count("-0.0") == 2
+
+
+# ---------------------------------------------------------------------------
+# exact-arithmetic oracle: Gamma x, Gamma^T z and the certified bound
+
+
+# 1 - 2^-52 is the largest theta below 1; 1e-160 and 1e-200 have products that
+# underflow, to a subnormal and to 0
+ORACLE_THETAS = [0.0, 1.0, 1.0 - 2.0**-52, 5e-324, np.finfo(float).tiny, 1e-160, 1e-200, 0.5]
+
+
+@st.composite
+def small_gammas(draw):
+    """A contractive Gamma of n <= 40 with ORACLE_THETAS among its thetas, or an
+    ergodic one of up to 40 blocks; factored, or its dense entries."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        g = gamma_contractive(draw(st.lists(st.sampled_from(ORACLE_THETAS) | st.floats(0.0, 1.0),
+                                            min_size=n - 1, max_size=n - 1)))
+    else:
+        g = gamma_ergodic(n, draw(st.sampled_from([0.0, 1.0 - 2.0**-52, 1e-160, 0.5])
+                                  | st.floats(0.0, 1.0, exclude_max=True)))
+    return _dense(g) if draw(st.booleans()) else g
+
+
+def _gamma_k(k: int) -> Fraction:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53."""
+    u = Fraction(1, 2**53)
+    return k * u / (1 - k * u)
+
+
+@settings(max_examples=60)
+@given(small_gammas(), st.integers(0, 2**32 - 1))
+def test_products_are_within_their_rounding_of_exact(g, seed):
+    """Each entry of Gamma x and Gamma^T z, x >= 0, lies within gamma_{2n-1}
+    relative of its exact value, plus up to 2^-1074 for each product that
+    underflows."""
+    rng = np.random.default_rng(seed)
+    m, n = oracles.exact_gamma(g), g.n
+    x = rng.uniform(0.0, 1.0, n) * 2.0 ** rng.integers(-1000, 10, n)
+    for got, want in ((g.matvec(x), oracles.exact_matvec(m, x)),
+                      (g.rmatvec(x), oracles.exact_rmatvec(m, x))):
+        assert got.dtype == np.float64 and got.shape == (n,)
+        for value, exact in zip(got.tolist(), want):
+            slack = _gamma_k(2 * n - 1) * exact + n * Fraction(2) ** -1074
+            assert abs(Fraction(value) - exact) <= slack
+
+
+@settings(max_examples=60)
+@given(small_gammas(), st.integers(0, 2**32 - 1))
+def test_norm_is_at_or_above_the_exact_collatz_wielandt_value(g, seed):
+    """The certified ||Gamma||^2 is at or above the exact Collatz-Wielandt
+    value at its own x, and at any x in [2^-510, 2^512]."""
+    m = oracles.exact_gamma(g)
+    rng = np.random.default_rng(seed)
+    spread = 2.0 ** rng.integers(-510, 512, g.n) * rng.uniform(1.0, 2.0, g.n)
+    own = chainconc.gamma._search_vector(g)
+    assert operator_norm(g) == chainconc.gamma._certified_norm(g, own)
+    for x in (own, spread):
+        norm = chainconc.gamma._certified_norm(g, x)
+        assert norm == math.inf or Fraction(norm) ** 2 >= oracles.exact_collatz_wielandt(m, x)

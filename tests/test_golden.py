@@ -26,28 +26,29 @@ from chainconc import (
     mdp_from_dict,
 )
 from chainconc.cli import main
+from chainconc.errors import json_default
 
 GOLDEN = {
     "demo/demo_certificate.json":
-        "30b657be63993c9ce6ffa822f3325c9051393dbb3840725da79f2fc97bf1a15b",
+        "edd3bc129a9ba6da9bc19b4bee29797af531eceb10648bb3af0fb76985937e66",
     "demo/demo_certificate_ergodic.json":
-        "96234003766eb369192bdf15e0f2393c687620030edc2e05c48017fd68250593",
+        "ff591ee70ee2e902f62bfc8e1073db3355c4ee954af5fc424becb75478910c2b",
     "demo/demo_tail.json":
-        "de1ea794dcaf92e209515720625f02a47d1e5593d358d42159230eb05011cff1",
+        "f4ad96cbde0e48846a1db12598e2c4973a0b58a3aceea3f22b1c03b54b3350c9",
     "verify/tail.json":
-        "81de390676b978b7996ed2dc5fffbf3ee22685af650cbf8455fa604dea3e2f6e",
+        "318289b4dead9e5bf076fdb08cec14355d01c3b99563ebd2dfdd75f21e0a89b7",
     "rl-verify/rl_verify.json":
-        "367a20d8030d50e820331152938889915ac92f51dd8f74bc47fcebc00e0a855b",
+        "9f019ee3f03236cfc57385da7493490fee4a2bfc59fd5294c03804d3bf1d6ea5",
     "empirical_tail":
         "074ab4b3c2a056f415e533ebfade19b3f5293e9f9b75bbda13250dbee584f732",
     "empirical_mgf":
         "d8e4a604a0a89ee317eb52cf075bd306e73e49b7eedcaada120ce4f661811a20",
     "certify/contractive":
-        "d0197dac31c7d539a4fa113f16e73f9fe6aba97a90565468262ba34d14b309c5",
+        "c7d6cf5fdfd60efb6b27dbec7a8c5ecfb563307a34fdd7dbd5d16a0f7fb942d6",
     "certify/ergodic":
-        "02ad5cc74159e7e82dd97f273d81e8f325a750abc26ae3c55a2462b7e2daebcd",
+        "c596daaedfb44630f3b6357c97957965d87e848e4188d4e583bda9aa50cbb169",
     "certify/brute":
-        "565651750d00e8755875d088bd15398ba8903bd27389858005859e354877825f",
+        "45b3fcfc8ca0d3aac1e713a9789f3ee49db77ebcb43261569721db978bcb802b",
     "gamma/contractive":
         "1031e09c5a17ef444e33f527165c2700477b7c0f33364d55dcfd3b071ab58c4a",
     "gamma/ergodic":
@@ -63,37 +64,37 @@ GOLDEN = {
     "mix":
         "2602372f7c06d4ddac859378f7cd2a3a9f35865cc45355dbe07542765fe806d7",
     "rl-bound/hamming":
-        "ceab90491616445647f1e844447e3a9dc9694ff452ee04586333040c5a8b0469",
+        "b59642dc47cd9938831fe047fb22177ce10510b16b7a15135337b06a5d7f6ee4",
     "rl-bound/mixing":
-        "c63d372edf5b11c366b8660cc175a94de892126c7deb9ac1697053c0d4ddb8c6",
+        "4aae11cc07b29589850528ed2fd215f599230a631e7cd22d4b621a7a1fe158f6",
     "rl-bound/brute":
-        "5cc5090bb12da476bfa54a4ea61565f9281ef1bbfeabe1b62d63eef78a1fe94a",
+        "96e83fe58502b2ec2c524a7ce442343143169acdcd2e499031e3f2fab898710d",
     "rl-bound/exact":
-        "9fb7f1dd30c32b5ee91b72ea83b26da46d1e79ad86a01a29bb2301eabb81371f",
+        "b267b47e363dd0abd2c190c67a2b3bf400b0b4e61df66b7cab7177d2f85d3167",
     "rl-bound/paper":
-        "d0b4b7cc85bbab2ea92e100d7de0dec8006914d898a18903e8f8056b5e451ad2",
+        "a75ed0fb3ca798c819398aed6ecc4aa9b51e591a8240ce4ee672750874ec6143",
     "rl-verify/mixing":
-        "a1a96a4c8307637adeeff1faf8b644bf217c3ed940ddb9511d65de847ef5e1cc",
+        "5b55af09199a7d58deecfebf2baddce72f013667af01197482dedcc94443a2d7",
     "empirical_sup_value/zero_entries":
         "d65cbd8c9701a04e3b0a18388d908e7d95f4c70e51ae8661dcc7931960fb34e6",
     "verify/indicator_count":
-        "c451118b230e1bc5754299da49ddfe8382cdcadb6a9d1970a460d5dafd9eaadd",
+        "31488987a5a1ef004f5e95524b29b4be215f05c45e446d9846015efa672bb5a5",
     "verify/coordinate_sum":
-        "cc73df5897aec2a5a177311f04331f158db633ad80ee926bfa33eeff62418501",
+        "51de7d6604d92eaad697e3ad4ac8be70c04dbb8f550dee74dabcf9434754517b",
     "certify/brute_homogeneous":
-        "baf5ae5c270bd6c5a517e3f88c0f9fc634f2aa7f6651365e83c54d1b770a9ff2",
+        "e568967ec2ac964c47a244aa2eaac44fdd6247727598896a3934587102ab7543",
     "mix/homogeneous":
         "3f1bbbe8f409221083befc67eb458e2f0226e1cbd57c30d40dd7d7a8c2bd3e38",
     "martingale_brackets":
         "5c21bad8845f9252ca7b77732b68ab9876dbd64817d175f5b62367094770cfff",
     "rl-bound/hamming_scale":
-        "216016f410e3ad6749bd7a7654e81b49bbd09e4b6d22f7e4ea47a36a3d5bb8e4",
+        "a5a50add7a79baf9cd9ac55876a8c96eb0ce5574ba60ecb5d515ae7f5e340241",
     "rl-bound/mixing_scale":
-        "4880e97b92ed5c8e15e3973a620a4ef69fc41d08db878fbfeedc2695d4ef9899",
+        "41761bea05b702ccf4579d5510e9f8d7d66a17bdfeab3bd91d65baf6ffa18328",
     "rl-bound/ergodic":
-        "ec7e70fcd4078372ab34ded2bfeb21c31d2a0d954d7574d96b479b76bc52e204",
+        "4db3b398dc8f297a4afe2619233af7097105f1b7e52029d11a1c3376a1a775ed",
     "rl-verify/ergodic_mixing":
-        "7e68e62c4d9d41bff3689224c714e4013289f9b597e86455944ddf45084e366e",
+        "6c4791d4c24c8ab1e61e9316f5c5b21aaf1e800787458e7d85e89211fab08208",
 }
 
 
@@ -288,7 +289,7 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
     def checked_write(path, doc):
         write(path, doc)
         with open(path, "rb") as fh:
-            want = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+            want = json.dumps(doc, indent=2, sort_keys=True, default=json_default) + "\n"
             assert fh.read() == want.encode(), path
         written.append(path)
 
