@@ -87,6 +87,7 @@ _ENCODE = json.JSONEncoder(sort_keys=True, default=json_default).encode
 _ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, default=json_default).encode
 _NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the stdlib path
 _FLOAT = {float}
+FORMAT_BATCH = 1536  # floats a report buffers for one call of float_text
 
 
 @functools.cache
@@ -95,22 +96,9 @@ def _items_encoder(inner: str):
     return json.JSONEncoder(separators=("," + inner, ": ")).encode
 
 
-def _items(row, inner: str) -> str:
-    """The items of a numeric list as the C encoder writes them, one per line at inner.
-
-    A finite float is written as float.__repr__, so a row of them is one C-level
-    map; any other row, or one holding NaN or an infinity (whose repr has an n),
-    takes one call of the encoder.
-    """
-    if set(map(type, row)) == _FLOAT:
-        text = ("," + inner).join(map(float.__repr__, row))
-        if "n" not in text:
-            return text
-    return _items_encoder(inner)(row)[1:-1]
-
-
 def _is_row(obj) -> bool:
-    """A nonempty list of exact ints, floats and bools, which _items formats at C level."""
+    """A nonempty list of exact ints, floats and bools: _dump writes its items
+    by float_text if all are floats, else by one call of the C encoder."""
     return type(obj) in (list, tuple) and bool(obj) and _NUMBER_TYPES.issuperset(map(type, obj))
 
 
@@ -130,81 +118,160 @@ def _write_json(path: str, doc: dict) -> None:
     default=json_default), plus a newline: an ndarray or a RowStream is written
     as its tolist().
 
-    The stdlib indents in pure Python, one token at a time. Here each numeric
-    list is formatted at C level (_items), the rows of a matrix, of a 2-D
-    float array or of a RowStream one at a time (_dump_rows), and the
-    containers that lead to them key by key; every other container takes one
-    stdlib call.
+    The stdlib indents in pure Python, one token at a time. Here the floats of
+    every 1-D or 2-D float64 array, RowStream and list of floats are formatted
+    by float_text, FORMAT_BATCH at a time across all of doc (_Text); any other
+    numeric list takes one call of the C encoder. The rows of a matrix are
+    written one at a time (_dump_rows), and the containers that lead to them
+    key by key; every other container takes one stdlib call.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        _dump(doc, fh, "\n")
-        fh.write("\n")
+        out = _Text(fh)
+        _dump(doc, out, "\n")
+        out.write("\n")
+        out.flush()
 
 
-def _dump(obj, fh, newline: str) -> None:
+class _Text:
+    """A report as it is written: strings, and float64 arrays as their JSON
+    tokens. The floats are copied into one buffer and formatted by one call of
+    float_text when it fills, or at flush; what is written after them waits
+    in plan until then."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buffer = np.empty(FORMAT_BATCH)
+        self.count = 0  # floats in the buffer
+        self.plan = []  # (text, times): text repeated; (k, sep, parts): the next k tokens
+        self.tables = None  # float_text's, built at the first flush and dropped with the report
+
+    def write(self, text: str, times: int = 1) -> None:
+        if self.plan:
+            self.plan.append((text, times))
+        else:
+            self.fh.write(text * times)
+
+    def floats(self, values: np.ndarray, sep: str, parts: list | None = None) -> None:
+        """Write the tokens of a nonempty 1-D float64 array joined by sep; if
+        parts is a list, their text is appended to it in pieces that sep joins."""
+        start = 0
+        while start < len(values):
+            k = min(len(values) - start, FORMAT_BATCH - self.count)
+            self.buffer[self.count:self.count + k] = values[start:start + k]
+            self.count += k
+            start += k
+            self.plan.append((k, sep, parts))
+            if start < len(values):
+                self.plan.append((sep, 1))
+            if self.count == FORMAT_BATCH:
+                self.flush()
+
+    def flush(self) -> None:
+        """Format the buffered floats and write everything that waited for them."""
+        if not self.count:
+            return
+        from . import floattext  # loaded only by a run that writes floats
+        if self.tables is None:
+            self.tables = floattext.build_tables()
+        text, ends = floattext.float_text(self.buffer[:self.count], self.tables)
+        ends = ends.tolist()
+        start = done = 0
+        for item in self.plan:
+            if len(item) == 2:
+                self.fh.write(item[0] * item[1])
+                continue
+            k, sep, parts = item
+            done += k
+            piece = text[start:ends[done - 1] - 1].replace(",", sep)
+            start = ends[done - 1]
+            self.fh.write(piece)
+            if parts is not None:
+                parts.append(piece)
+        self.plan.clear()
+        self.count = 0
+
+
+def _dump(obj, out: _Text, newline: str) -> None:
     """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
     inner = newline + "  "
     if type(obj) is np.ndarray:
-        if obj.ndim == 2 and obj.dtype == np.float64:
-            _dump_rows(obj, fh, newline)
-        else:  # a 1-D array is one numeric list, any other array its nested lists
-            _dump(obj.tolist(), fh, newline)
+        if obj.dtype != np.float64 or obj.ndim > 2:  # its nested lists, or a scalar
+            _dump(obj.tolist(), out, newline)
+        elif obj.ndim == 2:
+            _dump_rows(obj, out, newline)
+        elif obj.size:
+            out.write("[" + inner)
+            out.floats(obj, "," + inner)
+            out.write(newline + "]")
+        else:
+            out.write("[]")
     elif type(obj) is RowStream:
-        _dump_rows(obj, fh, newline)
+        _dump_rows(obj, out, newline)
     elif _is_row(obj):
-        fh.write("[" + inner + _items(obj, inner) + newline + "]")
+        out.write("[" + inner)
+        if _FLOAT.issuperset(map(type, obj)):
+            out.floats(np.array(obj), "," + inner)
+        else:
+            out.write(_items_encoder(inner)(obj)[1:-1])
+        out.write(newline + "]")
     elif not _streamed(obj):
         # an escaped string never holds a raw line break, so re-indenting is safe
-        fh.write(_ENCODE_INDENTED(obj).replace("\n", newline)
-                 if isinstance(obj, (dict, list, tuple)) else _ENCODE(obj))
+        out.write(_ENCODE_INDENTED(obj).replace("\n", newline)
+                  if isinstance(obj, (dict, list, tuple)) else _ENCODE(obj))
     elif isinstance(obj, dict):
         sep = "{"
         for key, value in sorted(obj.items()):
-            fh.write(f"{sep}{inner}{_ENCODE(key)}: ")
-            _dump(value, fh, inner)
+            out.write(f"{sep}{inner}{_ENCODE(key)}: ")
+            _dump(value, out, inner)
             sep = ","
-        fh.write(newline + "}")
+        out.write(newline + "}")
     else:
-        _dump_rows(obj, fh, newline)
+        _dump_rows(obj, out, newline)
 
 
-def _dump_rows(rows, fh, newline: str) -> None:
+def _dump_rows(rows, out: _Text, newline: str) -> None:
     """Write a list that holds numeric lists, a 2-D float array or a RowStream,
     one row at a time.
 
     A float row writes its leading +0.0 entries as one repeated string and
-    formats only its tail, from the tail's tolist(). The first such tail is
-    kept with its item strings: a later tail that is bitwise a prefix of it,
-    as in a Toeplitz Gamma whose rows shift right by one, is a slice of that
-    text, so it is formatted once. A row of a list takes _dump.
+    hands only its tail to out. The first such tail's text is kept: a later
+    tail that is bitwise a prefix of it, as in a Toeplitz Gamma whose rows
+    shift right by one, is a slice of that text, so it is formatted once. A
+    row of a list takes _dump.
     """
     inner = newline + "  "
     sep = "," + inner + "  "
-    first = text = ends = None  # bytes, text and item end offsets of the first float tail
+    first = parts = text = ends = None  # the first float tail: bytes, text pieces, text, item ends
     lead = "[" + inner
     for row in rows:
-        fh.write(lead)
-        lead = "," + inner
         if type(rows) in (list, tuple):
-            _dump(row, fh, inner)
-            continue
-        if not row.size:
-            fh.write("[]")
-            continue
-        bits = row.tobytes()
-        zeros = (len(bits) - len(bits.lstrip(b"\0"))) // 8  # a nonzero double has a nonzero byte
-        tail = bits[8 * zeros:]
-        if first is not None and tail and first.startswith(tail):
-            if ends is None:
-                ends = list(itertools.accumulate(len(item) + len(sep) for item in text.split(sep)))
-            body = text[:ends[len(tail) // 8 - 1] - len(sep)]
+            out.write(lead)
+            _dump(row, out, inner)
+        elif not row.size:
+            out.write(lead + "[]")
         else:
-            body = _items(row[zeros:].tolist(), inner + "  ") if tail else ""
-            if first is None and tail:
-                first, text = tail, body
-        prefix = ("0.0" + sep) * zeros  # "0.0" is repr(+0.0)
-        fh.write(f"[{inner}  {prefix + body if body else prefix[:-len(sep)]}{inner}]")
-    fh.write("[]" if lead == "[" + inner else newline + "]")  # no rows
+            bits = row.tobytes()  # a nonzero double has a nonzero byte
+            zeros = (len(bits) - len(bits.lstrip(b"\0"))) // 8
+            tail = bits[8 * zeros:]
+            out.write(f"{lead}[{inner}  ")
+            out.write("0.0" + sep, zeros - (not tail))  # "0.0" is repr(+0.0)
+            if not tail:
+                out.write("0.0")
+            elif first is not None and first.startswith(tail):
+                if text is None:  # the first tail is formatted by now
+                    out.flush()
+                    text = sep.join(parts)
+                    ends = list(itertools.accumulate(len(item) + len(sep)
+                                                     for item in text.split(sep)))
+                out.write(text[:ends[len(tail) // 8 - 1] - len(sep)])
+            elif first is None:
+                first, parts = tail, []
+                out.floats(row[zeros:], sep, parts)
+            else:
+                out.floats(row[zeros:], sep)
+            out.write(inner + "]")
+        lead = "," + inner
+    out.write("[]" if lead == "[" + inner else newline + "]")  # no rows
 
 
 def _csv_sibling(path: str) -> str:
@@ -280,6 +347,7 @@ def _cmd_certify(args) -> int:
     doc = _read_json(args.input)
     spec = chain_from_dict(doc)
     weights = _load_weights(doc, spec)
+    del doc  # at large n the parsed input is most of what certify would hold
     report = certify(spec, weights, args.method, eps=args.eps, convention=args.convention)
     _write_report(args.output, {"meta": _meta(args), "report": report.document()},
                   report.tail_curve_csv())

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -737,18 +738,25 @@ DOCS = st.recursive(st.one_of(SCALARS, FLOAT_ARRAYS), lambda inner: st.one_of(
 ), max_leaves=30)
 
 
-@given(DOCS)
+@given(DOCS, st.integers(1, 3))
 @example({"\u00e9\n\"\\\x00\u2028": [-0.0, 1e-05, 5e-324, math.nan, math.inf, -math.inf],
           "": {}, "empty": [], "t": (None, True, 1, 2.5, np.float64(0.1)),
-          "nested": [[1.0, False], [], [{}], {"k": ()}]})
+          "nested": [[1.0, False], [], [{}], {"k": ()}]}, 2)
 @example({"g": np.array([[1.0, 0.5, -0.0], [0.0, 1.0, 5e-324], [0.0, 0.0, 1e-300]]),
           "w": np.array([math.nan, math.inf, -math.inf]), "e": np.zeros((0, 3)),
-          "k": np.zeros((2, 0)), "one": np.ones((1, 1)), "d": {1: np.eye(2)}, "l": [np.eye(1)]})
+          "k": np.zeros((2, 0)), "one": np.ones((1, 1)), "d": {1: np.eye(2)}, "l": [np.eye(1)]}, 2)
 @example({"g": row_stream(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
           "e": row_stream(np.zeros((0, 3))), "k": row_stream(np.zeros((2, 0))),
-          "d": {1: row_stream(np.eye(2))}, "l": [row_stream(np.array([[-0.0, math.nan]]))]})
-def test_write_json_is_byte_identical_to_json_dump(doc):
-    with tempfile.TemporaryDirectory() as d:
+          "d": {1: row_stream(np.eye(2))}, "l": [row_stream(np.array([[-0.0, math.nan]]))]}, 1)
+@example({"g": row_stream(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
+          "h": row_stream(np.array([[0.5, 0.25, 0.125], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])),
+          "w": np.array([0.1, 0.2]), "z": [0.3, 0.4, 0.5]}, 2)
+@example({"g": row_stream(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
+          "h": row_stream(np.array([[2.0, 1.0], [3.0, 2.0], [0.0, 3.0]]))}, 3)
+def test_write_json_is_byte_identical_to_json_dump(doc, batch):
+    # batches of 1-3 floats end inside rows, between rows and beside the rows
+    # that slice the first row's text
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(cli, "FORMAT_BATCH", batch):
         path = Path(d) / "r.json"
         cli._write_json(str(path), doc)
         got = path.read_bytes()
