@@ -18,6 +18,7 @@ from .chain import (
     validate_chain,
 )
 from .concentration import (
+    AdditiveFunction,
     ConcentrationReport,
     LipschitzWeights,
     TabularFunction,

@@ -5,7 +5,8 @@ first coordinate and one row-stochastic kernel per step. All per-coordinate
 metrics are the discrete 0/1 metric; Lipschitz weights live in the
 concentration module. Everything here is a pure function of immutable
 values: validation normalizes once, after which operations trust their
-inputs.
+inputs. The one exception is scratch memory: a TrajectoryBuffers that a
+caller passes to the sampler is overwritten by each block.
 """
 
 from __future__ import annotations
@@ -371,7 +372,26 @@ def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
 # deterministic sampling
 
 
-def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray) -> np.ndarray:
+class TrajectoryBuffers:
+    """What trajectories_from_uniforms needs besides u, built once per stream:
+    the chain's CDF breakpoints and the arrays of a block of up to `rows`
+    trajectories. Every block sampled into them reuses the same memory, so a
+    stream touches fresh pages once, not once per block."""
+
+    def __init__(self, spec: ChainSpec, rows: int):
+        self.rows = rows
+        self.init_cdf = np.cumsum(spec.initial.probs)[:-1].tolist()
+        # breakpoint k of kernel c, one entry per previous state: column k of its CDF
+        self.cdf_cols = [np.cumsum(k.rows, axis=1).T[:-1].copy() for k in spec.kernels]
+        self.ut = np.empty(rows * spec.n)
+        self.states = np.empty(rows * spec.n, dtype=np.int64)
+        self.out = np.empty(rows * spec.n, dtype=np.int64)
+        self.breakpoint = np.empty(rows)
+        self.hit = np.empty(rows, dtype=bool)
+
+
+def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray,
+                               buffers: TrajectoryBuffers | None = None) -> np.ndarray:
     """Drive one trajectory per row of u by inverse-CDF, one uniform per coordinate.
 
     The next state is #{k < S - 1 : cdf[prev, k] <= u}: a cumulative sum of
@@ -381,19 +401,32 @@ def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray) -> np.ndarray:
     the result is C-ordered (m, n), one trajectory per row. Callers bound
     memory by passing u in blocks of rows. Sharing the same u across
     different chains couples them by common random numbers.
+
+    With buffers (a TrajectoryBuffers of spec with at least m rows), the
+    result is a view of them, valid until the next call with the same
+    buffers; without, it is a new array. Both give the same states.
     """
     if u.ndim != 2 or u.shape[1] != spec.n:
         raise ValidationError(f"uniform matrix must have {spec.n} columns, got shape {u.shape}")
-    ut = u.T.copy()
-    states = np.zeros((spec.n, u.shape[0]), dtype=np.int64)
-    init_cdf = np.cumsum(spec.initial.probs)
-    for k in range(init_cdf.size - 1):
-        states[0] += init_cdf[k] <= ut[0]
-    for c, kernel in enumerate(spec.kernels):
-        cdf_cols = np.cumsum(kernel.rows, axis=1).T.copy()
-        for k in range(cdf_cols.shape[0] - 1):
-            states[c + 1] += cdf_cols[k].take(states[c]) <= ut[c + 1]
-    return states.T.copy()
+    m, n = u.shape
+    if buffers is None:
+        buffers = TrajectoryBuffers(spec, m)
+    elif m > buffers.rows:
+        raise ValueError(f"a block of {m} rows exceeds its buffers' {buffers.rows}")
+    ut = buffers.ut[:n * m].reshape(n, m)
+    np.copyto(ut, u.T)
+    states = buffers.states[:n * m].reshape(n, m)
+    states.fill(0)
+    breakpoint, hit = buffers.breakpoint[:m], buffers.hit[:m]
+    for cut in buffers.init_cdf:
+        states[0] += np.less_equal(cut, ut[0], out=hit)
+    for c, cols in enumerate(buffers.cdf_cols):
+        for col in cols:  # every index is a state of coordinate c, so in range
+            col.take(states[c], out=breakpoint, mode="clip")
+            states[c + 1] += np.less_equal(breakpoint, ut[c + 1], out=hit)
+    out = buffers.out[:n * m].reshape(m, n)
+    np.copyto(out, states.T)
+    return out
 
 
 # ---------------------------------------------------------------------------

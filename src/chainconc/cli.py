@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input (an input that cannot be read or an
 output that cannot be written included), 2 infeasible computation
-(an enumeration or policy-class cap exceeded, or a method that needs a mixing
-time when the chain has none), 3 verification failure (an empirical quantity
+(a policy-class cap exceeded, or a method that needs a mixing time when the
+chain has none), 3 verification failure (an empirical quantity
 exceeded its certified bound beyond Monte Carlo error). Code 3 is the highest-severity
 outcome: it means the theory the certificate encodes was falsified.
 """
@@ -24,6 +24,7 @@ from .chain import ChainSpec, Distribution, chain_from_dict, tv_distance
 from .concentration import (
     CONVENTION_CAVEAT,
     CONVENTIONS,
+    AdditiveFunction,
     LipschitzWeights,
     TabularFunction,
     build_gamma,
@@ -308,7 +309,9 @@ def _load_weights(doc: dict, spec: ChainSpec) -> LipschitzWeights:
     return LipschitzWeights.ones(spec.n)
 
 
-def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFunction:
+def _load_function(doc: dict, spec: ChainSpec) -> TabularFunction | AdditiveFunction:
+    """The function of a verification input: a flat value table over the joint
+    space, or a named additive function, which is never tabulated."""
     if "function" not in doc:
         raise ValidationError('verification input needs a "function" field')
     f = doc["function"]
@@ -325,18 +328,20 @@ def _load_function(doc: dict, spec: ChainSpec, cap: int | None) -> TabularFuncti
         if not np.isfinite(values).all():
             raise ValidationError("function table must contain only finite values")
         return TabularFunction(values)
+    states = np.arange(max(spec.coord_sizes))
     if isinstance(f, dict) and f.get("name") == "indicator_count":
         value = json_int(f.get("value", 1), "indicator_count value")
-        return TabularFunction.from_vectorized(
-            spec, lambda grids: sum((g == value).astype(float) for g in grids), cap=cap
-        )
+        return _same_at_every_coordinate(spec, (states == value).astype(float))
     if isinstance(f, dict) and f.get("name") == "coordinate_sum":
-        return TabularFunction.from_vectorized(
-            spec, lambda grids: sum(g.astype(float) for g in grids), cap=cap
-        )
+        return _same_at_every_coordinate(spec, states.astype(float))
     raise ValidationError(
         'function must be a flat value table or {"name": "indicator_count"|"coordinate_sum", ...}'
     )
+
+
+def _same_at_every_coordinate(spec: ChainSpec, g: np.ndarray) -> AdditiveFunction:
+    """f(x) = sum_i g[x_i]: one row, repeated as a read-only view, so O(S) memory."""
+    return AdditiveFunction(np.broadcast_to(g, (spec.n, g.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +364,22 @@ def _cmd_certify(args) -> int:
 def _cmd_verify(args) -> int:
     doc = _read_json(args.input)
     spec = chain_from_dict(doc)
-    f = _load_function(doc, spec, args.cap)
+    f = _load_function(doc, spec)
     if args.certificate:
-        sigma2 = _certificate_sigma2(args.certificate, spec, args.convention)
+        sigma2, weights = _certificate_sigma2(args.certificate, spec, args.convention)
     else:
+        sigma2, weights = None, _load_weights(doc, spec)
+    if weights is not None:
         # a certificate for weights the function exceeds, the default unit
-        # weights included, bounds nothing
-        weights = _load_weights(doc, spec)
-        osc = local_oscillation_vector(f, spec)
+        # weights included, bounds nothing. Only a flat table is scanned
+        osc = (f.oscillations(spec) if isinstance(f, AdditiveFunction)
+               else local_oscillation_vector(f, spec))
         over = np.flatnonzero(osc > weights.c)
         if over.size:
             i = int(over[0])
             raise ValidationError(f"function oscillation {float(osc[i])!r} at coordinate {i} "
                                   f"exceeds its weight {float(weights.c[i])!r}")
+    if sigma2 is None:
         sigma2 = certify(spec, weights, args.method, eps=args.eps,
                          convention=args.convention).sigma2_selected
     est = empirical_tail(spec, f, sigma2, replicates=args.replicates, seed=args.seed)
@@ -389,8 +397,10 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _certificate_sigma2(path: str, spec: ChainSpec, convention: str) -> float:
-    """The sigma2 of a certificate, checked against the chain it is used on.
+def _certificate_sigma2(path: str, spec: ChainSpec,
+                        convention: str) -> tuple[float, LipschitzWeights | None]:
+    """The sigma2 of a certificate, checked against the chain it is used on, and
+    its weights, if it holds any.
 
     A certificate that holds weights must hold one per coordinate of spec. One
     that also names its method must be, bit for bit, what certify gives for
@@ -410,7 +420,7 @@ def _certificate_sigma2(path: str, spec: ChainSpec, convention: str) -> float:
     except OverflowError as exc:
         raise ValidationError(f"certificate {key} = {value} is beyond the float range") from exc
     if "weights" not in report:
-        return sigma2
+        return sigma2, None
     try:
         weights = _load_weights(report, spec)
     except ValidationError as exc:
@@ -427,7 +437,7 @@ def _certificate_sigma2(path: str, spec: ChainSpec, convention: str) -> float:
         if getattr(rebuilt, key).hex() != sigma2.hex():
             raise ValidationError(f"certificate was built for another chain: its {key} is "
                                   f"{sigma2!r}, this chain's is {getattr(rebuilt, key)!r}")
-    return sigma2
+    return sigma2, weights
 
 
 def _write_tail(path: str, args, est) -> None:
@@ -603,7 +613,6 @@ def _cmd_demo(args) -> int:
     demo_doc = {"kernel": [[0.9, 0.1], [0.2, 0.8]], "n": 20, "initial": [0.5, 0.5]}
     spec = chain_from_dict(demo_doc)
     weights = LipschitzWeights.ones(spec.n)
-    cap = args.cap if args.cap is not None else 2**21  # joint size 2^20 needs headroom
 
     cert = certify(spec, weights, "contractive", convention=args.convention)
     _write_report(os.path.join(args.output, "demo_certificate.json"),
@@ -614,9 +623,7 @@ def _cmd_demo(args) -> int:
     _write_report(os.path.join(args.output, "demo_certificate_ergodic.json"),
                   {"meta": _meta(args), "report": ergodic.document()})
 
-    f = TabularFunction.from_vectorized(
-        spec, lambda grids: sum((g == 1).astype(float) for g in grids), cap=cap
-    )
+    f = _load_function({"function": {"name": "indicator_count", "value": 1}}, spec)
     est = empirical_tail(spec, f, cert.sigma2_selected, replicates=args.replicates,
                          seed=args.seed)
     _write_tail(os.path.join(args.output, "demo_tail.json"), args, est)
@@ -685,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "tail.json", inputs, method, convention, eps, seeded)
     p.add_argument("--certificate", default=None, help="certify output to check against")
     p.add_argument("--cap", type=_positive_int, default=None,
-                   help="joint-space cap for the function table (default CHAINCONC_CAP or 10^6)")
+                   help="accepted for compatibility: named functions are additive and no "
+                        "longer tabulated, so nothing reads it")
     command("coupling", "two distributions -> maximal coupling + TV check", _cmd_coupling,
             "coupling.json", inputs)
     p = command("mix", "chain + eps -> mixing time", _cmd_mix, "mix.json", inputs)
@@ -699,7 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("demo", "built-in two-state worked example, end to end", _cmd_demo,
                 "chainconc-demo", convention, seeded)
     p.add_argument("--cap", type=_positive_int, default=None,
-                   help="joint-space cap for tabulating the demo function (default 2^21)")
+                   help="accepted for compatibility: the demo function is additive and no "
+                        "longer tabulated, so nothing reads it")
     return parser
 
 

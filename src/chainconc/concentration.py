@@ -117,14 +117,87 @@ class TabularFunction:
     def at(self, spec: ChainSpec, states) -> float:
         return float(self.table(spec)[tuple(int(s) for s in states)])
 
+    def value_range(self, spec: ChainSpec) -> tuple[float, float]:
+        """min f and max f over the joint space."""
+        table = self.table(spec)
+        return float(table.min()), float(table.max())
 
-def local_oscillation_vector(f: TabularFunction, spec: ChainSpec) -> np.ndarray:
-    """Exact local oscillation of f at each coordinate, by exhaustive pair enumeration.
+
+@dataclass(frozen=True)
+class AdditiveFunction:
+    """f(x) = sum_i g[i, x_i], summed in coordinate order, without the joint table.
+
+    g is an (n, S) table with S at least the largest coordinate size; the
+    entries of row i past coord_sizes[i] are never read. Values along
+    trajectories, the exact mean, the local oscillations and the range each
+    cost O(n S) per trajectory or per chain, whatever the joint size.
+    """
+
+    g: np.ndarray
+
+    def rows(self, spec: ChainSpec) -> np.ndarray:
+        """g, checked against spec: one finite row per coordinate, each wide enough."""
+        g = np.asarray(self.g, dtype=float)
+        if g.ndim != 2 or g.shape[0] != spec.n or g.shape[1] < max(spec.coord_sizes):
+            raise ValidationError(f"additive table of shape {g.shape} does not fit a chain of "
+                                  f"length {spec.n} with up to {max(spec.coord_sizes)} states")
+        if not np.isfinite(g).all():
+            raise ValidationError("additive table must contain only finite values")
+        return g
+
+    def evaluate(self, states: np.ndarray) -> np.ndarray:
+        """f along each row of an (m, n) trajectory matrix, from 0.0 in coordinate
+        order, as a sum over the tabulated function's open grids adds them."""
+        out = np.zeros(len(states))
+        for i, row in enumerate(np.asarray(self.g, dtype=float)):
+            out += row.take(states[:, i])
+        return out
+
+    def mean(self, spec: ChainSpec) -> float:
+        """Exact E f = sum_i sum_s P(X_i = s) g[i, s], the products summed by math.fsum.
+
+        The marginals go forward by elementwise products summed over the
+        previous state in order, so no BLAS call sets their bits.
+        """
+        g = self.rows(spec)
+        law = spec.initial.probs
+        terms = (law * g[0, :law.size]).tolist()
+        for i, kernel in enumerate(spec.kernels, start=1):
+            law = np.add.reduce(law[:, None] * kernel.rows, axis=0)
+            terms += (law * g[i, :law.size]).tolist()
+        return math.fsum(terms)
+
+    def extremes(self, spec: ChainSpec) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's min and max over the states of its coordinate."""
+        g = self.rows(spec)
+        valid = np.arange(g.shape[1]) < np.asarray(spec.coord_sizes)[:, None]
+        return np.where(valid, g, np.inf).min(axis=1), np.where(valid, g, -np.inf).max(axis=1)
+
+    def oscillations(self, spec: ChainSpec) -> np.ndarray:
+        """The local oscillation of f at each coordinate: its row's max - min."""
+        low, high = self.extremes(spec)
+        return high - low
+
+    def value_range(self, spec: ChainSpec) -> tuple[float, float]:
+        """min f and max f over the joint space: the row minima and maxima summed
+        as evaluate sums, which by monotone rounding are the table's own extremes."""
+        lo = hi = 0.0
+        for a, b in zip(*(v.tolist() for v in self.extremes(spec))):
+            lo += a
+            hi += b
+        return lo, hi
+
+
+def local_oscillation_vector(f: TabularFunction | AdditiveFunction, spec: ChainSpec) -> np.ndarray:
+    """Exact local oscillation of f at each coordinate.
 
     Entry i is the maximum of |f(x) - f(y)| over pairs differing only in
-    coordinate i (discrete metric, so no normalization): the widest max - min
-    spread of the table along axis i, which needs no moved copy of the table.
+    coordinate i (discrete metric, so no normalization). For an additive f it
+    is row i's max - min; for a table, the widest max - min spread along axis
+    i, which needs no moved copy of the table.
     """
+    if isinstance(f, AdditiveFunction):
+        return f.oscillations(spec)
     table = f.table(spec)
     return np.array([float((table.max(axis=c) - table.min(axis=c)).max()) for c in range(spec.n)])
 

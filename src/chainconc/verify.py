@@ -6,15 +6,18 @@ bound violated beyond Monte Carlo error is a build-failing event, not a
 warning. All sampling is counter-based (see rng), so results are
 bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
-SAMPLE_BLOCK, so the trajectories held at once do not grow with the replicate
-count; one float of f per replicate is kept (8 MB for the pilot). Every
-Monte Carlo loop takes its blocks from rng.uniform_blocks, whose one worker
-thread draws the next block while this thread samples the current one; the
-sampler, f and the statistics all run on the calling thread. A table is
-always centered exactly, whatever its size; only a callable is centered by
-the pilot. A sigma2 that is not finite and positive, a seed outside
-[0, 2^64), or an f that does not give one finite value per trajectory is
-malformed input.
+SAMPLE_BLOCK replicates and SAMPLE_ELEMENTS coordinates, and each stream
+samples every block into the same buffers: the memory a stream holds does not
+grow with the replicate count, and a block shrinks as n grows. One float of f
+per replicate is kept; the pilot keeps none, only one sum per PILOT_LEAF
+values.
+Every Monte Carlo loop takes its blocks from rng.uniform_blocks, whose one
+worker thread draws the next block while this thread samples the current
+one; the sampler, f and the statistics all run on the calling thread. A
+table is centered exactly, whatever its size, and so is an additive
+function, from its forward marginals; only a callable is centered by the
+pilot. A sigma2 that is not finite and positive, a seed outside [0, 2^64), or
+an f that does not give one finite value per trajectory is malformed input.
 """
 
 from __future__ import annotations
@@ -25,20 +28,28 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .chain import ChainSpec, strides_for, trajectories_from_uniforms
-from .concentration import TabularFunction, default_t_grid, expectation, tail_bound
+from .chain import ChainSpec, TrajectoryBuffers, strides_for, trajectories_from_uniforms
+from .concentration import (AdditiveFunction, TabularFunction, default_t_grid, expectation,
+                            tail_bound)
 from .errors import DEFAULT_POLICY_CAP, EnumerationCapError, ValidationError, json_native
 from .rl import MdpSpec, PolicyClass, action_tables
 from .rng import chunk_ranges, uniform_blocks
 
 PILOT_REPLICATES = 10**6
+# pilot values summed at once by np.sum; the pilot's center is math.fsum of
+# these sums, so it depends on no block size and holds no array of values
+PILOT_LEAF = 4096
 # seeds lie in [0, 2^64), and pilot centering draws from the disjoint Philox
 # key space above it, so it never collides with the replicates of any seed
 _PILOT_KEY_OFFSET = 1 << 64
 # replicates drawn and sampled at once: bounds the working set of every
-# Monte Carlo loop. A stream holds two blocks of uniforms, the one being
-# sampled and the one being drawn: about 3 MB each at n = 24
+# Monte Carlo loop
 SAMPLE_BLOCK = 1 << 14
+# replicates x coordinates of a block of empirical_tail and empirical_mgf:
+# 2^13 replicates at n = 24, fewer as n grows. A stream holds two blocks of
+# uniforms (the one being sampled and the one being drawn) and the sampler's
+# buffers, about 1.5 MB each at this size
+SAMPLE_ELEMENTS = 3 << 16
 # largest (policies x replicates) array, and (state-action x replicates)
 # next-state table, of an empirical_sup_value block: 512 KB each. Small blocks
 # keep the working set in cache: on the 243-policy benchmark MDP (2-vCPU VM),
@@ -64,6 +75,8 @@ def _function_values(f, spec: ChainSpec, states: np.ndarray) -> np.ndarray:
     else ValidationError."""
     if isinstance(f, TabularFunction):
         values = f.values[states @ np.asarray(strides_for(spec.coord_sizes))]
+    elif isinstance(f, AdditiveFunction):
+        values = f.evaluate(states)
     else:
         try:
             values = np.asarray(f(states), dtype=float)
@@ -82,21 +95,59 @@ def _blocks(ranges, size: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, hi)) for lo, hi in ranges for start in range(lo, hi, size)]
 
 
-def _block_values(f, spec: ChainSpec, seed: int, ranges) -> np.ndarray:
-    """f along the trajectories of the replicates of ranges, in replicate order,
-    written block by block into one array.
+def _value_blocks(f, spec: ChainSpec, seed: int, ranges):
+    """Yield f along the trajectories of the replicates of ranges, one block at a
+    time in replicate order.
 
-    The stream is closed on the way out, so its draw thread ends with this
-    call even when f raises.
+    A block holds at most SAMPLE_BLOCK replicates and SAMPLE_ELEMENTS
+    coordinates, and every block's trajectories are sampled into one set of
+    buffers. The stream is closed on the way out, so its draw thread ends
+    with the generator even when f raises.
     """
-    blocks = _blocks(ranges, SAMPLE_BLOCK)
-    out = np.empty(sum(hi - lo for lo, hi in blocks))
-    at = 0
+    blocks = _blocks(ranges, max(1, min(SAMPLE_BLOCK, SAMPLE_ELEMENTS // spec.n)))
+    buffers = TrajectoryBuffers(spec, max((hi - lo for lo, hi in blocks), default=0))
     with closing(uniform_blocks(seed, spec.n, blocks)) as stream:
         for u in stream:
-            out[at:at + len(u)] = _function_values(f, spec, trajectories_from_uniforms(spec, u))
-            at += len(u)
+            yield _function_values(f, spec, trajectories_from_uniforms(spec, u, buffers))
+
+
+def _block_values(f, spec: ChainSpec, seed: int, ranges) -> np.ndarray:
+    """f along the trajectories of the replicates of ranges, in replicate order,
+    written block by block into one array."""
+    out = np.empty(sum(hi - lo for lo, hi in ranges))
+    at = 0
+    with closing(_value_blocks(f, spec, seed, ranges)) as blocks:
+        for values in blocks:
+            out[at:at + len(values)] = values
+            at += len(values)
     return out
+
+
+def _pilot_center(f, spec: ChainSpec, seed: int) -> float:
+    """Mean of f over PILOT_REPLICATES replicates of the pilot key, holding no
+    array of their values.
+
+    The value stream is cut into leaves of PILOT_LEAF consecutive values,
+    each copied into one buffer and summed by np.sum; the leaf sums are
+    summed by math.fsum and divided by the pilot size. So the center does not
+    depend on how the stream is blocked.
+    """
+    leaf = np.empty(PILOT_LEAF)
+    sums, filled = [], 0
+    ranges = [(0, PILOT_REPLICATES)]
+    with closing(_value_blocks(f, spec, seed + _PILOT_KEY_OFFSET, ranges)) as blocks:
+        for values in blocks:
+            while values.size:
+                k = min(PILOT_LEAF - filled, values.size)
+                leaf[filled:filled + k] = values[:k]
+                values = values[k:]
+                filled += k
+                if filled == PILOT_LEAF:
+                    sums.append(float(np.sum(leaf)))
+                    filled = 0
+    if filled:
+        sums.append(float(np.sum(leaf[:filled])))
+    return math.fsum(sums) / PILOT_REPLICATES
 
 
 def _check_seed(seed: int) -> None:
@@ -109,8 +160,9 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
     """Shared front end of the grid estimators: (grid, f - E f samples, center, method).
 
     Checks the replicates, the seed, then sigma2, then calls checked_grid()
-    for the estimator's grid; only then centres f (exactly for a table, else
-    by the pilot) and samples it in replicate order, whatever the chunks.
+    for the estimator's grid; only then centres f (exactly for a table or an
+    additive function, else by the pilot) and samples it in replicate order,
+    whatever the chunks.
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
@@ -120,10 +172,10 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
     grid = checked_grid()
     if isinstance(f, TabularFunction):
         center, method = expectation(f, spec), "enumeration"
-    else:  # the pilot's values are freed before the replicates are sampled
-        center = float(np.mean(
-            _block_values(f, spec, seed + _PILOT_KEY_OFFSET, [(0, PILOT_REPLICATES)])))
-        method = f"pilot({PILOT_REPLICATES})"
+    elif isinstance(f, AdditiveFunction):
+        center, method = f.mean(spec), "marginals"
+    else:
+        center, method = _pilot_center(f, spec, seed), f"pilot({PILOT_REPLICATES})"
     values = _block_values(f, spec, seed, chunk_ranges(replicates, chunks))
     return grid, values - center, center, method
 
@@ -189,7 +241,8 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
     """Estimate P(|f - E f| >= t) on a grid and compare with 2 exp(-t^2 / 2 sigma2).
 
     f is a TabularFunction (centered exactly, by backward recursion over its
-    table) or a vectorized callable on trajectory matrices (centered by a
+    table), an AdditiveFunction (centered exactly, from the forward
+    marginals) or a vectorized callable on trajectory matrices (centered by a
     deterministic pilot run). The output records which.
     """
     grid, values, center, method = _centred_sample(
@@ -240,8 +293,13 @@ def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
     grid, values, center, method = _centred_sample(
         f, spec, sigma2, replicates, seed, chunks,
         lambda: _checked_lambda_grid(lambda_grid, sigma2))
-    spread = f.values - center if isinstance(f, TabularFunction) else values
-    worst = float(np.max(np.abs(grid))) * float(np.max(np.abs(spread)))
+    if isinstance(f, (TabularFunction, AdditiveFunction)):
+        # max |v - center| over f's values is at its min or max: rounding is monotone
+        lo, hi = f.value_range(spec)
+        spread = max(abs(hi - center), abs(lo - center))
+    else:
+        spread = float(np.max(np.abs(values)))
+    worst = float(np.max(np.abs(grid))) * spread
     if worst > 700.0:
         raise ValidationError(
             f"lambda grid risks overflow: max |lambda| * max |f - E f| = {worst} > 700"

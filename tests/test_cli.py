@@ -16,11 +16,17 @@ from hypothesis import strategies as st
 
 import chainconc
 import oracles
-from chainconc import TabularFunction, chain_from_dict, cli
+from chainconc import (EnumerationCapError, TabularFunction, ValidationError, chain_from_dict,
+                       cli, homogeneous_chain)
 from chainconc.cli import main
 from chainconc.errors import RowStream, json_default
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
+
+
+def indicator_table(grids):
+    """indicator_count of state 1, as TabularFunction.from_vectorized tabulates it."""
+    return sum((g == 1).astype(float) for g in grids)
 
 
 def write_json(path, doc):
@@ -222,6 +228,41 @@ def test_verify_against_a_certificate_does_not_scan_the_table(tmp_path, monkeypa
                         lambda *a: pytest.fail("oscillations scanned"))
     assert main(["verify", "--input", chain, "--certificate", str(cert),
                  "--replicates", "1000", "--output", str(tmp_path / "tail.json")]) == 0
+
+
+def test_a_certificate_below_the_oscillation_exits_1(tmp_path, capsys):
+    # weights that the function exceeds bound nothing: the input is at fault
+    # (exit 1), not the certificate's mathematics (exit 3). A named function is
+    # checked from its rows, a flat table by scanning it
+    for function, osc in (({"name": "indicator_count"}, 1.0), ([0.0, 0.5] * 2048, 0.5)):
+        doc = {"kernel": TWO_STATE, "n": 12, "weights": [0.05] * 12, "function": function}
+        chain = write_json(tmp_path / "chain.json", doc)
+        cert, out = tmp_path / "cert.json", tmp_path / "tail.json"
+        assert main(["certify", "--input", chain, "--output", str(cert)]) == 0
+        assert main(["verify", "--input", chain, "--certificate", str(cert),
+                     "--replicates", "1000", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"oscillation {osc} at coordinate " in err and "exceeds its weight 0.05" in err
+        assert not out.exists()
+
+
+def test_verify_of_a_named_function_runs_at_n_2000(tmp_path):
+    # 2^2000 joint states: an additive function is sampled in blocks of 98
+    # replicates and centred from its rows. The peak was 8.4 MB when written
+    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 2000,
+                                                 "function": {"name": "indicator_count"}})
+    out = tmp_path / "tail.json"
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--input", chain, "--replicates", "1000", "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tail = json.loads(out.read_text())["tail"]
+    assert tail["center_method"] == "marginals" and tail["violations"] == []
+    # P(X_i = 1) = 1/3 + (1/6) 0.7^i from the uniform start
+    assert tail["center"] == pytest.approx(2000 / 3 + (1 - 0.7**2000) / 1.8, rel=1e-12)
+    assert peak < 12 * 2**20
 
 
 def test_malformed_input_exits_1(tmp_path, capsys):
@@ -438,10 +479,18 @@ def test_infinite_weight_certify_exits_1(tmp_path):
 
 
 def test_infeasible_enumeration_exits_2(tmp_path):
-    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12,
-                                                 "function": {"name": "indicator_count"}})
-    assert main(["verify", "--input", chain, "--cap", "100",
-                 "--output", str(tmp_path / "o.json")]) == 2
+    # verify takes a named function as additive, so --cap no longer stops it;
+    # tabulating the same function still reads the cap, and enumerating a
+    # policy class past its cap is the CLI's infeasible enumeration
+    doc = {"kernel": TWO_STATE, "n": 12, "function": {"name": "indicator_count"}}
+    with pytest.raises(EnumerationCapError, match="4096 exceeds enumeration cap 100"):
+        TabularFunction.from_vectorized(chain_from_dict(doc), indicator_table, cap=100)
+    chain = write_json(tmp_path / "chain.json", doc)
+    assert main(["verify", "--input", chain, "--cap", "100", "--replicates", "1000",
+                 "--output", str(tmp_path / "o.json")]) == 0
+    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
+    assert main(["rl-bound", "--input", mdp, "--cap", "3",
+                 "--output", str(tmp_path / "rl.json")]) == 2
 
 
 @pytest.mark.parametrize("function, code", [
@@ -450,11 +499,18 @@ def test_infeasible_enumeration_exits_2(tmp_path):
 ])
 def test_joint_size_messages_stay_short_at_n_2000(tmp_path, capsys, function, code):
     # the joint size 2^2000 has 603 digits; a message prints it as 10^602.1
-    chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 2000,
-                                                 "function": function})
-    assert main(["verify", "--input", chain, "--replicates", "1000",
-                 "--output", str(tmp_path / "o.json")]) == code
-    err = capsys.readouterr().err
+    doc = {"kernel": TWO_STATE, "n": 2000, "function": function}
+    if code == 2:
+        # verify no longer tabulates a named function; the library's tabulation
+        # does, and main would print its error as "infeasible: ..."
+        with pytest.raises(EnumerationCapError) as exc:
+            TabularFunction.from_vectorized(chain_from_dict(doc), indicator_table)
+        err = f"infeasible: {exc.value}\n"
+    else:
+        chain = write_json(tmp_path / "chain.json", doc)
+        assert main(["verify", "--input", chain, "--replicates", "1000",
+                     "--output", str(tmp_path / "o.json")]) == code
+        err = capsys.readouterr().err
     assert "10^602.1" in err and len(err.encode()) < 200
 
 
@@ -590,13 +646,18 @@ def test_demo_runs_end_to_end(tmp_path):
 
 
 def test_cap_env_var_is_honored(tmp_path, monkeypatch):
+    # tabulation reads CHAINCONC_CAP; verify's named functions are additive
+    # and read no cap at all
+    spec = homogeneous_chain(TWO_STATE, 12)
+    monkeypatch.setenv("CHAINCONC_CAP", "100")
+    with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 100"):
+        TabularFunction.from_vectorized(spec, indicator_table)
     chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 12,
                                                  "function": {"name": "indicator_count"}})
-    monkeypatch.setenv("CHAINCONC_CAP", "100")
-    assert main(["verify", "--input", chain, "--output", str(tmp_path / "o.json")]) == 2
-    monkeypatch.setenv("CHAINCONC_CAP", "10000")
     assert main(["verify", "--input", chain, "--replicates", "1000",
                  "--output", str(tmp_path / "o.json")]) == 0
+    monkeypatch.setenv("CHAINCONC_CAP", "10000")
+    assert TabularFunction.from_vectorized(spec, indicator_table).values.size == 4096
 
 
 @pytest.mark.parametrize("command, cap", [
@@ -606,15 +667,21 @@ def test_cap_env_var_is_honored(tmp_path, monkeypatch):
 def test_non_positive_cap_exits_1(tmp_path, monkeypatch, command, cap):
     chain = write_json(tmp_path / "chain.json", {"kernel": TWO_STATE, "n": 4,
                                                  "function": {"name": "indicator_count"}})
-    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
     out = tmp_path / "out"
+    if command == "CHAINCONC_CAP":
+        # only tabulation reads the env var now; it raises the error main exits
+        # 1 on, and verify, which tabulates nothing, runs
+        monkeypatch.setenv("CHAINCONC_CAP", cap)
+        with pytest.raises(ValidationError, match=f"enumeration cap {cap} must be a positive"):
+            TabularFunction.from_vectorized(homogeneous_chain(TWO_STATE, 4), indicator_table)
+        assert main(["verify", "--input", chain, "--replicates", "1000",
+                     "--output", str(out)]) == 0
+        return
+    mdp = write_json(tmp_path / "mdp.json", _small_mdp())
     argv = {"verify": ["verify", "--input", chain, "--cap", cap],
             "demo": ["demo", "--cap", cap],
             "rl-bound": ["rl-bound", "--input", mdp, "--cap", cap],
-            "rl-verify": ["rl-verify", "--input", mdp, "--cap", cap, "--replicates", "100"],
-            "CHAINCONC_CAP": ["verify", "--input", chain, "--replicates", "1000"]}[command]
-    if command == "CHAINCONC_CAP":
-        monkeypatch.setenv("CHAINCONC_CAP", cap)
+            "rl-verify": ["rl-verify", "--input", mdp, "--cap", cap, "--replicates", "100"]}[command]
     assert exit_code(argv + ["--output", str(out)]) == 1
     assert not out.exists()
 

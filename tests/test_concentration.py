@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from chainconc import (
+    AdditiveFunction,
     ChainSpec,
     Distribution,
     EnumerationCapError,
@@ -32,7 +33,9 @@ from chainconc import (
     variance_proxy,
     wasserstein_matrix_tv,
 )
+from chainconc import cli, verify
 from chainconc.concentration import expectation
+from chainconc.rng import chunk_ranges
 from conftest import random_chain
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
@@ -123,6 +126,75 @@ def test_from_vectorized_memory_is_bounded():
         tracemalloc.stop()
     assert f.values.size == 2**20
     assert peak_mb < 40.0
+
+
+# ---------------------------------------------------------------------------
+# additive functions, against their tabulation
+
+
+@st.composite
+def sparse_chains(draw):
+    """A chain of 1-8 coordinates of 1-4 states, often with a size-1 coordinate,
+    whose rows may hold zeros: some states are never reached."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        sizes[draw(st.integers(0, len(sizes) - 1))] = 1
+
+    def row(size):
+        weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+        return np.asarray(weights, dtype=float) / sum(weights)
+
+    kernels = tuple(Kernel(np.stack([row(sizes[i + 1]) for _ in range(sizes[i])]))
+                    for i in range(len(sizes) - 1))
+    return validate_chain(ChainSpec(tuple(sizes), Distribution(row(sizes[0])), kernels))
+
+
+@st.composite
+def additive_cases(draw, spec):
+    """(f, fn, named): an additive f, the fn that tabulates it by from_vectorized,
+    and whether f is a named function, built as the CLI builds it."""
+    kind = draw(st.sampled_from(["indicator_count", "coordinate_sum", "table"]))
+    if kind == "indicator_count":
+        value = draw(st.integers(-1, 5))  # inside and outside the state range
+        f = cli._load_function({"function": {"name": kind, "value": value}}, spec)
+        return f, lambda grids: sum((g == value).astype(float) for g in grids), True
+    if kind == "coordinate_sum":
+        f = cli._load_function({"function": {"name": kind}}, spec)
+        return f, lambda grids: sum(g.astype(float) for g in grids), True
+    width = max(spec.coord_sizes) + draw(st.integers(0, 2))
+    g = np.array(draw(st.lists(UNIT, min_size=spec.n * width, max_size=spec.n * width)))
+    g = g.reshape(spec.n, width)
+    return AdditiveFunction(g), lambda grids: sum(g[i][x] for i, x in enumerate(grids)), False
+
+
+@given(st.data())
+def test_additive_function_is_its_tabulation(data):
+    spec = data.draw(sparse_chains())
+    f, fn, named = data.draw(additive_cases(spec))
+    table = TabularFunction.from_vectorized(spec, fn)
+    # every joint state, row-major, and the sampled values, bit for bit
+    states = np.indices(spec.coord_sizes).reshape(spec.n, -1).T
+    assert f.evaluate(states).tobytes() == table.values.tobytes()
+    seed, ranges = data.draw(st.integers(0, 2**32 - 1)), chunk_ranges(300, 2)
+    assert (verify._block_values(f, spec, seed, ranges).tobytes()
+            == verify._block_values(table, spec, seed, ranges).tobytes())
+    # the extremes by monotone rounding, and the mean to a few ulps of its scale
+    assert f.value_range(spec) == (table.values.min(), table.values.max())
+    scale = sum(float(np.abs(row[:size]).max()) for row, size in zip(f.g, spec.coord_sizes))
+    assert abs(f.mean(spec) - expectation(table, spec)) <= 4 * np.finfo(float).eps * scale
+    osc = local_oscillation_vector(f, spec)
+    if named:  # integer values: the table's spreads round nowhere
+        assert np.array_equal(osc, local_oscillation_vector(table, spec))
+    else:  # each table entry is within (n - 1) u scale of its exact sum
+        assert_allclose(osc, local_oscillation_vector(table, spec), rtol=0,
+                        atol=16 * np.finfo(float).eps * scale)
+
+
+def test_additive_function_rejects_a_table_that_does_not_fit():
+    spec = homogeneous_chain(TWO_STATE, 3)
+    for g in (np.zeros((2, 2)), np.zeros((3, 1)), np.zeros(3), np.array([[0.0, math.nan]] * 3)):
+        with pytest.raises(ValidationError, match="additive table"):
+            AdditiveFunction(g).mean(spec)
 
 
 # ---------------------------------------------------------------------------

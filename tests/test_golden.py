@@ -34,7 +34,7 @@ GOLDEN = {
     "demo/demo_certificate_ergodic.json":
         "ff591ee70ee2e902f62bfc8e1073db3355c4ee954af5fc424becb75478910c2b",
     "demo/demo_tail.json":
-        "f4ad96cbde0e48846a1db12598e2c4973a0b58a3aceea3f22b1c03b54b3350c9",
+        "b52d96e71abb1f7a94dc8ec37b9b2dd201c90243fe71e15e0ef986ec7a1a4f6f",
     "verify/tail.json":
         "318289b4dead9e5bf076fdb08cec14355d01c3b99563ebd2dfdd75f21e0a89b7",
     "rl-verify/rl_verify.json":
@@ -42,7 +42,7 @@ GOLDEN = {
     "empirical_tail":
         "074ab4b3c2a056f415e533ebfade19b3f5293e9f9b75bbda13250dbee584f732",
     "empirical_mgf":
-        "d8e4a604a0a89ee317eb52cf075bd306e73e49b7eedcaada120ce4f661811a20",
+        "89d9eae116748058e60afacfd1bf0df56ccec8e4d6ccd5fc0157286accf3e76a",
     "certify/contractive":
         "c7d6cf5fdfd60efb6b27dbec7a8c5ecfb563307a34fdd7dbd5d16a0f7fb942d6",
     "certify/ergodic":
@@ -78,9 +78,9 @@ GOLDEN = {
     "empirical_sup_value/zero_entries":
         "d65cbd8c9701a04e3b0a18388d908e7d95f4c70e51ae8661dcc7931960fb34e6",
     "verify/indicator_count":
-        "31488987a5a1ef004f5e95524b29b4be215f05c45e446d9846015efa672bb5a5",
+        "09c4409338338d2205be97b0de110e74a581513259fbbe595c3eb3edb6b3b713",
     "verify/coordinate_sum":
-        "51de7d6604d92eaad697e3ad4ac8be70c04dbb8f550dee74dabcf9434754517b",
+        "beaeb87d53c7c8d06b62826034b84a1e33e1f2d53e316277650a8ef0e1d7a91b",
     "certify/brute_homogeneous":
         "e568967ec2ac964c47a244aa2eaac44fdd6247727598896a3934587102ab7543",
     "mix/homogeneous":
@@ -141,7 +141,7 @@ def golden_hashes(tmp_path) -> dict:
     doc["function"] = rng.uniform(-1.0, 2.0, int(np.prod(sizes))).tolist()
     # its oscillations, 2.8-2.9, exceed the default unit weights: the run is
     # repeated with explicit weights at the end
-    unweighted = {"verify/tail.json": (doc, None, ["--replicates", "5000", "--seed", "9"])}
+    unweighted = {"verify/tail.json": (doc, ["--replicates", "5000", "--seed", "9"])}
 
     trans = rng.dirichlet(np.ones(3), size=(3, 2))
     mdp = {"S": 3, "A": 2, "H": 7, "initial": [0.2, 0.3, 0.5],
@@ -214,7 +214,7 @@ def golden_hashes(tmp_path) -> dict:
         zero_mdp, PolicyClass(tuple(map(Policy, tables)), HammingMetric()), replicates=5000,
         seed=8, chunks=3).to_dict())
 
-    # a named function tabulated under a cap equal to its joint size
+    # a named function, additive and so not tabulated, with a --cap that nothing reads
     named = dict(_chain_doc(rng, (3, 2, 4, 3)), function={"name": "indicator_count", "value": 2})
     tail = tmp_path / "named_tail.json"
     assert main(["verify", "--input", _write(tmp_path / "named.json", named), "--cap", "72",
@@ -233,8 +233,8 @@ def golden_hashes(tmp_path) -> dict:
     # the other named function, with zero transitions and a size-1 coordinate
     # (oscillations 1, 3, 0, 2, 2 against the default unit weights)
     named = dict(_chain_doc(rng, (2, 4, 1, 3, 3), zero_every=2), function={"name": "coordinate_sum"})
-    unweighted["verify/coordinate_sum"] = (named, 72, ["--cap", "72", "--replicates", "4000",
-                                                        "--seed", "13"])
+    unweighted["verify/coordinate_sum"] = (named, ["--cap", "72", "--replicates", "4000",
+                                                    "--seed", "13"])
 
     # a homogeneous chain never enters state 1, so every coordinate's support
     # is a strict subset and every lag has one product shared by all positions
@@ -265,13 +265,13 @@ def golden_hashes(tmp_path) -> dict:
 
     # inline verification rejects a function beyond its weights, the default
     # unit weights included; with its oscillations as weights it certifies
-    for name, (doc, cap, flags) in unweighted.items():
+    for name, (doc, flags) in unweighted.items():
         report = tmp_path / (name.replace("/", "-").replace(".json", "") + ".json")
         argv = ["verify", *flags, "--output", str(report), "--input"]
         assert main(argv + [_write(tmp_path / "unweighted.json", doc)]) == 1, name
         assert not report.exists()
         spec = chain_from_dict(doc)
-        weights = local_oscillation_vector(cli._load_function(doc, spec, cap), spec)
+        weights = local_oscillation_vector(cli._load_function(doc, spec), spec)
         assert main(argv + [_write(tmp_path / "weighted.json",
                                    dict(doc, weights=weights.tolist()))]) == 0, name
         out[name] = _body_sha(report)

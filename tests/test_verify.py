@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import oracles
 from chainconc import (
+    AdditiveFunction,
     LipschitzWeights,
     Policy,
     TabularFunction,
@@ -28,7 +29,9 @@ from chainconc import (
     maximal_bound,
 )
 from chainconc import verify
+from chainconc.chain import trajectories_from_uniforms
 from chainconc.rl import HammingMetric, PolicyClass
+from chainconc.rng import chunk_ranges, uniform_matrix
 from chainconc.verify import _jackknife_se_of_mean
 from conftest import random_chain
 from test_perfbench_targets import traced_targets
@@ -168,6 +171,64 @@ def test_block_boundaries_do_not_change_results(rng, monkeypatch):
     assert run() == whole
 
 
+def test_pilot_memory_does_not_grow_with_the_pilot(rng, monkeypatch):
+    # a pilot that kept its values held 1.5 MB more at 2 * 10^5 replicates
+    spec = chain_from_dict({"coord_sizes": [4] * 24, "initial": [0.25] * 4,
+                            "kernels": rng.dirichlet(np.ones(4), size=(23, 4)).tolist()})
+    weights = rng.uniform(0.5, 1.5, spec.n)
+    peaks = []
+    for pilot in (10**4, 2 * 10**5):
+        monkeypatch.setattr(verify, "PILOT_REPLICATES", pilot)
+        peaks.append(_traced_peak_mb(lambda: empirical_tail(
+            spec, lambda states: (states == 1) @ weights, 6.0, replicates=1000, seed=3)))
+    assert peaks[1] - peaks[0] < 0.25
+
+
+BUDGETS = [1, 7, verify.SAMPLE_ELEMENTS]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_reused_buffers_sample_bitwise_the_one_shot_sampler(rng, monkeypatch, budget):
+    monkeypatch.setattr(verify, "SAMPLE_ELEMENTS", budget)
+    spec = chain_from_dict({"coord_sizes": [3, 1, 4, 2], "initial": [0.5, 0.0, 0.5],
+                            "kernels": [[[1.0]] * 3, [[0.25, 0.0, 0.25, 0.5]],
+                                        rng.dirichlet(np.ones(2), size=4).tolist()]})
+    blocks, where = [], set()
+
+    def f(states):
+        blocks.append(states.copy())
+        where.add(states.__array_interface__["data"][0])
+        return states.sum(axis=1).astype(float)
+
+    verify._block_values(f, spec, 9, chunk_ranges(1000, 3))
+    one_shot = trajectories_from_uniforms(spec, uniform_matrix(9, 1000, spec.n))
+    assert np.concatenate(blocks).tobytes() == one_shot.tobytes()
+    width = max(1, min(verify.SAMPLE_BLOCK, budget // spec.n))
+    assert max(map(len, blocks)) == min(width, 334)
+    assert len(where) == 1  # every block in the same buffers
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_pilot_center_depends_on_no_block_size_and_no_chunks(rng, monkeypatch, budget):
+    monkeypatch.setattr(verify, "SAMPLE_ELEMENTS", budget)
+    monkeypatch.setattr(verify, "PILOT_REPLICATES", 5000)  # one whole leaf and part of one
+    spec = random_chain(rng, n=3, max_size=4)
+    weights = np.array([0.3, 1.1, 0.7])
+
+    def f(states):
+        return (states == 1) @ weights
+
+    # the reference: np.sum of each leaf of the one-shot values, math.fsum of those sums
+    values = f(trajectories_from_uniforms(spec, uniform_matrix(2**64 + 4, 5000, spec.n)))
+    leaves = [float(np.sum(values[a:a + verify.PILOT_LEAF].copy()))
+              for a in range(0, values.size, verify.PILOT_LEAF)]
+    want = math.fsum(leaves) / 5000
+    for chunks in (1, 2, 3):
+        est = empirical_tail(spec, f, 2.0, replicates=1000, seed=4, chunks=chunks)
+        assert est.center.hex() == want.hex(), chunks
+        assert est.center_method == "pilot(5000)"
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_estimators_reject_a_seed_outside_its_range(rng, seed):
     # 2^64 and above would reuse the pilot key space: seed + 2^64 is a pilot key
@@ -278,6 +339,21 @@ def test_mgf_rejects_overflow_grid():
     f = TabularFunction(1e6 * np.arange(spec.joint_size(), dtype=float))
     with pytest.raises(ValidationError, match="overflow"):
         empirical_mgf(spec, f, sigma2=1.0, lambda_grid=[1.0], replicates=2000, seed=1)
+
+
+def test_mgf_overflow_guard_reads_the_range_of_a_function():
+    # f ranges over [0, 8] but the chain stays at 0, so E f = 0: |lambda| * 8 > 700
+    # is refused, for the table and its additive form alike, and 700 is not
+    spec = homogeneous_chain([[1.0, 0.0], [0.0, 1.0]], 8, initial=[1.0, 0.0])
+    g = np.tile([0.0, 1.0], (8, 1))
+    forms = (AdditiveFunction(g), TabularFunction.from_vectorized(
+        spec, lambda grids: sum(g[i][x] for i, x in enumerate(grids))))
+    for f in forms:
+        est = empirical_mgf(spec, f, 1e-3, lambda_grid=[87.5], replicates=1000, seed=1)
+        assert est.center == 0.0 and est.empirical.tolist() == [1.0]
+        with pytest.raises(ValidationError, match="overflow: .* = 700.0000000000001 > 700"):
+            empirical_mgf(spec, f, 1e-3, lambda_grid=[-np.nextafter(87.5, 100.0)],
+                          replicates=1000, seed=1)
 
 
 # ---------------------------------------------------------------------------
