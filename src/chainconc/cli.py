@@ -11,7 +11,6 @@ outcome: it means the theory the certificate encodes was falsified.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -82,36 +81,7 @@ def _meta(args: argparse.Namespace) -> dict:
     return {"tool": "chainconc", "version": __version__, "config": config}
 
 
-# the C encoder (no indent) and the stdlib's indenting one; both write an ndarray
-# or a RowStream as its tolist()
-_ENCODE = json.JSONEncoder(sort_keys=True, default=json_default).encode
-_ENCODE_INDENTED = json.JSONEncoder(indent=2, sort_keys=True, default=json_default).encode
-_NUMBER_TYPES = {int, float, bool}  # exact types: subclasses take the stdlib path
-_FLOAT = {float}
 FORMAT_BATCH = 1536  # floats a report buffers for one call of float_text
-
-
-@functools.cache
-def _items_encoder(inner: str):
-    """C encoder of a numeric list whose items sit on their own lines at the depth of inner."""
-    return json.JSONEncoder(separators=("," + inner, ": ")).encode
-
-
-def _is_row(obj) -> bool:
-    """A nonempty list of exact ints, floats and bools: _dump writes its items
-    by float_text if all are floats, else by one call of the C encoder."""
-    return type(obj) in (list, tuple) and bool(obj) and _NUMBER_TYPES.issuperset(map(type, obj))
-
-
-def _streamed(obj) -> bool:
-    """An ndarray, a RowStream, a numeric list, a list that holds one, or a dict
-    with string keys that holds one among its values, directly or in a streamed
-    value: _dump writes its items one at a time, where one stdlib call writes
-    any other container."""
-    if type(obj) is dict:
-        return any(map(_streamed, obj.values())) and all(isinstance(k, str) for k in obj)
-    return type(obj) in (np.ndarray, RowStream) or (
-        type(obj) in (list, tuple) and (_is_row(obj) or any(map(_is_row, obj))))
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -119,17 +89,37 @@ def _write_json(path: str, doc: dict) -> None:
     default=json_default), plus a newline: an ndarray or a RowStream is written
     as its tolist().
 
-    The stdlib indents in pure Python, one token at a time. Here the floats of
-    every 1-D or 2-D float64 array, RowStream and list of floats are formatted
-    by float_text, FORMAT_BATCH at a time across all of doc (_Text); any other
-    numeric list takes one call of the C encoder. The rows of a matrix are
-    written one at a time (_dump_rows), and the containers that lead to them
-    key by key; every other container takes one stdlib call.
+    The stdlib's encoder writes every container, every 1-D array and every
+    list of floats. A RowStream, a Gamma's rows and the only n^2 data a report
+    carries, is handed to its default hook, which keeps it and returns None:
+    the "null" the encoder then yields is where _dump_rows writes its rows, at
+    the indentation of the line that leads to it.
     """
+    streams = []
+
+    def default(obj):
+        if type(obj) is RowStream:
+            streams.append(obj)
+            return None
+        return json_default(obj)
+
+    chunks = json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(doc)
     with open(path, "w", encoding="utf-8") as fh:
         out = _Text(fh)
-        _dump(doc, out, "\n")
-        out.write("\n")
+        pieces = []  # the stdlib's text since the last RowStream
+        for chunk in chunks:
+            if streams:  # chunk is the "null" of the hook's None
+                text = "".join(pieces)
+                pieces.clear()
+                out.write(text)
+                # the stdlib breaks the line before each item of a container,
+                # and an escaped string holds no line break
+                line = text[text.rfind("\n") + 1:]
+                indent = len(line) - len(line.lstrip(" "))
+                _dump_rows(streams.pop(), out, "\n" + " " * indent)
+            else:
+                pieces.append(chunk)
+        out.write("".join(pieces) + "\n")
         out.flush()
 
 
@@ -171,7 +161,7 @@ class _Text:
         """Format the buffered floats and write everything that waited for them."""
         if not self.count:
             return
-        from . import floattext  # loaded only by a run that writes floats
+        from . import floattext  # loaded only by a report that carries a Gamma
         if self.tables is None:
             self.tables = floattext.build_tables()
         text, ends = floattext.float_text(self.buffer[:self.count], self.tables)
@@ -192,63 +182,21 @@ class _Text:
         self.count = 0
 
 
-def _dump(obj, out: _Text, newline: str) -> None:
-    """Write obj as json.dump with indent=2 would at the depth whose line break is newline."""
-    inner = newline + "  "
-    if type(obj) is np.ndarray:
-        if obj.dtype != np.float64 or obj.ndim > 2:  # its nested lists, or a scalar
-            _dump(obj.tolist(), out, newline)
-        elif obj.ndim == 2:
-            _dump_rows(obj, out, newline)
-        elif obj.size:
-            out.write("[" + inner)
-            out.floats(obj, "," + inner)
-            out.write(newline + "]")
-        else:
-            out.write("[]")
-    elif type(obj) is RowStream:
-        _dump_rows(obj, out, newline)
-    elif _is_row(obj):
-        out.write("[" + inner)
-        if _FLOAT.issuperset(map(type, obj)):
-            out.floats(np.array(obj), "," + inner)
-        else:
-            out.write(_items_encoder(inner)(obj)[1:-1])
-        out.write(newline + "]")
-    elif not _streamed(obj):
-        # an escaped string never holds a raw line break, so re-indenting is safe
-        out.write(_ENCODE_INDENTED(obj).replace("\n", newline)
-                  if isinstance(obj, (dict, list, tuple)) else _ENCODE(obj))
-    elif isinstance(obj, dict):
-        sep = "{"
-        for key, value in sorted(obj.items()):
-            out.write(f"{sep}{inner}{_ENCODE(key)}: ")
-            _dump(value, out, inner)
-            sep = ","
-        out.write(newline + "}")
-    else:
-        _dump_rows(obj, out, newline)
+def _dump_rows(rows: RowStream, out: _Text, newline: str) -> None:
+    """Write the rows of a RowStream, each a 1-D float64 array, one at a time,
+    at the depth whose line break is newline.
 
-
-def _dump_rows(rows, out: _Text, newline: str) -> None:
-    """Write a list that holds numeric lists, a 2-D float array or a RowStream,
-    one row at a time.
-
-    A float row writes its leading +0.0 entries as one repeated string and
-    hands only its tail to out. The first such tail's text is kept: a later
-    tail that is bitwise a prefix of it, as in a Toeplitz Gamma whose rows
-    shift right by one, is a slice of that text, so it is formatted once. A
-    row of a list takes _dump.
+    A row writes its leading +0.0 entries as one repeated string and hands
+    only its tail to out. The first such tail's text is kept: a later tail
+    that is bitwise a prefix of it, as in a Toeplitz Gamma whose rows shift
+    right by one, is a slice of that text, so it is formatted once.
     """
     inner = newline + "  "
     sep = "," + inner + "  "
-    first = parts = text = ends = None  # the first float tail: bytes, text pieces, text, item ends
+    first = parts = text = ends = None  # the first tail: bytes, text pieces, text, item ends
     lead = "[" + inner
     for row in rows:
-        if type(rows) in (list, tuple):
-            out.write(lead)
-            _dump(row, out, inner)
-        elif not row.size:
+        if not row.size:
             out.write(lead + "[]")
         else:
             bits = row.tobytes()  # a nonzero double has a nonzero byte
@@ -372,8 +320,7 @@ def _cmd_verify(args) -> int:
     if weights is not None:
         # a certificate for weights the function exceeds, the default unit
         # weights included, bounds nothing. Only a flat table is scanned
-        osc = (f.oscillations(spec) if isinstance(f, AdditiveFunction)
-               else local_oscillation_vector(f, spec))
+        osc = local_oscillation_vector(f, spec)
         over = np.flatnonzero(osc > weights.c)
         if over.size:
             i = int(over[0])

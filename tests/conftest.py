@@ -34,3 +34,18 @@ def random_chain(rng, n=None, max_size=3, floor=0.05) -> ChainSpec:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture
+def float_text_sizes(monkeypatch):
+    """The sizes of the arrays that float_text formats during the test, in call order."""
+    from chainconc import floattext
+    sizes = []
+    format_floats = floattext.float_text
+
+    def counted(values, tables):
+        sizes.append(len(values))
+        return format_floats(values, tables)
+
+    monkeypatch.setattr(floattext, "float_text", counted)
+    return sizes

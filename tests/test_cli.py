@@ -224,10 +224,16 @@ def test_verify_against_a_certificate_does_not_scan_the_table(tmp_path, monkeypa
                         "function": {"name": "indicator_count", "value": 1}})
     cert = tmp_path / "cert.json"
     assert main(["certify", "--input", chain, "--output", str(cert)]) == 0
-    monkeypatch.setattr(cli, "local_oscillation_vector",
+    # a named function's oscillations are its rows' spreads: no joint table is read
+    monkeypatch.setattr(chainconc.TabularFunction, "table",
                         lambda *a: pytest.fail("oscillations scanned"))
+    rows = chainconc.AdditiveFunction.oscillations
+    checked = []
+    monkeypatch.setattr(chainconc.AdditiveFunction, "oscillations",
+                        lambda *a: checked.append(1) or rows(*a))
     assert main(["verify", "--input", chain, "--certificate", str(cert),
                  "--replicates", "1000", "--output", str(tmp_path / "tail.json")]) == 0
+    assert checked == [1]
 
 
 def test_a_certificate_below_the_oscillation_exits_1(tmp_path, capsys):
@@ -820,6 +826,17 @@ DOCS = st.recursive(st.one_of(SCALARS, FLOAT_ARRAYS), lambda inner: st.one_of(
           "w": np.array([0.1, 0.2]), "z": [0.3, 0.4, 0.5]}, 2)
 @example({"g": row_stream(np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.5], [0.0, 0.0, 1.0]])),
           "h": row_stream(np.array([[2.0, 1.0], [3.0, 2.0], [0.0, 3.0]]))}, 3)
+# the writer's hook returns None for a RowStream: the nulls and "null" strings
+# beside one must stay as the stdlib writes them
+@example({"a": None, "b": row_stream(np.array([[0.5, -0.0], [0.0, 1.0]])), "c": "null",
+          "d": [None, "null", row_stream(np.array([[0.25]])), None, "null"]}, 1)
+@example([None, row_stream(np.eye(2)), "null", row_stream(np.zeros((1, 2))), None], 2)
+# a RowStream at depth 3 and more, in tuples, and under an int key
+@example([[(1, row_stream(np.array([[1.0, 0.5], [0.0, 1.0]])), None)],
+          {"t": ((row_stream(np.eye(3)),),)}], 2)
+@example({7: row_stream(np.array([[1.0, 0.5], [0.0, 1.0]])), 8: [None, "null"]}, 3)
+@example({"x": [{7: ("null", row_stream(np.array([[0.5, 0.25], [0.0, 0.5]])))}],
+          "y": {3: row_stream(np.ones((2, 2))), 4: None}}, 1)
 def test_write_json_is_byte_identical_to_json_dump(doc, batch):
     # batches of 1-3 floats end inside rows, between rows and beside the rows
     # that slice the first row's text
@@ -845,6 +862,28 @@ def test_write_json_streams_matrices_as_json_dump_would(first, second):
         cli._write_json(str(path), doc)
         got = path.read_bytes()
     assert got == json_dump_bytes(doc)
+
+
+def test_gamma_rows_are_formatted_in_full_batches(tmp_path, float_text_sizes):
+    # the buffer fills across rows, so an inhomogeneous Gamma takes
+    # ceil(F / FORMAT_BATCH) calls for its F row-tail floats; the rows of a
+    # homogeneous (Toeplitz) one are slices of its first row's text
+    n = 300
+    sizes = float_text_sizes
+    inhomogeneous = chainconc.gamma_contractive(np.random.default_rng(5).uniform(0.5, 0.95, n - 1))
+    cli._write_json(str(tmp_path / "g.json"), {"entries": inhomogeneous.document()["entries"]})
+    tails = sum(n - int(np.flatnonzero(row)[0]) for row in inhomogeneous.rows())
+    assert tails == n * (n + 1) // 2
+    floats = tails - 1  # the last row's tail, 1.0, is a slice of the first row's text
+    assert sizes[:-1] == [cli.FORMAT_BATCH] * (len(sizes) - 1)
+    assert len(sizes) == math.ceil(floats / cli.FORMAT_BATCH) and sum(sizes) == floats
+
+    sizes.clear()
+    homogeneous = chainconc.gamma_contractive([0.7] * (n - 1))
+    cli._write_json(str(tmp_path / "h.json"), {"entries": homogeneous.document()["entries"]})
+    assert sizes == [n]
+    for name, g in (("g.json", inhomogeneous), ("h.json", homogeneous)):
+        assert json.loads((tmp_path / name).read_text())["entries"] == g.entries.tolist()
 
 
 def test_certify_peak_memory_is_about_its_gamma(tmp_path):
@@ -1245,3 +1284,55 @@ def test_readme_tour_runs_and_its_stated_values_hold():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
     assert run.stdout.split() == [value for _, value in stated]
+
+
+CERT_JUNK = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, True, False, None,
+                             "x", "0.5", "nan", [], [[1.0]], [1.0, [1.0]], {}, {"eps": 0.25},
+                             0, -1, 0.25])
+
+
+@st.composite
+def certificates(draw):
+    """A genuine certificate of the 6-coordinate TWO_STATE chain, whole or with
+    only some of its fields, then up to two of its sigma2 fields, weights,
+    method, details and details.eps dropped or replaced: by junk, by a list of
+    the wrong length or with one junk entry."""
+    spec = homogeneous_chain(TWO_STATE, 6)
+    method, eps = draw(st.sampled_from([("contractive", None), ("ergodic", 0.25),
+                                        ("ergodic", 0.6), ("brute_force", None)]))
+    weights = draw(st.sampled_from([[1.0] * 6, [1.0, 1.5, 2.0] * 2]))
+    cert = chainconc.certify(spec, chainconc.LipschitzWeights(np.array(weights)), method,
+                             eps=eps).to_dict()
+    # a full certificate, one without its method, or a bare sigma2 claim
+    kept = draw(st.sampled_from([("weights", "method", "details"), ("weights",), ()]))
+    report = {key: cert[key] for key in ("sigma2_exact", "sigma2_opnorm", "sigma2_paper", *kept)}
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from([*report, "eps"]))
+        if key == "eps" and isinstance(report.get("details"), dict):
+            report["details"] = dict(report["details"], eps=draw(CERT_JUNK))
+        elif key in report and draw(st.integers(0, 4)) == 0:
+            del report[key]
+        elif isinstance(report.get(key), list) and draw(st.booleans()):
+            value = report[key]
+            report[key] = (value[:draw(st.integers(0, len(value) - 1))] if draw(st.booleans())
+                           else value + value[:1] if draw(st.booleans())
+                           else _with_junk(draw, value))
+        else:
+            report[key] = draw(CERT_JUNK)
+    return {"report": report} if draw(st.integers(0, 4)) else report
+
+
+@settings(max_examples=60)
+@given(cert=certificates(), convention=st.sampled_from(["exact", "opnorm", "paper"]))
+def test_fuzzed_certificates_exit_with_a_documented_code(cert, convention):
+    chain = {"kernel": TWO_STATE, "n": 6, "function": {"name": "coordinate_sum"}}
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cert.json"
+        path.write_text(json.dumps(cert))
+        code = _run_on_document(["verify", "--certificate", str(path), "--convention",
+                                 convention, "--replicates", "1000"], chain)
+    assert code in (0, 1, 2, 3)
+    report = cert.get("report", cert)
+    sigma2 = report.get(f"sigma2_{convention}")
+    if _has_non_finite([sigma2, report.get("weights")]):
+        assert code != 0

@@ -296,3 +296,24 @@ def test_report_writer_matches_json_dump_on_the_corpus(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_json", checked_write)
     golden_hashes(tmp_path)
     assert len(written) == 29
+
+
+def test_only_reports_with_a_gamma_format_floats_by_float_text(tmp_path, monkeypatch,
+                                                               float_text_sizes):
+    # float_text and its tables pay off only on a Gamma's n^2 entries: a tail,
+    # coupling, mix or rl report is written by the stdlib alone
+    write = cli._write_json
+    made = {}
+
+    def spied_write(path, doc):
+        float_text_sizes.clear()
+        write(path, doc)
+        made[path] = ("gamma" in doc.get("report", doc), len(float_text_sizes))
+
+    monkeypatch.setattr(cli, "_write_json", spied_write)
+    golden_hashes(tmp_path)
+    with_gamma = {path: n for path, (gamma, n) in made.items() if gamma}
+    without = {path: n for path, (gamma, n) in made.items() if not gamma}
+    assert len(with_gamma) == 11 and len(without) == 18
+    assert all(n >= 1 for n in with_gamma.values()), with_gamma
+    assert not any(without.values()), without
