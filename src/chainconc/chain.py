@@ -374,9 +374,11 @@ def t_step_pair_tv(spec: ChainSpec, i: int, t: int) -> float:
 
 class TrajectoryBuffers:
     """What trajectories_from_uniforms needs besides u, built once per stream:
-    the chain's CDF breakpoints and the arrays of a block of up to `rows`
-    trajectories. Every block sampled into them reuses the same memory, so a
-    stream touches fresh pages once, not once per block."""
+    the chain's CDF breakpoints and two arrays of n entries per row for a
+    block of up to `rows` trajectories: the transposed uniforms, which the
+    finished trajectories then overwrite, and the coordinate-major states.
+    Every block sampled into them reuses the same memory, so a stream touches
+    fresh pages once, not once per block."""
 
     def __init__(self, spec: ChainSpec, rows: int):
         self.rows = rows
@@ -385,7 +387,6 @@ class TrajectoryBuffers:
         self.cdf_cols = [np.cumsum(k.rows, axis=1).T[:-1].copy() for k in spec.kernels]
         self.ut = np.empty(rows * spec.n)
         self.states = np.empty(rows * spec.n, dtype=np.int64)
-        self.out = np.empty(rows * spec.n, dtype=np.int64)
         self.breakpoint = np.empty(rows)
         self.hit = np.empty(rows, dtype=bool)
 
@@ -424,7 +425,8 @@ def trajectories_from_uniforms(spec: ChainSpec, u: np.ndarray,
         for col in cols:  # every index is a state of coordinate c, so in range
             col.take(states[c], out=breakpoint, mode="clip")
             states[c + 1] += np.less_equal(breakpoint, ut[c + 1], out=hit)
-    out = buffers.out[:n * m].reshape(m, n)
+    # every row of ut has been read: the trajectories overwrite the spent uniforms
+    out = buffers.ut.view(np.int64)[:n * m].reshape(m, n)
     np.copyto(out, states.T)
     return out
 

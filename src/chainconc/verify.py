@@ -8,9 +8,11 @@ bit-identical for a given seed regardless of chunking. Replicates, the
 centering pilot included, are drawn and sampled in blocks of at most
 SAMPLE_BLOCK replicates and SAMPLE_ELEMENTS coordinates, and each stream
 samples every block into the same buffers: the memory a stream holds does not
-grow with the replicate count, and a block shrinks as n grows. One float of f
-per replicate is kept; the pilot keeps none, only one sum per PILOT_LEAF
-values.
+grow with the replicate count, and a block shrinks as n grows. No statistic
+keeps a value per replicate either: tail frequencies are integer counts
+summed block by block, and every mean and standard error (the MGF's, the
+supremum's, the pilot's center) is merged from leaves of PILOT_LEAF
+consecutive values, so memory does not depend on the replicate count.
 Every Monte Carlo loop takes its blocks from rng.uniform_blocks, whose one
 worker thread draws the next block while this thread samples the current
 one; the sampler, f and the statistics all run on the calling thread. A
@@ -36,9 +38,13 @@ from .rl import MdpSpec, PolicyClass, action_tables
 from .rng import chunk_ranges, uniform_blocks
 
 PILOT_REPLICATES = 10**6
-# pilot values summed at once by np.sum; the pilot's center is math.fsum of
-# these sums, so it depends on no block size and holds no array of values
+# consecutive values that _LeafMoments sums at once by np.sum: a mean is the
+# math.fsum of these sums, so it depends on no block size and holds no array
+# of values
 PILOT_LEAF = 4096
+# a leaf sum is added exactly as an integer count of 2^-1074, the least
+# subnormal: the total then rounds once, as math.fsum of the leaf sums does
+_UNIT = 1 << 1074
 # seeds lie in [0, 2^64), and pilot centering draws from the disjoint Philox
 # key space above it, so it never collides with the replicates of any seed
 _PILOT_KEY_OFFSET = 1 << 64
@@ -111,43 +117,84 @@ def _value_blocks(f, spec: ChainSpec, seed: int, ranges):
             yield _function_values(f, spec, trajectories_from_uniforms(spec, u, buffers))
 
 
-def _block_values(f, spec: ChainSpec, seed: int, ranges) -> np.ndarray:
-    """f along the trajectories of the replicates of ranges, in replicate order,
-    written block by block into one array."""
-    out = np.empty(sum(hi - lo for lo, hi in ranges))
-    at = 0
-    with closing(_value_blocks(f, spec, seed, ranges)) as blocks:
-        for values in blocks:
-            out[at:at + len(values)] = values
-            at += len(values)
-    return out
+class _LeafMoments:
+    """Means and standard errors of the mean of `rows` value streams, fed a block
+    at a time in replicate order, holding one leaf of each stream.
+
+    The streams are cut into leaves of PILOT_LEAF consecutive values, written
+    into one (rows, PILOT_LEAF) buffer by add's fill. A leaf's sum is np.sum
+    of its values and its second moment the two-pass sum of squared
+    deviations from its own mean; leaves are merged in order by the update of
+    Chan, Golub and LeVeque (1983). A mean is math.fsum of its leaf sums over
+    the count, and a standard error s / sqrt(count). So neither depends on how
+    the stream is blocked, and memory does not grow with the count.
+    """
+
+    def __init__(self, rows: int = 1):
+        self.leaf = np.empty((rows, PILOT_LEAF))
+        self.scratch = np.empty((rows, PILOT_LEAF))
+        self.filled = self.count = 0
+        self.units = [0] * rows  # exact sums of the merged leaves' sums, in 2^-1074
+        self.mean = np.zeros(rows)  # of the merged leaves, for Chan's update
+        self.m2 = np.zeros(rows)
+
+    def add(self, values: np.ndarray, fill=np.copyto) -> None:
+        """Feed the next values; fill(out, piece) writes the rows that a piece of
+        them contributes (by default, the piece itself)."""
+        while values.size:
+            k = min(PILOT_LEAF - self.filled, values.size)
+            fill(self.leaf[:, self.filled:self.filled + k], values[:k])
+            values = values[k:]
+            self.filled += k
+            if self.filled == PILOT_LEAF:
+                self._merge()
+
+    def _merge(self) -> None:
+        k, leaf = self.filled, self.leaf[:, :self.filled]
+        sums = leaf.sum(axis=1)
+        if not np.isfinite(sums).all():
+            raise ValidationError("a sum of sampled values is not finite")
+        means = sums / k
+        dev = np.subtract(leaf, means[:, None], out=self.scratch[:, :k])
+        m2 = np.square(dev, out=dev).sum(axis=1)
+        n = self.count + k
+        delta = means - self.mean
+        self.mean += delta * (k / n)
+        self.m2 += m2 + delta * delta * (self.count * k / n)
+        for row, total in enumerate(sums.tolist()):
+            num, den = total.as_integer_ratio()
+            self.units[row] += num * (_UNIT // den)
+        self.count, self.filled = n, 0
+
+    def means(self) -> np.ndarray:
+        if self.filled:
+            self._merge()
+        return np.array([_units_total(units) for units in self.units]) / self.count
+
+    def standard_errors(self) -> np.ndarray:
+        if self.filled:
+            self._merge()
+        return np.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
+
+
+def _units_total(units: int) -> float:
+    """units * 2^-1074, correctly rounded; an infinity if that overflows."""
+    try:
+        return units / _UNIT
+    except OverflowError:
+        return math.inf if units > 0 else -math.inf
 
 
 def _pilot_center(f, spec: ChainSpec, seed: int) -> float:
-    """Mean of f over PILOT_REPLICATES replicates of the pilot key, holding no
-    array of their values.
-
-    The value stream is cut into leaves of PILOT_LEAF consecutive values,
-    each copied into one buffer and summed by np.sum; the leaf sums are
-    summed by math.fsum and divided by the pilot size. So the center does not
-    depend on how the stream is blocked.
-    """
-    leaf = np.empty(PILOT_LEAF)
-    sums, filled = [], 0
+    """Mean of f over PILOT_REPLICATES replicates of the pilot key, by
+    _LeafMoments: it holds no array of their values and depends on no block
+    size."""
+    moments = _LeafMoments()
     ranges = [(0, PILOT_REPLICATES)]
     with closing(_value_blocks(f, spec, seed + _PILOT_KEY_OFFSET, ranges)) as blocks:
         for values in blocks:
-            while values.size:
-                k = min(PILOT_LEAF - filled, values.size)
-                leaf[filled:filled + k] = values[:k]
-                values = values[k:]
-                filled += k
-                if filled == PILOT_LEAF:
-                    sums.append(float(np.sum(leaf)))
-                    filled = 0
-    if filled:
-        sums.append(float(np.sum(leaf[:filled])))
-    return math.fsum(sums) / PILOT_REPLICATES
+            moments.add(values)
+    return float(moments.means()[0])
 
 
 def _check_seed(seed: int) -> None:
@@ -157,12 +204,13 @@ def _check_seed(seed: int) -> None:
 
 def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: int,
                     chunks: int, checked_grid):
-    """Shared front end of the grid estimators: (grid, f - E f samples, center, method).
+    """Shared front end of the grid estimators: (grid, center, method, blocks).
 
     Checks the replicates, the seed, then sigma2, then calls checked_grid()
     for the estimator's grid; only then centres f (exactly for a table or an
-    additive function, else by the pilot) and samples it in replicate order,
-    whatever the chunks.
+    additive function, else by the pilot). blocks is the stream of f's
+    samples, block by block in replicate order whatever the chunks; the
+    caller closes it.
     """
     if replicates < 10**3:
         raise ValidationError(f"replicates = {replicates} must be at least 1000")
@@ -176,8 +224,7 @@ def _centred_sample(f, spec: ChainSpec, sigma2: float, replicates: int, seed: in
         center, method = f.mean(spec), "marginals"
     else:
         center, method = _pilot_center(f, spec, seed), f"pilot({PILOT_REPLICATES})"
-    values = _block_values(f, spec, seed, chunk_ranges(replicates, chunks))
-    return grid, values - center, center, method
+    return grid, center, method, _value_blocks(f, spec, seed, chunk_ranges(replicates, chunks))
 
 
 @dataclass(frozen=True)
@@ -245,10 +292,15 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
     marginals) or a vectorized callable on trajectory matrices (centered by a
     deterministic pilot run). The output records which.
     """
-    grid, values, center, method = _centred_sample(
+    grid, center, method, blocks = _centred_sample(
         f, spec, sigma2, replicates, seed, chunks, lambda: _checked_t_grid(t_grid, sigma2))
-    dev = np.abs(values)
-    emp = np.array([float(np.mean(dev >= t)) for t in grid])
+    counts = np.zeros(grid.size, dtype=np.int64)
+    with closing(blocks):
+        for values in blocks:
+            dev = np.abs(values - center)
+            counts += [np.count_nonzero(dev >= t) for t in grid]
+    # a count over the replicate count: the bits of the mean of dev >= t
+    emp = counts / replicates
     se = np.sqrt(emp * (1.0 - emp) / replicates)
     bound = np.array([2.0 * tail_bound(sigma2, float(t)) for t in grid])
     return TailEstimate(grid, emp, se, bound, replicates, seed, sigma2, center, method)
@@ -256,23 +308,13 @@ def empirical_tail(spec: ChainSpec, f, sigma2: float, t_grid=None, replicates: i
 
 @dataclass(frozen=True)
 class MgfEstimate(GridEstimate):
-    """Empirical moment generating function of f - E f with jackknife errors."""
+    """Empirical moment generating function of f - E f with standard errors s / sqrt(m)."""
 
     GRID = "lambda"
 
     @property
     def lambda_grid(self) -> np.ndarray:
         return self.grid
-
-
-def _jackknife_se_of_mean(w: np.ndarray) -> float:
-    """Jackknife standard error of the sample mean (equals s / sqrt(m))."""
-    m = w.size
-    if m < 2:
-        return 0.0
-    total = float(w.sum())
-    loo = (total - w) / (m - 1)
-    return float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
 
 
 def _checked_lambda_grid(lambda_grid, sigma2: float) -> np.ndarray:
@@ -288,30 +330,37 @@ def empirical_mgf(spec: ChainSpec, f, sigma2: float, lambda_grid=None,
     """Estimate E exp(lambda (f - E f)) on a grid against the envelope exp(lambda^2 sigma2 / 2).
 
     Grids that could overflow exp at the maximal centered value are rejected
-    up front rather than producing infinities.
+    rather than producing infinities, before any block that could overflow
+    is exponentiated: at the first block for a table or an additive
+    function, whose extremes are known, and for a callable at the first
+    block that reaches them. Each lambda's values exp(lambda (f - E f)) go
+    through _LeafMoments.
     """
-    grid, values, center, method = _centred_sample(
+    grid, center, method, blocks = _centred_sample(
         f, spec, sigma2, replicates, seed, chunks,
         lambda: _checked_lambda_grid(lambda_grid, sigma2))
+    widest = float(np.max(np.abs(grid)))
+    spread = 0.0
     if isinstance(f, (TabularFunction, AdditiveFunction)):
         # max |v - center| over f's values is at its min or max: rounding is monotone
         lo, hi = f.value_range(spec)
         spread = max(abs(hi - center), abs(lo - center))
-    else:
-        spread = float(np.max(np.abs(values)))
-    worst = float(np.max(np.abs(grid))) * spread
-    if worst > 700.0:
-        raise ValidationError(
-            f"lambda grid risks overflow: max |lambda| * max |f - E f| = {worst} > 700"
-        )
-    emp, se = [], []
-    for lam in grid:
-        w = np.exp(lam * values)
-        emp.append(float(np.mean(w)))
-        se.append(_jackknife_se_of_mean(w))
+    moments = _LeafMoments(grid.size)
+
+    def exp_rows(out, dev):
+        np.exp(np.multiply(grid[:, None], dev, out=out), out=out)
+
+    with closing(blocks):
+        for values in blocks:
+            dev = values - center
+            spread = max(spread, float(np.max(np.abs(dev))))
+            if widest * spread > 700.0:
+                raise ValidationError("lambda grid risks overflow: max |lambda| * "
+                                      f"max |f - E f| = {widest * spread} > 700")
+            moments.add(dev, exp_rows)
     bound = np.exp(grid**2 * sigma2 / 2.0)
-    return MgfEstimate(grid, np.array(emp), np.array(se), bound, replicates, seed,
-                       sigma2, center, method)
+    return MgfEstimate(grid, moments.means(), moments.standard_errors(), bound, replicates,
+                       seed, sigma2, center, method)
 
 
 @dataclass(frozen=True)
@@ -362,17 +411,15 @@ def empirical_sup_value(mdp: MdpSpec, pc: PolicyClass, replicates: int = 10**4,
     cdf = np.cumsum(mdp.kernel_rows, axis=2).reshape(-1, mdp.n_states)[:, :-1].T.copy()
     init_cdf = np.cumsum(mdp.initial.probs)[:-1]
     width = max(1, min(SAMPLE_BLOCK, SUP_BLOCK_ELEMENTS // max(len(pc), cdf.shape[1])))
-    parts = []
+    moments = _LeafMoments()
     ranges = _blocks(chunk_ranges(replicates, chunks), width)
     with closing(uniform_blocks(seed, mdp.horizon, ranges)) as blocks:
         for u in blocks:
             values = _reward_sums(rows, rewards, init_cdf, cdf, u.T.copy())
             values -= centers
-            parts.append(values.max(axis=0))
-    sups = np.concatenate(parts)
-    estimate = float(np.mean(sups))
-    se = float(np.std(sups, ddof=1) / math.sqrt(replicates))
-    return SupValueEstimate(estimate, se, replicates, seed, len(pc))
+            moments.add(values.max(axis=0))
+    return SupValueEstimate(float(moments.means()[0]), float(moments.standard_errors()[0]),
+                            replicates, seed, len(pc))
 
 
 def _pair_rows(mdp: MdpSpec, pc: PolicyClass) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -49,3 +51,16 @@ def float_text_sizes(monkeypatch):
 
     monkeypatch.setattr(floattext, "float_text", counted)
     return sizes
+
+
+@pytest.fixture
+def peak_mb():
+    """peak_mb(fn): the tracemalloc peak, in MB, of the allocations made while fn runs."""
+    def peak(fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -22,6 +22,7 @@ from chainconc import (
     local_oscillation_vector,
     validate_chain,
 )
+from chainconc import verify
 from chainconc.chain import t_step_products, trajectories_from_uniforms
 from chainconc.gamma import ContractiveGamma, ErgodicGamma
 from chainconc.rng import uniform_matrix
@@ -376,7 +377,13 @@ def value_function(mdp, pi, traj) -> float:
 
 
 def sup_value_per_policy(mdp, pc, replicates, seed):
-    """(estimate, standard error) of E sup_pi (V_pi - E V_pi) by the per-policy loop.
+    """(estimate, standard error) of E sup_pi (V_pi - E V_pi): leaf_mean_and_se of
+    the whole array of suprema_per_policy."""
+    return leaf_mean_and_se(suprema_per_policy(mdp, pc, replicates, seed))
+
+
+def suprema_per_policy(mdp, pc, replicates, seed) -> np.ndarray:
+    """sup_pi (V_pi - E V_pi) on each replicate, by the per-policy loop.
 
     Each policy's induced chain is sampled on its own from the shared uniform
     stream, its rewards summed in stage order and centred at its exact value.
@@ -390,7 +397,56 @@ def sup_value_per_policy(mdp, pc, replicates, seed):
         for stage in range(mdp.horizon):
             v += reward[states[:, stage]]
         sup = np.maximum(sup, v - exact_value_per_stage(mdp, pi))
-    return float(np.mean(sup)), float(np.std(sup, ddof=1) / math.sqrt(replicates))
+    return sup
+
+
+def tail_frequencies(values, center, grid) -> np.ndarray:
+    """P(|v - center| >= t) for each t of grid, as the mean of a boolean array."""
+    dev = np.abs(values - center)
+    return np.array([float(np.mean(dev >= t)) for t in grid])
+
+
+def jackknife_se_of_mean(w) -> float:
+    """Jackknife standard error of the sample mean, from the leave-one-out means
+    (equals s / sqrt(m))."""
+    m = w.size
+    total = float(w.sum())
+    loo = (total - w) / (m - 1)
+    return float(np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2)))
+
+
+def two_pass_mean_and_se(x) -> tuple[float, float]:
+    """(mean, s / sqrt(m)) of a whole array by two correctly rounded passes:
+    math.fsum of the values, then math.fsum of their squared deviations."""
+    m = x.size
+    mean = math.fsum(x) / m
+    m2 = math.fsum((x - mean) ** 2)
+    return mean, math.sqrt(m2 / (m - 1)) / math.sqrt(m)
+
+
+def leaf_mean_and_se(x) -> tuple[float, float]:
+    """(mean, s / sqrt(m)) of a whole array by leaves of verify.PILOT_LEAF
+    consecutive values, one leaf at a time in Python floats.
+
+    A leaf's sum is np.sum and its second moment np.sum of its squared
+    deviations from its own mean; leaves are merged in order by the update of
+    Chan, Golub and LeVeque; the mean is math.fsum of the leaf sums over m.
+    """
+    leaf = verify.PILOT_LEAF
+    sums, mean, m2, count = [], 0.0, 0.0, 0
+    for start in range(0, x.size, leaf):
+        part = x[start:start + leaf].copy()
+        k = part.size
+        total = float(np.sum(part))
+        part_mean = total / k
+        part_m2 = float(np.sum((part - part_mean) ** 2))
+        n = count + k
+        delta = part_mean - mean
+        mean += delta * (k / n)
+        m2 += part_m2 + delta * delta * (count * k / n)
+        sums.append(total)
+        count = n
+    return math.fsum(sums) / count, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def pairwise_distances(pc, distance) -> np.ndarray:

@@ -31,6 +31,7 @@ from chainconc import (
     wasserstein_matrix_tv,
 )
 from chainconc.chain import (
+    TrajectoryBuffers,
     block_law_given_coordinate,
     dobrushin_coefficients,
     forward_law,
@@ -458,6 +459,22 @@ def test_sample_trajectories_rows_match_single_samples():
     # chunk-independence: rows [3, 10) reproduce the same trajectories
     tail = trajectories_from_uniforms(spec, uniform_matrix(7, 7, spec.n, first=3))
     assert np.array_equal(tail, block[3:])
+
+
+def test_trajectories_overwrite_their_spent_uniforms(rng):
+    # two arrays of n entries per row: the int64 trajectories take the place of
+    # the float uniforms they were sampled from, block after block
+    spec = random_chain(rng, n=5, max_size=4)
+    buffers = TrajectoryBuffers(spec, 40)
+    arrays = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
+    assert sum(a.size for a in arrays if a.size == 40 * spec.n) == 2 * 40 * spec.n
+    for first, m in ((0, 40), (40, 17), (57, 40)):
+        u = uniform_matrix(3, m, spec.n, first=first)
+        states = trajectories_from_uniforms(spec, u, buffers)
+        assert np.shares_memory(states, buffers.ut)
+        assert states.dtype == np.int64 and states.flags.c_contiguous
+        assert states.tobytes() == trajectories_from_uniforms(spec, u).tobytes()
+        assert states.tobytes() == oracles.inverse_cdf_trajectories(spec, u).tobytes()
 
 
 def test_uniform_matrix_rows_are_chunk_independent():

@@ -176,8 +176,8 @@ def test_additive_function_is_its_tabulation(data):
     states = np.indices(spec.coord_sizes).reshape(spec.n, -1).T
     assert f.evaluate(states).tobytes() == table.values.tobytes()
     seed, ranges = data.draw(st.integers(0, 2**32 - 1)), chunk_ranges(300, 2)
-    assert (verify._block_values(f, spec, seed, ranges).tobytes()
-            == verify._block_values(table, spec, seed, ranges).tobytes())
+    assert (np.concatenate(list(verify._value_blocks(f, spec, seed, ranges))).tobytes()
+            == np.concatenate(list(verify._value_blocks(table, spec, seed, ranges))).tobytes())
     # the extremes by monotone rounding, and the mean to a few ulps of its scale
     assert f.value_range(spec) == (table.values.min(), table.values.max())
     scale = sum(float(np.abs(row[:size]).max()) for row, size in zip(f.g, spec.coord_sizes))

@@ -42,7 +42,7 @@ GOLDEN = {
     "empirical_tail":
         "074ab4b3c2a056f415e533ebfade19b3f5293e9f9b75bbda13250dbee584f732",
     "empirical_mgf":
-        "89d9eae116748058e60afacfd1bf0df56ccec8e4d6ccd5fc0157286accf3e76a",
+        "1cd21a0de80a4f46bc2342bcbe5e3d3f09997ec003285b87f09c947b09f17f42",
     "certify/contractive":
         "c7d6cf5fdfd60efb6b27dbec7a8c5ecfb563307a34fdd7dbd5d16a0f7fb942d6",
     "certify/ergodic":
@@ -76,7 +76,7 @@ GOLDEN = {
     "rl-verify/mixing":
         "5b55af09199a7d58deecfebf2baddce72f013667af01197482dedcc94443a2d7",
     "empirical_sup_value/zero_entries":
-        "d65cbd8c9701a04e3b0a18388d908e7d95f4c70e51ae8661dcc7931960fb34e6",
+        "545f930cf300b05f569732f5c6a08924b965053ae8e11c7e06da81500b69430c",
     "verify/indicator_count":
         "09c4409338338d2205be97b0de110e74a581513259fbbe595c3eb3edb6b3b713",
     "verify/coordinate_sum":

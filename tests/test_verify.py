@@ -4,7 +4,7 @@ import json
 import math
 import sys
 import threading
-import tracemalloc
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -32,7 +32,6 @@ from chainconc import verify
 from chainconc.chain import trajectories_from_uniforms
 from chainconc.rl import HammingMetric, PolicyClass
 from chainconc.rng import chunk_ranges, uniform_matrix
-from chainconc.verify import _jackknife_se_of_mean
 from conftest import random_chain
 from test_perfbench_targets import traced_targets
 from test_rl import random_mdp
@@ -129,30 +128,26 @@ def test_mgf_rejects_bad_grids():
             empirical_mgf(spec, f, 1.0, lambda_grid=grid, replicates=2000)
 
 
-def _traced_peak_mb(fn) -> float:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_pilot_memory_is_bounded(rng):
-    # drawing the 10^6-replicate pilot at once takes about 412 MB here
-    spec = chain_from_dict({"coord_sizes": [4] * 24, "initial": [0.25] * 4,
+def _tail_mc_chain(rng):
+    """4 states, 24 coordinates: the shape of the benchmark's tail workload."""
+    return chain_from_dict({"coord_sizes": [4] * 24, "initial": [0.25] * 4,
                             "kernels": rng.dirichlet(np.ones(4), size=(23, 4)).tolist()})
+
+
+def test_pilot_memory_is_bounded(rng, peak_mb):
+    # drawing the 10^6-replicate pilot at once takes about 412 MB here
+    spec = _tail_mc_chain(rng)
     weights = rng.uniform(0.5, 1.5, spec.n)
-    peak = _traced_peak_mb(lambda: empirical_tail(
+    peak = peak_mb(lambda: empirical_tail(
         spec, lambda states: (states == 1) @ weights, 6.0, replicates=1000, seed=3))
     assert peak < 64.0
 
 
-def test_sup_value_memory_is_bounded(rng):
+def test_sup_value_memory_is_bounded(rng, peak_mb):
     # drawing all replicates at once takes about 156 MB here
     mdp = random_mdp(rng, n_actions=1, horizon=30)
     pc = enumerate_policies(3, 1)
-    peak = _traced_peak_mb(lambda: empirical_sup_value(mdp, pc, replicates=3 * 10**5, seed=2))
+    peak = peak_mb(lambda: empirical_sup_value(mdp, pc, replicates=3 * 10**5, seed=2))
     assert peak < 32.0
 
 
@@ -171,17 +166,44 @@ def test_block_boundaries_do_not_change_results(rng, monkeypatch):
     assert run() == whole
 
 
-def test_pilot_memory_does_not_grow_with_the_pilot(rng, monkeypatch):
+def test_pilot_memory_does_not_grow_with_the_pilot(rng, monkeypatch, peak_mb):
     # a pilot that kept its values held 1.5 MB more at 2 * 10^5 replicates
-    spec = chain_from_dict({"coord_sizes": [4] * 24, "initial": [0.25] * 4,
-                            "kernels": rng.dirichlet(np.ones(4), size=(23, 4)).tolist()})
+    spec = _tail_mc_chain(rng)
     weights = rng.uniform(0.5, 1.5, spec.n)
     peaks = []
     for pilot in (10**4, 2 * 10**5):
         monkeypatch.setattr(verify, "PILOT_REPLICATES", pilot)
-        peaks.append(_traced_peak_mb(lambda: empirical_tail(
+        peaks.append(peak_mb(lambda: empirical_tail(
             spec, lambda states: (states == 1) @ weights, 6.0, replicates=1000, seed=3)))
     assert peaks[1] - peaks[0] < 0.25
+
+
+@pytest.mark.parametrize("kind", ["callable", "additive"])
+@pytest.mark.parametrize("estimator", [empirical_tail, empirical_mgf])
+def test_estimator_memory_does_not_grow_with_the_replicates(rng, monkeypatch, peak_mb,
+                                                           estimator, kind):
+    # keeping one float per replicate held about 1.5 MB more at 2 * 10^5 replicates
+    spec = _tail_mc_chain(rng)
+    weights = rng.uniform(0.5, 1.5, spec.n)
+    if kind == "callable":
+        f = lambda states: (states == 1) @ weights  # noqa: E731
+        monkeypatch.setattr(verify, "PILOT_REPLICATES", 10**4)  # the pilot is tested above
+    else:
+        f = AdditiveFunction(np.outer(weights, [0.0, 1.0, 0.0, 0.0]))
+    peaks = [peak_mb(lambda: estimator(spec, f, 6.0, replicates=m, seed=3))
+             for m in (10**4, 2 * 10**5)]
+    assert peaks[1] - peaks[0] < 0.25, peaks
+
+
+def test_sup_value_memory_does_not_grow_with_the_replicates(rng, monkeypatch, peak_mb):
+    # blocks of 512 replicates, so both runs hold a block's arrays while the
+    # next block's are made, as every run of more than two blocks does
+    monkeypatch.setattr(verify, "SUP_BLOCK_ELEMENTS", 1 << 12)
+    mdp = random_mdp(rng, horizon=6)
+    pc = enumerate_policies(3, 2)
+    peaks = [peak_mb(lambda: empirical_sup_value(mdp, pc, replicates=m, seed=3))
+             for m in (10**4, 2 * 10**5)]
+    assert peaks[1] - peaks[0] < 0.25, peaks
 
 
 BUDGETS = [1, 7, verify.SAMPLE_ELEMENTS]
@@ -200,7 +222,7 @@ def test_reused_buffers_sample_bitwise_the_one_shot_sampler(rng, monkeypatch, bu
         where.add(states.__array_interface__["data"][0])
         return states.sum(axis=1).astype(float)
 
-    verify._block_values(f, spec, 9, chunk_ranges(1000, 3))
+    np.concatenate(list(verify._value_blocks(f, spec, 9, chunk_ranges(1000, 3))))
     one_shot = trajectories_from_uniforms(spec, uniform_matrix(9, 1000, spec.n))
     assert np.concatenate(blocks).tobytes() == one_shot.tobytes()
     width = max(1, min(verify.SAMPLE_BLOCK, budget // spec.n))
@@ -227,6 +249,91 @@ def test_pilot_center_depends_on_no_block_size_and_no_chunks(rng, monkeypatch, b
         est = empirical_tail(spec, f, 2.0, replicates=1000, seed=4, chunks=chunks)
         assert est.center.hex() == want.hex(), chunks
         assert est.center_method == "pilot(5000)"
+
+
+def _within_ulps(got: float, want: float, scale: float, ulps: int = 4) -> bool:
+    return abs(got - want) <= ulps * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("kind", ["callable", "additive"])
+def test_streamed_statistics_match_the_array_formulas(rng, monkeypatch, budget, kind):
+    # 5000 replicates: one whole leaf and part of one, blocks of 1 replicate and up
+    monkeypatch.setattr(verify, "SAMPLE_ELEMENTS", budget)
+    monkeypatch.setattr(verify, "PILOT_REPLICATES", 5000)
+    m, seed = 5000, 6
+    spec = random_chain(rng, n=3, max_size=4)
+    g = rng.normal(size=(3, 4))
+    if kind == "callable":
+        def f(states):
+            return g[np.arange(3), states].sum(axis=1)
+    else:
+        f = AdditiveFunction(g)
+    states = trajectories_from_uniforms(spec, uniform_matrix(seed, m, spec.n))
+    values = g[np.arange(3), states].sum(axis=1)
+    t_grid, lambda_grid = [0.0, 0.3, 1.0, 2.5], [-0.8, -0.1, 0.0, 0.4, 1.5]
+    for chunks in (1, 2, 3):
+        tail = empirical_tail(spec, f, 2.0, t_grid=t_grid, replicates=m, seed=seed,
+                              chunks=chunks)
+        assert tail.empirical.tobytes() == oracles.tail_frequencies(
+            values, tail.center, t_grid).tobytes()
+        mgf = empirical_mgf(spec, f, 2.0, lambda_grid=lambda_grid, replicates=m, seed=seed,
+                            chunks=chunks)
+        assert mgf.center == tail.center
+        for i, lam in enumerate(lambda_grid):
+            w = np.exp(lam * (values - mgf.center))
+            # bit for bit the leaf formula on the whole array, within a few ulps
+            # of two correctly rounded passes
+            assert (mgf.empirical[i], mgf.standard_errors[i]) == oracles.leaf_mean_and_se(w)
+            mean, se = oracles.two_pass_mean_and_se(w)
+            assert _within_ulps(mgf.empirical[i], mean, mean), (chunks, lam)
+            assert _within_ulps(mgf.standard_errors[i], se, se), (chunks, lam)
+
+
+def test_sup_statistics_lie_within_a_few_ulps_of_two_passes(rng, monkeypatch):
+    mdp = random_mdp(rng, horizon=5)
+    pc = enumerate_policies(3, 2)
+    sups = oracles.suprema_per_policy(mdp, pc, 9000, seed=17)
+    mean, se = oracles.two_pass_mean_and_se(sups)
+    scale = math.fsum(np.abs(sups)) / sups.size
+    for block in (97, verify.SAMPLE_BLOCK):
+        monkeypatch.setattr(verify, "SAMPLE_BLOCK", block)
+        for chunks in (1, 2, 3):
+            est = empirical_sup_value(mdp, pc, replicates=9000, seed=17, chunks=chunks)
+            assert _within_ulps(est.estimate, mean, scale), (block, chunks)
+            assert _within_ulps(est.standard_error, se, se), (block, chunks)
+
+
+def test_mgf_overflow_guard_raises_before_any_warning():
+    # |lambda| * max |f - E f| = 3000 > 700: exp would overflow past 709
+    spec = fair_product_chain(6)
+
+    def f(states):
+        return 1000.0 * states.sum(axis=1)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="lambda grid risks overflow"):
+            empirical_mgf(spec, f, 1.0, lambda_grid=[0.1, 1.0], replicates=2000, seed=3)
+
+
+def test_a_pilot_whose_values_sum_past_the_float_range_is_rejected(monkeypatch):
+    # finite values, but a leaf of them sums to infinity: the center would be infinite
+    monkeypatch.setattr(verify, "PILOT_REPLICATES", 5000)
+    spec = fair_product_chain(3)
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="not finite"):
+        empirical_tail(spec, lambda s: np.full(len(s), 1e305), 1.0, replicates=1000, seed=1)
+
+
+def test_an_mgf_whose_sum_passes_the_float_range_is_infinite():
+    # lambda * max |f - E f| = 700 passes the guard, and every leaf sum is
+    # finite, but 10^5 replicates, half of them e^700, sum past 1.8e308
+    spec = fair_product_chain(2)
+    f = TabularFunction(np.array([-1.0, -1.0, 1.0, 1.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = empirical_mgf(spec, f, 1.0, lambda_grid=[700.0], replicates=10**5, seed=2)
+    assert est.center == 0.0
+    assert est.empirical[0] == math.inf
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -310,10 +417,14 @@ def test_mgf_product_chain_against_binomial_oracle():
 
 
 def test_jackknife_matches_closed_form(rng):
+    # the MGF's standard error is s / sqrt(m) from merged leaf moments: the
+    # jackknife standard error of the mean, in closed form
     w = rng.random(500) * 3.0
-    assert _jackknife_se_of_mean(w) == pytest.approx(
-        float(np.std(w, ddof=1) / math.sqrt(w.size)), rel=1e-10
-    )
+    moments = verify._LeafMoments()
+    moments.add(w)
+    jackknife = oracles.jackknife_se_of_mean(w)
+    assert jackknife == pytest.approx(float(np.std(w, ddof=1) / math.sqrt(w.size)), rel=1e-10)
+    assert moments.standard_errors()[0] == pytest.approx(jackknife, rel=1e-10)
 
 
 def test_se_formulas_validated_on_binomial_case():
